@@ -7,8 +7,9 @@ systems of multiplier theory for vector-valued Hardy spaces:
 * sparse power series with vector or operator coefficients
   (:mod:`polyhardy.series`) indexed by finitely supported multi-indices
   (:mod:`polyhardy.multiindex`);
-* their Dirichlet-series twins under the prime-power Bohr bijection
-  (:mod:`polyhardy.dirichlet`);
+* Dirichlet series (:mod:`polyhardy.dirichlet`), which share that
+  sparse core with frequency keys in place of multi-indices, so that
+  the prime-power Bohr bijection only relabels keys;
 * Hardy norms, Fourier extraction on torus grids, and extremal kernels
   (:mod:`polyhardy.hardy`);
 * multiplication operators compressed to truncated coefficient space,

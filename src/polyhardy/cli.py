@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -68,17 +69,6 @@ from .seriesio import (
 
 __all__ = ["Check", "RunReport", "main", "parse_series_file", "run_verify"]
 
-VERIFY_SUITES = (
-    "bohr",
-    "parseval",
-    "cole-gamelin",
-    "dilation",
-    "toeplitz",
-    "diagonal",
-    "dirichlet",
-    "recover",
-)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -115,7 +105,7 @@ def check_at_most(name: str, got: float, bound: float) -> Check:
 def check_at_least(name: str, got: float, bound: float) -> Check:
     got = float(got)
     bound = float(bound)
-    return Check(name, f">= {bound}", got, 0.0, got >= bound)
+    return Check(name, f">= {bound}", got, bound, got >= bound)
 
 
 @dataclass
@@ -175,9 +165,7 @@ def _random_power_series(rng, kind, dim, nvars, degree, num_terms):
 
 
 def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
-    limit = int(p.get("limit", 100_000))
-    pairs = int(p.get("pairs", 1000))
-    product_pairs = int(p.get("product_pairs", 100))
+    limit, pairs, product_pairs = p["limit"], p["pairs"], p["product_pairs"]
     rng = np.random.default_rng(p["seed"])
 
     bad_roundtrip = sum(
@@ -228,10 +216,7 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_parseval(p: dict) -> tuple[dict, list[Check]]:
-    nvars = int(p.get("nvars", 3))
-    degree = int(p.get("degree", 4))
-    dim = int(p.get("dim", 2))
-    count = int(p.get("count", 50))
+    nvars, degree, dim, count = p["nvars"], p["degree"], p["dim"], p["count"]
     rng = np.random.default_rng(p["seed"])
     grid = TorusGrid(nvars=nvars, points_per_var=2 * degree + 1, radius=1.0)
 
@@ -281,9 +266,7 @@ def _geometric_tail_bound(max_abs_sq: float, nvars: int, degree: int) -> float:
 
 
 def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
-    kernel_count = int(p.get("kernel_count", 20))
-    ineq_count = int(p.get("ineq_count", 100))
-    degree = int(p.get("degree", 40))
+    kernel_count, ineq_count, degree = p["kernel_count"], p["ineq_count"], p["degree"]
     rng = np.random.default_rng(p["seed"])
 
     worst_excess = -np.inf  # norm gap minus its analytic tail bound
@@ -320,7 +303,7 @@ def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
-    count = int(p.get("count", 20))
+    count = p["count"]
     rng = np.random.default_rng(p["seed"])
     radii = (0.3, 0.6, 0.9)
 
@@ -367,7 +350,7 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
-    degree = int(p.get("degree", 50))
+    degree = p["degree"]
     rng = np.random.default_rng(p["seed"])
 
     symbol = PowerSeries.operator(
@@ -384,7 +367,7 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     shift_gap = max(abs(s - norm_A) for s in schedule)
 
     monotone_violation = -np.inf
-    for _ in range(int(p.get("count", 20))):
+    for _ in range(p["count"]):
         nvars = int(rng.integers(1, 3))
         dim = int(rng.integers(1, 3))
         F = _random_power_series(rng, "operator", dim, nvars, 2, 4)
@@ -407,9 +390,9 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_diagonal(p: dict) -> tuple[dict, list[Check]]:
-    dim = int(p.get("dim", 16))
-    pairs = int(p.get("pairs", 100))
+    dim, pairs = p["dim"], p["pairs"]
     rng = np.random.default_rng(p["seed"])
+    rows = []
     worst = 0.0
     for _ in range(pairs):
         w = np.exp(2j * np.pi * rng.random(dim))
@@ -417,13 +400,14 @@ def _suite_diagonal(p: dict) -> tuple[dict, list[Check]]:
         dist_op = operator_norm(diagonal_example(w) - diagonal_example(wt))
         dist_inf = float(np.max(np.abs(w - wt)))
         worst = max(worst, abs(dist_op - dist_inf))
-    outputs = {"dim": dim, "pairs": pairs}
+        rows.append({"uniform_distance": dist_inf, "operator_distance": dist_op})
+    outputs = {"dim": dim, "pairs": pairs, "table": rows}
     checks = [check_at_most("diagonal-distance-identity-gap", worst, 1e-12)]
     return outputs, checks
 
 
 def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
-    count = int(p.get("count", 25))
+    count = p["count"]
     rng = np.random.default_rng(p["seed"])
 
     eval_gap = 0.0
@@ -466,62 +450,93 @@ def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_recover(p: dict) -> tuple[dict, list[Check]]:
-    sigma = float(p.get("sigma", 2.0))
+    """Recover a_2 of ``3 * 2^-s + 5 * 3^-s`` on windows of growing half-length R.
+
+    Each other frequency m leaves the cross term
+    ``a_m (n/m)^sigma sin(R L) / (R L)`` with ``L = log(n/m)``.  On a grid
+    of step h the trapezoid rule's error on the window average is at most
+    ``h^2/12 * sum |a_m| (n/m)^sigma L^2`` (its Peano kernel has one sign,
+    and the integrand's second derivative carries the factor L^2), so the
+    error must match the summed cross terms within that bound.  The rule
+    integrates ``exp(i L t)`` exactly up to the factor ``x cot x`` with
+    ``x = h L / 2``, which lies in (0, 1] while ``|x| < pi/2``, so the
+    error also lies below the envelope ``sum |a_m| (n/m)^sigma / (R |L|)``.
+    """
+    sigma, n = p["sigma"], 2
     D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
-    exact = 3.0
-
-    def error_at(R: float) -> float:
+    radii = [100.0, 400.0, 1600.0, 10_000.0]
+    errors = []
+    checks = []
+    for R in radii:
         points = max(4001, int(12 * R))
-        got = recover_coefficient(D, 2, sigma, R, points)
-        return abs(complex(got[0]) - exact)
-
-    radii = [100.0, 400.0, 1600.0]
-    errors = [error_at(R) for R in radii]
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    final_error = error_at(10_000.0)
+        h = 2 * R / (points - 1)
+        err = recover_coefficient(D, n, sigma, R, points) - D.coefficient(n)
+        cross = np.zeros_like(err)
+        quadrature = envelope = 0.0
+        for m, a in D.terms.items():
+            if m == n:
+                continue
+            L = math.log(n / m)
+            scale = (n / m) ** sigma
+            cross = cross + scale * math.sin(R * L) / (R * L) * a
+            weight = float(np.linalg.norm(a)) * scale
+            quadrature += weight * L**2 * h**2 / 12
+            envelope += weight / (R * abs(L))
+        errors.append(float(np.linalg.norm(err)))
+        checks.append(
+            check_at_most(f"recovery-cross-term-gap-{int(R)}", np.linalg.norm(err - cross), quadrature)
+        )
+        checks.append(check_at_most(f"recovery-error-envelope-{int(R)}", errors[-1], envelope))
 
     outputs = {
         "sigma": sigma,
+        "frequency": n,
         "window_half_lengths": radii,
         "errors": errors,
-        "decay_ratios": ratios,
-        "error_at_1e4": final_error,
     }
-    checks = [
-        check_at_least(f"recovery-decay-ratio-{int(r)}", ratio, 1.8)
-        for r, ratio in zip(radii, ratios)
-    ]
-    checks.append(check_at_most("recovery-error-at-1e4", final_error, 1e-2))
     return outputs, checks
 
 
-_SUITE_RUNNERS = {
-    "bohr": _suite_bohr,
-    "parseval": _suite_parseval,
-    "cole-gamelin": _suite_cole_gamelin,
-    "dilation": _suite_dilation,
-    "toeplitz": _suite_toeplitz,
-    "diagonal": _suite_diagonal,
-    "dirichlet": _suite_dirichlet,
-    "recover": _suite_recover,
+#: Each suite's runner and the parameters it reads, with their defaults.
+_SUITES = {
+    "bohr": (_suite_bohr, {"limit": 100_000, "pairs": 1000, "product_pairs": 100}),
+    "parseval": (_suite_parseval, {"nvars": 3, "degree": 4, "dim": 2, "count": 50}),
+    "cole-gamelin": (_suite_cole_gamelin, {"kernel_count": 20, "ineq_count": 100, "degree": 40}),
+    "dilation": (_suite_dilation, {"count": 20}),
+    "toeplitz": (_suite_toeplitz, {"degree": 50, "count": 20}),
+    "diagonal": (_suite_diagonal, {"dim": 16, "pairs": 100}),
+    "dirichlet": (_suite_dirichlet, {"count": 25}),
+    "recover": (_suite_recover, {"sigma": 2.0}),
 }
+
+VERIFY_SUITES = tuple(_SUITES)
 
 
 def run_verify(suite: str, **params) -> RunReport:
     """Run a named verification suite and return its report.
 
     Known suites: bohr, parseval, cole-gamelin, dilation, toeplitz,
-    diagonal, dirichlet, recover.  Parameters not supplied fall back to
-    the suite's standard configuration; ``seed`` defaults to 0.
+    diagonal, dirichlet, recover.  Every suite takes ``seed`` (default
+    0); parameters not supplied fall back to the suite's defaults, and a
+    parameter the suite does not read raises ``ValueError``.  The report
+    lists every parameter the suite used.
     """
-    if suite not in _SUITE_RUNNERS:
+    if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
-    params.setdefault("seed", 0)
+    runner, defaults = _SUITES[suite]
+    defaults = {"seed": 0, **defaults}
+    unused = sorted(params.keys() - defaults.keys())
+    if unused:
+        raise ValueError(
+            f"verify {suite} does not use {', '.join(unused)}; "
+            f"it takes {', '.join(defaults)}"
+        )
+    used = {key: type(value)(params.get(key, value)) for key, value in defaults.items()}
     start = time.perf_counter()
-    outputs, checks = _SUITE_RUNNERS[suite](params)
+    outputs, checks = runner(used)
     return RunReport(
         command=f"verify {suite}",
-        inputs=dict(params),
+        inputs=used,
         outputs=outputs,
         checks=checks,
         wall_time_s=time.perf_counter() - start,
@@ -709,37 +724,24 @@ def _cmd_recover(args) -> RunReport:
     )
 
 
+#: Options that ``verify`` and ``example-sot`` pass on to a suite when set.
+_SUITE_OPTIONS = ("nvars", "degree", "dim", "p", "grid", "radius", "tol")
+
+
+def _suite_params(args) -> dict:
+    params = {k: getattr(args, k) for k in _SUITE_OPTIONS if getattr(args, k) is not None}
+    params["seed"] = args.seed
+    return params
+
+
 def _cmd_example_sot(args) -> RunReport:
-    start = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
-    dim = args.dim or 16
-    rows = []
-    worst = 0.0
-    for _ in range(args.pairs):
-        w = np.exp(2j * np.pi * rng.random(dim))
-        wt = np.exp(2j * np.pi * rng.random(dim))
-        dist_op = operator_norm(diagonal_example(w) - diagonal_example(wt))
-        dist_inf = float(np.max(np.abs(w - wt)))
-        worst = max(worst, abs(dist_op - dist_inf))
-        rows.append({"uniform_distance": dist_inf, "operator_distance": dist_op})
-    return RunReport(
-        command="example-sot",
-        inputs={"dim": dim, "pairs": args.pairs, "seed": args.seed},
-        outputs={"table": rows},
-        checks=[check_at_most("diagonal-distance-identity-gap", worst, 1e-12)],
-        wall_time_s=time.perf_counter() - start,
-    )
+    """The ``verify diagonal`` suite, reported as its distance table."""
+    report = run_verify("diagonal", pairs=args.pairs, **_suite_params(args))
+    return replace(report, command="example-sot", outputs={"table": report.outputs["table"]})
 
 
 def _cmd_verify(args) -> RunReport:
-    params = {"seed": args.seed, "tol": args.tol}
-    if args.nvars:
-        params["nvars"] = args.nvars
-    if args.degree is not None:
-        params["degree"] = args.degree
-    if args.dim:
-        params["dim"] = args.dim
-    return run_verify(args.suite, **params)
+    return run_verify(args.suite, **_suite_params(args))
 
 
 # ---------------------------------------------------------------------------
@@ -758,45 +760,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--nvars", type=int, default=None, help="number of variables")
-    common.add_argument("--degree", type=int, default=None, help="total-degree bound")
-    common.add_argument("--dim", type=int, default=None, help="coefficient dimension")
-    common.add_argument("--p", type=float, default=2.0, help="norm exponent")
-    common.add_argument(
-        "--grid",
-        type=_int_list,
-        default=None,
-        help="grid points per variable (comma list for schedules)",
-    )
-    common.add_argument(
-        "--radius",
-        type=_float_list,
-        default=None,
-        help="grid radius in (0, 1] (comma list for schedules)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--tol", type=float, default=1e-12, help="check tolerance")
-    common.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+    def common() -> argparse.ArgumentParser:
+        """Shared options; built afresh for each subcommand, because argparse
+        shares parent actions and ``set_defaults`` on one subcommand would
+        change the default of every other."""
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--nvars", type=int, default=None, help="number of variables")
+        common.add_argument("--degree", type=int, default=None, help="total-degree bound")
+        common.add_argument("--dim", type=int, default=None, help="coefficient dimension")
+        common.add_argument("--p", type=float, default=2.0, help="norm exponent")
+        common.add_argument(
+            "--grid",
+            type=_int_list,
+            default=None,
+            help="grid points per variable (comma list for schedules)",
+        )
+        common.add_argument(
+            "--radius",
+            type=_float_list,
+            default=None,
+            help="grid radius in (0, 1] (comma list for schedules)",
+        )
+        common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        common.add_argument("--tol", type=float, default=1e-12, help="check tolerance")
+        common.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+        return common
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("transform", parents=[common], help="power <-> Dirichlet transport")
+    sp = sub.add_parser("transform", parents=[common()], help="power <-> Dirichlet transport")
     sp.add_argument("file", type=Path)
     sp.set_defaults(handler=_cmd_transform)
 
-    sp = sub.add_parser("product", parents=[common], help="operator * vector product")
+    sp = sub.add_parser("product", parents=[common()], help="operator * vector product")
     sp.add_argument("left", type=Path, help="operator-valued series file")
     sp.add_argument("right", type=Path, help="vector-valued series file")
     sp.add_argument("--max-frequency", type=int, default=None, dest="max_frequency")
     sp.set_defaults(handler=_cmd_product)
 
-    sp = sub.add_parser("norm", parents=[common], help="h2 / hp / hinf norms")
+    sp = sub.add_parser("norm", parents=[common()], help="h2 / hp / hinf norms")
     sp.add_argument("which", choices=("h2", "hp", "hinf"))
     sp.add_argument("file", type=Path)
     sp.set_defaults(handler=_cmd_norm)
 
-    sp = sub.add_parser("mulnorm", parents=[common], help="compression-norm schedule")
+    sp = sub.add_parser("mulnorm", parents=[common()], help="compression-norm schedule")
     sp.add_argument("file", type=Path, help="operator-valued power series file")
     sp.add_argument(
         "--degrees",
@@ -806,22 +813,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=_cmd_mulnorm)
 
-    sp = sub.add_parser("recover", parents=[common], help="vertical-line coefficient recovery")
+    sp = sub.add_parser("recover", parents=[common()], help="vertical-line coefficient recovery")
     sp.add_argument("file", type=Path, help="Dirichlet series file")
     sp.add_argument("--frequency", type=int, required=True)
     sp.add_argument("--sigma", type=float, default=2.0)
     sp.add_argument("--R", type=float, default=1e4, help="integration half-length")
-    sp.set_defaults(handler=_cmd_recover, tol_default=1e-2)
+    sp.set_defaults(handler=_cmd_recover, tol=1e-2)
 
-    sp = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    sp = sub.add_parser("verify", parents=[common()], help="run a verification suite")
     sp.add_argument("suite", choices=VERIFY_SUITES)
-    sp.set_defaults(handler=_cmd_verify)
+    sp.set_defaults(handler=_cmd_verify, p=None, tol=None)
 
     sp = sub.add_parser(
-        "example-sot", parents=[common], help="diagonal-symbol distance table"
+        "example-sot", parents=[common()], help="diagonal-symbol distance table"
     )
     sp.add_argument("--pairs", type=int, default=20)
-    sp.set_defaults(handler=_cmd_example_sot)
+    sp.set_defaults(handler=_cmd_example_sot, p=None, tol=None)
 
     return parser
 
@@ -829,8 +836,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol_default", None) is not None and args.tol == 1e-12:
-        args.tol = args.tol_default
     try:
         report: RunReport = args.handler(args)
     except (SeriesFormatError, ValueError, OverflowError, ArithmeticError) as exc:

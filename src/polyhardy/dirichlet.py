@@ -1,7 +1,9 @@
 """Dirichlet series with vector or operator coefficients.
 
-The frequency-indexed twin of :class:`~polyhardy.series.PowerSeries`:
-the Bohr transform carries the coefficient at multi-index alpha to the
+:class:`DirichletSeries` shares its sparse core with
+:class:`~polyhardy.series.PowerSeries` and differs only in its keys:
+positive integer frequencies, combined by multiplication.  The Bohr
+transform carries the coefficient at multi-index alpha to the
 coefficient at frequency ``prod(p_i ** alpha_i)`` and is an exact
 bijection on finitely supported series.  Multiplication becomes divisor
 convolution, radial structure becomes the epsilon-shift ``a_n / n^eps``,
@@ -14,13 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
 from .multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
-from .series import Kind, PowerSeries, _as_coefficient, _coefficient_shape
+from .series import PowerSeries, _coefficient_shape, _convolve, _SparseSeries
 
 __all__ = [
     "DirichletSeries",
@@ -46,104 +46,26 @@ class HalfPlanePoint:
         return complex(self.sigma, self.t)
 
 
-class DirichletSeries:
-    """Immutable sparse series ``sum a_n n^(-s)``; zero coefficients are
-    never stored and frequencies stay within 64-bit range."""
+class DirichletSeries(_SparseSeries):
+    """Immutable sparse series ``sum a_n n^(-s)``; frequencies are
+    positive and stay within 64-bit range."""
 
-    __slots__ = ("_kind", "_dim", "_terms")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        kind: Kind,
-        dim: int,
-        terms: Mapping | Iterable[tuple] = (),
-    ):
-        if kind not in ("vector", "operator"):
-            raise ValueError(f"kind must be 'vector' or 'operator', got {kind!r}")
-        dim = operator.index(dim)
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        accum: dict[int, np.ndarray] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for n, value in items:
-            n = operator.index(n)
-            if n < 1:
-                raise ValueError("frequencies must be positive integers")
-            if n > MAX_FREQUENCY:
-                raise OverflowError(f"frequency {n} exceeds the 64-bit range")
-            coeff = _as_coefficient(value, kind, dim)
-            if n in accum:
-                accum[n] = accum[n] + coeff
-            else:
-                accum[n] = coeff
-        clean = {n: c for n, c in accum.items() if c.any()}
-        for c in clean.values():
-            c.setflags(write=False)
-        self._kind = kind
-        self._dim = dim
-        self._terms = clean
+    _combine = staticmethod(operator.mul)
 
-    @classmethod
-    def vector(cls, dim: int, terms=()) -> "DirichletSeries":
-        return cls("vector", dim, terms)
-
-    @classmethod
-    def operator(cls, dim: int, terms=()) -> "DirichletSeries":
-        return cls("operator", dim, terms)
-
-    @property
-    def kind(self) -> Kind:
-        return self._kind
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def terms(self) -> Mapping[int, np.ndarray]:
-        return MappingProxyType(self._terms)
+    @staticmethod
+    def _key(n) -> int:
+        n = operator.index(n)
+        if n < 1:
+            raise ValueError("frequencies must be positive integers")
+        if n > MAX_FREQUENCY:
+            raise OverflowError(f"frequency {n} exceeds the 64-bit range")
+        return n
 
     @property
     def frequencies(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
-
-    @property
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, n: int) -> np.ndarray:
-        found = self._terms.get(operator.index(n))
-        if found is not None:
-            return found
-        return np.zeros(_coefficient_shape(self._kind, self._dim), dtype=np.complex128)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
-        return (
-            self._kind == other._kind
-            and self._dim == other._dim
-            and self._terms.keys() == other._terms.keys()
-            and all(np.array_equal(c, other._terms[n]) for n, c in self._terms.items())
-        )
-
-    def allclose(self, other: "DirichletSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        if self._kind != other._kind or self._dim != other._dim:
-            return False
-        for n in set(self._terms) | set(other._terms):
-            if not np.allclose(self.coefficient(n), other.coefficient(n), rtol=rtol, atol=atol):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return (
-            f"DirichletSeries(kind={self._kind!r}, dim={self._dim}, "
-            f"num_terms={len(self._terms)})"
-        )
 
 
 def bohr(F: PowerSeries) -> DirichletSeries:
@@ -176,25 +98,8 @@ def dirichlet_product(
     Frequencies above ``max_frequency`` are discarded during
     accumulation, mirroring degree truncation on the power-series side.
     """
-    if D.kind != "operator" or E.kind != "vector":
-        raise ValueError(
-            f"kind mismatch: need operator * vector, got {D.kind} * {E.kind}"
-        )
-    if D.dim != E.dim:
-        raise ValueError(f"dimension mismatch: {D.dim} vs {E.dim}")
     max_frequency = operator.index(max_frequency)
-    accum: dict[int, np.ndarray] = {}
-    for k, a in D.terms.items():
-        for j, b in E.terms.items():
-            n = k * j
-            if n > max_frequency:
-                continue
-            contrib = a @ b
-            if n in accum:
-                accum[n] = accum[n] + contrib
-            else:
-                accum[n] = contrib
-    return DirichletSeries("vector", D.dim, accum)
+    return _convolve(D, E, lambda n: n <= max_frequency)
 
 
 def evaluate_dirichlet(

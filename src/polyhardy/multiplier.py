@@ -24,6 +24,7 @@ from .multiindex import MultiIndex, simplex
 from .series import (
     PowerSeries,
     TruncationParams,
+    _check_op_vec,
     _evaluate_on_nodes,
     op_vec_product,
 )
@@ -169,12 +170,7 @@ def pointwise_vs_symbolic(
     polynomial inputs on an exact-resolution grid this is pure rounding
     noise (<= 1e-10 by contract).
     """
-    if F.kind != "operator" or G.kind != "vector":
-        raise ValueError(
-            f"kind mismatch: need operator * vector, got {F.kind} * {G.kind}"
-        )
-    if F.dim != G.dim:
-        raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
+    _check_op_vec(F, G)
     needed = F.total_degree + G.total_degree + 1
     if grid.radius != 1.0:
         raise ValueError("consistency check requires the unit-radius grid")

@@ -1,9 +1,14 @@
 """Sparse formal power series with vector or operator coefficients.
 
-A series is a finitely supported map from multi-indices to coefficients.
+A series is a finitely supported map from keys to coefficients.
 Coefficients are either d-vectors (function values in C^d) or d x d
 matrices (operator symbols acting on C^d); a single series never mixes
-the two.  All arithmetic is exact sparse bookkeeping in complex double
+the two.  One private core holds the map, its validation and its
+comparisons, and one convolution serves every product; a subclass fixes
+only the key type and the key product.  :class:`PowerSeries` keys are
+multi-indices that add; :class:`~polyhardy.dirichlet.DirichletSeries`
+keys are frequencies that multiply, so the Bohr transform is a relabelling
+of keys.  All arithmetic is exact sparse bookkeeping in complex double
 precision; truncation windows are carried explicitly via
 :class:`TruncationParams`.
 """
@@ -72,8 +77,15 @@ def _as_coefficient(value, kind: Kind, dim: int) -> np.ndarray:
     return arr
 
 
-class PowerSeries:
-    """Immutable sparse power series; zero coefficients are never stored."""
+class _SparseSeries:
+    """Immutable sparse map from keys to coefficients; zero coefficients
+    are never stored.
+
+    The shared core of :class:`PowerSeries` and
+    :class:`~polyhardy.dirichlet.DirichletSeries`.  A subclass fixes its
+    key type through ``_key``, which normalizes and validates one key,
+    and ``_combine``, the key product under which coefficients convolve.
+    """
 
     __slots__ = ("_kind", "_dim", "_terms")
 
@@ -88,17 +100,16 @@ class PowerSeries:
         dim = operator.index(dim)
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        accum: dict[MultiIndex, np.ndarray] = {}
+        accum: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for alpha, value in items:
-            if not isinstance(alpha, MultiIndex):
-                alpha = MultiIndex(alpha)
+        for key, value in items:
+            key = self._key(key)
             coeff = _as_coefficient(value, kind, dim)
-            if alpha in accum:
-                accum[alpha] = accum[alpha] + coeff
+            if key in accum:
+                accum[key] = accum[key] + coeff
             else:
-                accum[alpha] = coeff
-        clean = {a: c for a, c in accum.items() if c.any()}
+                accum[key] = coeff
+        clean = {k: c for k, c in accum.items() if c.any()}
         for c in clean.values():
             c.setflags(write=False)
         self._kind = kind
@@ -106,12 +117,79 @@ class PowerSeries:
         self._terms = clean
 
     @classmethod
-    def vector(cls, dim: int, terms=()) -> "PowerSeries":
+    def vector(cls, dim: int, terms=()):
         return cls("vector", dim, terms)
 
     @classmethod
-    def operator(cls, dim: int, terms=()) -> "PowerSeries":
+    def operator(cls, dim: int, terms=()):
         return cls("operator", dim, terms)
+
+    @property
+    def kind(self) -> Kind:
+        return self._kind
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def terms(self) -> Mapping:
+        return MappingProxyType(self._terms)
+
+    @property
+    def num_terms(self) -> int:
+        return len(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, key) -> np.ndarray:
+        """Coefficient at ``key`` (validated like a constructor key); zero if absent."""
+        found = self._terms.get(self._key(key))
+        if found is not None:
+            return found
+        return np.zeros(_coefficient_shape(self._kind, self._dim), dtype=np.complex128)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SparseSeries):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._kind == other._kind
+            and self._dim == other._dim
+            and self._terms.keys() == other._terms.keys()
+            and all(np.array_equal(c, other._terms[k]) for k, c in self._terms.items())
+        )
+
+    def allclose(self, other: "_SparseSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
+        """Same type, kind and dim, and coefficientwise agreement within tolerances."""
+        if type(self) is not type(other) or self._kind != other._kind or self._dim != other._dim:
+            return False
+        for key in set(self._terms) | set(other._terms):
+            if not np.allclose(
+                self.coefficient(key), other.coefficient(key), rtol=rtol, atol=atol
+            ):
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(kind={self._kind!r}, dim={self._dim}, "
+            f"num_terms={len(self._terms)})"
+        )
+
+
+class PowerSeries(_SparseSeries):
+    """Immutable sparse power series keyed by :class:`MultiIndex`."""
+
+    __slots__ = ()
+
+    _combine = staticmethod(operator.add)
+
+    @staticmethod
+    def _key(alpha) -> MultiIndex:
+        return alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
 
     @classmethod
     def zero(cls, kind: Kind, dim: int) -> "PowerSeries":
@@ -128,29 +206,9 @@ class PowerSeries:
         raise ValueError("constant must be a vector or a square matrix")
 
     @property
-    def kind(self) -> Kind:
-        return self._kind
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def terms(self) -> Mapping[MultiIndex, np.ndarray]:
-        return MappingProxyType(self._terms)
-
-    @property
     def support(self) -> tuple[MultiIndex, ...]:
         """Stored multi-indices in graded-lexicographic order."""
         return tuple(sorted(self._terms, key=graded_lex_key))
-
-    @property
-    def num_terms(self) -> int:
-        return len(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def total_degree(self) -> int:
@@ -165,14 +223,6 @@ class PowerSeries:
     def nvars_used(self) -> int:
         """Smallest N such that the support lives on the first N variables."""
         return max((len(a) for a in self._terms), default=0)
-
-    def coefficient(self, alpha: MultiIndex | Iterable[int]) -> np.ndarray:
-        if not isinstance(alpha, MultiIndex):
-            alpha = MultiIndex(alpha)
-        found = self._terms.get(alpha)
-        if found is not None:
-            return found
-        return np.zeros(_coefficient_shape(self._kind, self._dim), dtype=np.complex128)
 
     def _check_compatible(self, other: "PowerSeries") -> None:
         if self._kind != other._kind:
@@ -205,32 +255,38 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return (
-            self._kind == other._kind
-            and self._dim == other._dim
-            and self._terms.keys() == other._terms.keys()
-            and all(np.array_equal(c, other._terms[a]) for a, c in self._terms.items())
-        )
 
-    def allclose(self, other: "PowerSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        """Same kind/dim and coefficientwise agreement within tolerances."""
-        if self._kind != other._kind or self._dim != other._dim:
-            return False
-        for alpha in set(self._terms) | set(other._terms):
-            if not np.allclose(
-                self.coefficient(alpha), other.coefficient(alpha), rtol=rtol, atol=atol
-            ):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return (
-            f"PowerSeries(kind={self._kind!r}, dim={self._dim}, "
-            f"num_terms={len(self._terms)})"
+def _check_op_vec(F: _SparseSeries, G: _SparseSeries) -> None:
+    """Raise unless ``F`` is an operator series and ``G`` a vector series of one dim."""
+    if F.kind != "operator" or G.kind != "vector":
+        raise ValueError(
+            f"kind mismatch: need operator * vector, got {F.kind} * {G.kind}"
         )
+    if F.dim != G.dim:
+        raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
+
+
+def _convolve(F: _SparseSeries, G: _SparseSeries, keep) -> _SparseSeries:
+    """Operator-by-vector convolution over the key product of ``F``'s type.
+
+    The coefficient at key k is ``sum over F._combine(i, j) = k of
+    a_i @ b_j``; keys for which ``keep`` is false are discarded during
+    accumulation.  Bilinear in (F, G).
+    """
+    _check_op_vec(F, G)
+    combine = F._combine
+    accum: dict = {}
+    for i, a in F._terms.items():
+        for j, b in G._terms.items():
+            key = combine(i, j)
+            if not keep(key):
+                continue
+            contrib = a @ b
+            if key in accum:
+                accum[key] = accum[key] + contrib
+            else:
+                accum[key] = contrib
+    return type(F)("vector", F.dim, accum)
 
 
 def op_vec_product(
@@ -244,24 +300,9 @@ def op_vec_product(
     are discarded during accumulation, matching the compression window.
     Bilinear in (F, G).
     """
-    if F.kind != "operator" or G.kind != "vector":
-        raise ValueError(
-            f"kind mismatch: need operator * vector, got {F.kind} * {G.kind}"
-        )
-    if F.dim != G.dim:
-        raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
-    accum: dict[MultiIndex, np.ndarray] = {}
-    for beta, a in F.terms.items():
-        for gamma, b in G.terms.items():
-            alpha = beta + gamma
-            if alpha.degree > trunc.max_degree or len(alpha) > trunc.nvars:
-                continue
-            contrib = a @ b
-            if alpha in accum:
-                accum[alpha] = accum[alpha] + contrib
-            else:
-                accum[alpha] = contrib
-    return PowerSeries("vector", F.dim, accum)
+    return _convolve(
+        F, G, lambda a: a.degree <= trunc.max_degree and len(a) <= trunc.nvars
+    )
 
 
 def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
 from .dirichlet import DirichletSeries
-from .series import PowerSeries
+from .series import PowerSeries, _SparseSeries
 
 __all__ = [
     "SeriesFormatError",
@@ -33,7 +32,7 @@ __all__ = [
     "series_to_dict",
 ]
 
-AnySeries = Union[PowerSeries, DirichletSeries]
+AnySeries = _SparseSeries
 
 
 class SeriesFormatError(ValueError):

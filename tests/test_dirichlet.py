@@ -70,6 +70,20 @@ class TestDirichletSeriesType:
         D = DirichletSeries.vector(1, [(3, [1.0]), (3, [-1.0]), (2, [1.0])])
         assert D.frequencies == (2,)
 
+    def test_coefficient_validates_its_key(self):
+        D = DirichletSeries.vector(1, {2: [1.0]})
+        with pytest.raises(ValueError):
+            D.coefficient(0)
+        with pytest.raises(OverflowError):
+            D.coefficient(2**63)
+        np.testing.assert_array_equal(D.coefficient(3), [0.0])
+
+    def test_never_equal_to_a_power_series(self):
+        for F in (PowerSeries.vector(2), PowerSeries.vector(2, {MultiIndex(): [1.0, 2.0]})):
+            D = bohr(F)
+            assert D != F and F != D
+            assert not D.allclose(F) and not F.allclose(D)
+
 
 class TestDirichletProduct:
     def test_single_divisor_pair(self):
