@@ -149,6 +149,7 @@ class RunReport:
 
 
 def _random_power_series(rng, kind, dim, nvars, degree, num_terms):
+    """Sparse random series with standard complex normal coefficients."""
     pool = simplex(nvars, degree)
     chosen = rng.choice(len(pool), size=min(num_terms, len(pool)), replace=False)
     shape = (dim,) if kind == "vector" else (dim, dim)
@@ -556,6 +557,15 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _one_value(values: list | None, flag: str, default):
+    """The single value given to a comma-list flag, or ``default`` if none was."""
+    if not values:
+        return default
+    if len(values) > 1:
+        raise ValueError(f"{flag} takes one value here, got {len(values)}: {values}")
+    return values[0]
+
+
 def _cmd_transform(args) -> RunReport:
     start = time.perf_counter()
     series = load_series(args.file)
@@ -650,8 +660,8 @@ def _cmd_norm(args) -> RunReport:
         if not isinstance(series, PowerSeries):
             raise SeriesFormatError("hp norms need a power series file")
         nvars = args.nvars or max(series.nvars_used, 1)
-        M = args.grid[0] if args.grid else 2 * series.total_degree + 1
-        radius = args.radius[0] if args.radius else 1.0
+        M = _one_value(args.grid, "--grid", 2 * series.total_degree + 1)
+        radius = _one_value(args.radius, "--radius", 1.0)
         grid = TorusGrid(nvars=nvars, points_per_var=M, radius=radius)
         outputs["value"] = hp_norm(series, args.p, grid)
         inputs.update({"p": args.p, "nvars": nvars, "grid": M, "radius": radius})
@@ -702,7 +712,7 @@ def _cmd_recover(args) -> RunReport:
     series = load_series(args.file)
     if not isinstance(series, DirichletSeries):
         raise SeriesFormatError("recover needs a Dirichlet series file")
-    points = args.grid[0] if args.grid else max(4001, int(12 * args.R))
+    points = _one_value(args.grid, "--grid", max(4001, int(12 * args.R)))
     got = recover_coefficient(series, args.frequency, args.sigma, args.R, points)
     stored = series.coefficient(args.frequency)
     err = float(np.linalg.norm(got - stored))

@@ -1,12 +1,15 @@
 """Hardy norms on torus grids, Fourier extraction, and extremal kernels.
 
 The H_2 norm is the exact Parseval sum of squared coefficient norms.
-The H_p norms are tensor-grid quadratures over scaled roots of unity;
-for polynomials at radius 1 these quadratures are *exact* once the grid
-has enough points per variable (discrete orthogonality), which is what
-lets the test suite compare them against Parseval with no quadrature
-error in the way.  The sup norm is estimated from below by grid maxima
-over a schedule of grids.
+The H_p norms are tensor-grid quadratures over scaled roots of unity.
+Grid values are one inverse DFT of the folded coefficients, exact for
+every grid size; Fourier coefficients are one forward DFT of the values.
+Quadrature exactness, not evaluation, is what needs enough points per
+variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
+the grid exceeds twice the degree (discrete orthogonality), which lets
+the tests compare it against Parseval with no quadrature error in the
+way.  The sup norm is estimated from below by grid maxima over a
+schedule of grids.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .multiindex import MultiIndex, simplex
-from .series import PowerSeries, _evaluate_on_nodes
+from .series import PowerSeries, _coefficient_shape
 
 __all__ = [
     "TorusGrid",
@@ -80,12 +83,40 @@ def h2_norm(F) -> float:
     return math.sqrt(total)
 
 
-def _grid_values_and_norms(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
+def _cell(alpha: MultiIndex, grid: TorusGrid) -> tuple[int, ...]:
+    """Position of ``alpha mod M`` among the variable axes of a grid tensor."""
+    exps = alpha.exponents
+    return tuple(e % grid.points_per_var for e in exps) + (0,) * (grid.nvars - len(exps))
+
+
+def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
+    """Values of F at ``grid.nodes()``, shape ``(num_nodes, *coefficient shape)``.
+
+    At M-th roots of unity ``w^alpha`` depends only on ``alpha mod M``, so
+    one inverse DFT of ``r^|alpha| c_alpha`` folded into cell ``alpha mod M``
+    of an ``M^N`` tensor gives every node value exactly, for every M.
+    """
     if F.nvars_used > grid.nvars:
         raise ValueError(
             f"grid covers {grid.nvars} variables but the series uses {F.nvars_used}"
         )
-    values = _evaluate_on_nodes(F, grid.nodes())
+    shape = _coefficient_shape(F.kind, F.dim)
+    folded = np.zeros((grid.points_per_var,) * grid.nvars + shape, dtype=np.complex128)
+    for alpha, coeff in F.terms.items():
+        folded[_cell(alpha, grid)] += grid.radius**alpha.degree * coeff
+    values = np.fft.ifftn(folded, axes=range(grid.nvars)) * grid.num_nodes
+    return values.reshape(grid.num_nodes, *shape)
+
+
+def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Unit-grid means of ``values * w^(-alpha)``, at cell ``alpha mod M`` of an
+    ``M^N`` tensor; ``values`` has one row per node in ``grid.nodes()`` order."""
+    tensor = values.reshape((grid.points_per_var,) * grid.nvars + values.shape[1:])
+    return np.fft.fftn(tensor, axes=range(grid.nvars)) / grid.num_nodes
+
+
+def _grid_values_and_norms(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
+    values = _grid_values(F, grid)
     if F.kind == "vector":
         return np.linalg.norm(values, axis=1)
     return np.array([operator_norm(m) for m in values])
@@ -135,6 +166,9 @@ def fourier_coefficient(
 ) -> np.ndarray:
     """Discrete Fourier coefficient: mean of ``sampler(w) * w^(-alpha)``.
 
+    Calls ``sampler`` once per node, in ``grid.nodes()`` order, and returns
+    the ``alpha mod M`` aliased coefficient: the sum of the sampled
+    coefficients at every beta congruent to alpha modulo points_per_var.
     Requires the unit-radius grid.  Exact (to rounding) for trigonometric
     polynomials once points_per_var exceeds the sampled degree.
     """
@@ -146,13 +180,8 @@ def fourier_coefficient(
         raise ValueError(
             f"multi-index uses {len(alpha)} variables but the grid has {grid.nvars}"
         )
-    nodes = grid.nodes()
-    exps = np.zeros(grid.nvars, dtype=np.int64)
-    for pos, e in alpha.items():
-        exps[pos] = e
-    weights = np.conj(np.prod(nodes**exps, axis=1))
-    values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in nodes])
-    return np.tensordot(weights, values, axes=(0, 0)) / grid.num_nodes
+    values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()])
+    return _grid_coefficients(values, grid)[_cell(alpha, grid)]
 
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:

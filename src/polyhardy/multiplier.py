@@ -19,13 +19,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import operator_norm
-from .hardy import TorusGrid, hp_norm
+from .hardy import TorusGrid, _cell, _grid_coefficients, _grid_values, hp_norm
 from .multiindex import MultiIndex, simplex
 from .series import (
     PowerSeries,
     TruncationParams,
     _check_op_vec,
-    _evaluate_on_nodes,
     op_vec_product,
 )
 
@@ -179,11 +178,6 @@ def pointwise_vs_symbolic(
             f"grid resolution insufficient: need at least {needed} points per "
             f"variable, got {grid.points_per_var}"
         )
-    nvars_needed = max(F.nvars_used, G.nvars_used, 1)
-    if grid.nvars < nvars_needed:
-        raise ValueError(
-            f"grid covers {grid.nvars} variables but the inputs use {nvars_needed}"
-        )
 
     window = TruncationParams(
         nvars=grid.nvars,
@@ -191,25 +185,11 @@ def pointwise_vs_symbolic(
         dim=F.dim,
     )
     product = op_vec_product(F, G, window)
-    if product.is_zero:
-        return 0.0
-
-    nodes = grid.nodes()
-    f_values = _evaluate_on_nodes(F, nodes)
-    g_values = _evaluate_on_nodes(G, nodes)
-    sampled = np.einsum("kij,kj->ki", f_values, g_values)
-
-    alphas = product.support
-    exps = np.zeros((len(alphas), grid.nvars), dtype=np.int64)
-    for i, alpha in enumerate(alphas):
-        for pos, e in alpha.items():
-            exps[i, pos] = e
-    weights = np.conj(np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2))
-    extracted = weights.T @ sampled / grid.num_nodes
-
+    sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid))
+    extracted = _grid_coefficients(sampled, grid)
     residual = 0.0
-    for i, alpha in enumerate(alphas):
-        gap = float(np.linalg.norm(extracted[i] - product.coefficient(alpha)))
+    for alpha, coeff in product.terms.items():
+        gap = float(np.linalg.norm(extracted[_cell(alpha, grid)] - coeff))
         residual = max(residual, gap)
     return residual
 

@@ -337,34 +337,6 @@ def _evaluate_at(F: PowerSeries, point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_on_nodes(F: PowerSeries, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation at a (num_nodes, nvars) array of points.
-
-    Returns shape (num_nodes, dim) for vector series and
-    (num_nodes, dim, dim) for operator series.  The support must fit in
-    the node coordinate count.
-    """
-    nodes = np.asarray(nodes, dtype=np.complex128)
-    if nodes.ndim != 2:
-        raise ValueError("nodes must be a 2-d array of points")
-    num_nodes, nvars = nodes.shape
-    shape = _coefficient_shape(F.kind, F.dim)
-    if F.is_zero:
-        return np.zeros((num_nodes, *shape), dtype=np.complex128)
-    if F.nvars_used > nvars:
-        raise ValueError(
-            f"series uses {F.nvars_used} variables but points have only {nvars}"
-        )
-    alphas = list(F.terms)
-    exps = np.zeros((len(alphas), nvars), dtype=np.int64)
-    for i, alpha in enumerate(alphas):
-        for pos, e in alpha.items():
-            exps[i, pos] = e
-    monomials = np.prod(nodes[:, None, :] ** exps[None, :, :], axis=2)
-    coeffs = np.stack([F.terms[a] for a in alphas])
-    return np.tensordot(monomials, coeffs, axes=(1, 0))
-
-
 def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
     """Evaluate at a point of the open polydisk (every ``|z_j| < 1``).
 

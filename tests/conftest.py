@@ -1,15 +1,7 @@
-import numpy as np
+"""Shared test helpers.
 
-from polyhardy import PowerSeries, simplex
+``random_power_series`` is the generator the ``verify`` suites use, so
+tests and suites draw their random inputs from one definition.
+"""
 
-
-def random_power_series(rng, kind, dim, nvars, degree, num_terms):
-    """Sparse random series with standard complex normal coefficients."""
-    pool = simplex(nvars, degree)
-    chosen = rng.choice(len(pool), size=min(num_terms, len(pool)), replace=False)
-    shape = (dim,) if kind == "vector" else (dim, dim)
-    terms = {
-        pool[i]: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for i in chosen
-    }
-    return PowerSeries(kind, dim, terms)
+from polyhardy.cli import _random_power_series as random_power_series  # noqa: F401

@@ -5,8 +5,42 @@ import json
 import numpy as np
 import pytest
 
-from polyhardy import DirichletSeries, MultiIndex, PowerSeries, save_series
+from polyhardy import (
+    DirichletSeries,
+    MultiIndex,
+    PowerSeries,
+    TruncationParams,
+    bohr,
+    h2_norm,
+    op_vec_product,
+    operator_norm,
+    save_series,
+    series_from_dict,
+)
 from polyhardy.cli import check_at_least, main, run_verify
+
+
+def run(argv, capsys):
+    """Exit status and parsed JSON report of one CLI call."""
+    status = main([str(a) for a in argv])
+    return status, json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Series files: a vector and an operator power series, and their Bohr images."""
+    F = PowerSeries.operator(
+        2, {MultiIndex(): np.eye(2), MultiIndex([0, 1]): [[0.5, 1j], [0.0, -0.25]]}
+    )
+    G = PowerSeries.vector(
+        2, {MultiIndex([1]): [1.0, 2.0j], MultiIndex([2, 1]): [-0.5, 0.75], MultiIndex(): [0.1, 0.0]}
+    )
+    series = {"F": F, "G": G, "DF": bohr(F), "DG": bohr(G)}
+    paths = {}
+    for name, value in series.items():
+        paths[name] = tmp_path / f"{name}.json"
+        save_series(value, paths[name])
+    return series, paths
 
 
 class TestDiagonalDistance:
@@ -43,7 +77,72 @@ class TestMulnorm:
         assert schedules[0] == schedules[1]
 
 
+class TestTransform:
+    @pytest.mark.parametrize("name, other", [("G", "DG"), ("DF", "F")])
+    def test_round_trip(self, files, capsys, name, other):
+        series, paths = files
+        status, report = run(["transform", paths[name]], capsys)
+        assert status == 0
+        assert [c["name"] for c in report["checks"]] == ["transform-roundtrip-identity"]
+        assert series_from_dict(report["outputs"]["series"]) == series[other]
+
+
+class TestProduct:
+    @pytest.mark.parametrize("left, right", [("F", "G"), ("DF", "DG")])
+    def test_evaluation_consistency(self, files, capsys, left, right):
+        _, paths = files
+        status, report = run(["product", paths[left], paths[right]], capsys)
+        assert status == 0
+        assert [c["name"] for c in report["checks"]] == ["product-evaluation-consistency"]
+
+    def test_power_product_is_the_full_cauchy_product(self, files, capsys):
+        series, paths = files
+        F, G = series["F"], series["G"]
+        _, report = run(["product", paths["F"], paths["G"]], capsys)
+        window = TruncationParams(nvars=2, max_degree=F.total_degree + G.total_degree, dim=2)
+        assert series_from_dict(report["outputs"]["series"]) == op_vec_product(F, G, window)
+
+
+class TestNorm:
+    def test_h2(self, files, capsys):
+        series, paths = files
+        for name in ("G", "DG"):
+            status, report = run(["norm", "h2", paths[name]], capsys)
+            assert status == 0
+            assert report["outputs"]["value"] == h2_norm(series[name])
+
+    @pytest.mark.parametrize("flags", [[], ["--grid", "9", "--radius", "1"]])
+    def test_hp_at_radius_one_is_parseval(self, files, capsys, flags):
+        series, paths = files
+        G = series["G"]
+        status, report = run(["norm", "hp", paths["G"], *flags], capsys)
+        assert status == 0
+        assert report["inputs"]["grid"] > 2 * G.total_degree
+        assert report["inputs"]["radius"] == 1.0
+        assert report["outputs"]["value"] == pytest.approx(h2_norm(G), rel=1e-12)
+
+    def test_hinf_of_constant_symbol_is_its_spectral_norm(self, tmp_path, capsys):
+        A = np.array([[1.0, 2.0 - 1j], [0.5j, -1.0]])
+        path = tmp_path / "constant.json"
+        save_series(PowerSeries.constant(A), path)
+        status, report = run(["norm", "hinf", path, "--grid", "8,16", "--radius", "0.5,1"], capsys)
+        assert status == 0
+        assert report["outputs"]["value"] == pytest.approx(operator_norm(A), rel=1e-14)
+
+    @pytest.mark.parametrize("flag", ["--grid", "--radius"])
+    def test_hp_rejects_a_list(self, files, capsys, flag):
+        _, paths = files
+        values = {"--grid": "7,9", "--radius": "0.5,0.6"}[flag]
+        assert main(["norm", "hp", str(paths["G"]), flag, values]) == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestRecover:
+    def test_grid_rejects_a_list(self, files, capsys):
+        _, paths = files
+        assert main(["recover", str(paths["DG"]), "--frequency", "2", "--grid", "4001,8001"]) == 2
+        assert "--grid" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags, tolerance, status", [([], 1e-2, 0), (["--tol", "1e-12"], 1e-12, 1)]
     )

@@ -146,6 +146,65 @@ class TestHinfNorm:
             hinf_norm(PowerSeries.vector(1), [])
 
 
+U = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): relative error bound of k roundings."""
+    return k * U / (1 - k * U)
+
+
+def grid_value_error(F, grid):
+    """Bound on the gap between the library's value of F at a grid node and
+    ``evaluate_power`` there, as a multiple of S = sum ||c_alpha||.
+
+    Grid route: a cell sums at most T folded terms, each scaled by
+    r^|alpha| (gamma_{T + 2}); each of the ceil(log2 num_nodes) FFT stages
+    multiplies by a twiddle and adds (gamma_5 per stage); the final
+    scaling by num_nodes is one more rounding.  Direct route: a node
+    coordinate r exp(2 pi i k / M) is within 20u of the exact point (its
+    angle is below 2 pi), a monomial of degree D takes at most D complex
+    products (3u each), and the T-term sum adds gamma_T, so
+    gamma_{T + 23 D + 3}.  Both bounds hold componentwise against the
+    coordinate sums of |c_alpha|, hence in norm against S.
+    """
+    T, D = F.num_terms, F.total_degree
+    stages = math.ceil(math.log2(grid.num_nodes))
+    S = sum(float(np.linalg.norm(c, 2 if c.ndim == 2 else None)) for c in F.terms.values())
+    return (gamma(T + 3 + 5 * stages) + gamma(T + 23 * D + 3)) * S, S
+
+
+class TestCoarseGrid:
+    """Grids with no more points per variable than the degree: exponents
+    fold modulo M, and the values must still be the plain node values."""
+
+    GRID = TorusGrid(nvars=2, points_per_var=4, radius=0.9)
+
+    def random_series(self, kind, seed):
+        F = random_power_series(np.random.default_rng(seed), kind, 2, 2, 6, 12)
+        assert any(e >= self.GRID.points_per_var for a in F.terms for e in a.exponents)
+        return F
+
+    def test_hp_norm_equals_direct_mean(self):
+        F = self.random_series("vector", 10)
+        direct = np.array([np.linalg.norm(evaluate_power(F, w)) for w in self.GRID.nodes()])
+        error, S = grid_value_error(F, self.GRID)
+        # Power means move by at most the largest node gap (Minkowski); the
+        # vector norm, power, mean and root add gamma_{dim + n + 3} on each side.
+        tol = error + 2 * gamma(F.dim + self.GRID.num_nodes + 3) * S
+        for p in (1.0, 2.0, 4.0):
+            expected = float(np.mean(direct**p) ** (1.0 / p))
+            assert abs(hp_norm(F, p, self.GRID) - expected) <= tol
+
+    def test_hinf_norm_equals_direct_max(self):
+        F = self.random_series("operator", 11)
+        direct = max(operator_norm(evaluate_power(F, w)) for w in self.GRID.nodes())
+        error, S = grid_value_error(F, self.GRID)
+        # LAPACK singular values are within p(n) eps ||M||, p(n) = n, on each side.
+        tol = error + 2 * F.dim * np.finfo(float).eps * S
+        assert abs(hinf_norm(F, [self.GRID]) - direct) <= tol
+
+
 class TestFourierCoefficient:
     def test_recovers_stored_coefficients(self):
         rng = np.random.default_rng(5)
