@@ -566,6 +566,14 @@ def _one_value(values: list | None, flag: str, default):
     return values[0]
 
 
+def _reject_unused(args, command: str, *names: str) -> None:
+    """Raise ``ValueError`` naming each option in ``names`` that was given,
+    for options a subcommand reads only for some inputs."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{command} does not use {', '.join(given)}")
+
+
 def _cmd_transform(args) -> RunReport:
     start = time.perf_counter()
     series = load_series(args.file)
@@ -597,7 +605,8 @@ def _cmd_product(args) -> RunReport:
     inputs = {"left": str(args.left), "right": str(args.right)}
     checks: list[Check] = []
     if isinstance(left, PowerSeries) and isinstance(right, PowerSeries):
-        nvars = args.nvars or max(left.nvars_used, right.nvars_used, 1)
+        _reject_unused(args, "product of power series", "max_frequency")
+        nvars = max(left.nvars_used, right.nvars_used, 1) if args.nvars is None else args.nvars
         degree = (
             args.degree
             if args.degree is not None
@@ -618,17 +627,15 @@ def _cmd_product(args) -> RunReport:
                 )
             )
     elif isinstance(left, DirichletSeries) and isinstance(right, DirichletSeries):
-        max_freq = args.max_frequency or max(
-            (k * j for k in left.frequencies for j in right.frequencies), default=1
-        )
+        _reject_unused(args, "product of Dirichlet series", "nvars", "degree")
+        full = max((k * j for k in left.frequencies for j in right.frequencies), default=1)
+        max_freq = full if args.max_frequency is None else args.max_frequency
         product = dirichlet_product(left, right, max_freq)
         inputs["max_frequency"] = max_freq
         s = 2.0
         direct = evaluate_dirichlet(left, s) @ evaluate_dirichlet(right, s)
         via = evaluate_dirichlet(product, s)
-        if max_freq >= max(
-            (k * j for k in left.frequencies for j in right.frequencies), default=1
-        ):
+        if max_freq >= full:
             checks.append(
                 check_at_most(
                     "product-evaluation-consistency",
@@ -659,7 +666,7 @@ def _cmd_norm(args) -> RunReport:
     elif args.which == "hp":
         if not isinstance(series, PowerSeries):
             raise SeriesFormatError("hp norms need a power series file")
-        nvars = args.nvars or max(series.nvars_used, 1)
+        nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
         M = _one_value(args.grid, "--grid", 2 * series.total_degree + 1)
         radius = _one_value(args.radius, "--radius", 1.0)
         grid = TorusGrid(nvars=nvars, points_per_var=M, radius=radius)
@@ -668,7 +675,7 @@ def _cmd_norm(args) -> RunReport:
     else:  # hinf
         if not isinstance(series, PowerSeries):
             raise SeriesFormatError("hinf estimates need a power series file")
-        nvars = args.nvars or max(series.nvars_used, 1)
+        nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
         Ms = args.grid or [64, 128, 256]
         radii = args.radius or [0.9, 0.99, 0.999]
         schedule = [
@@ -693,8 +700,10 @@ def _cmd_mulnorm(args) -> RunReport:
     series = load_series(args.file)
     if not isinstance(series, PowerSeries) or series.kind != "operator":
         raise SeriesFormatError("mulnorm needs an operator-valued power series file")
-    degrees = args.degrees or list(range(0, (args.degree or 8) + 1))
-    nvars = args.nvars or max(series.nvars_used, 1)
+    if args.degrees:
+        _reject_unused(args, "mulnorm --degrees", "degree")
+    degrees = args.degrees or list(range(0, (8 if args.degree is None else args.degree) + 1))
+    nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
     base = TruncationParams(nvars=nvars, max_degree=0, dim=series.dim)
     values = multiplier_norm_schedule(series, degrees, base)
     violation = max((a - b for a, b in zip(values, values[1:])), default=0.0)
@@ -702,7 +711,7 @@ def _cmd_mulnorm(args) -> RunReport:
         command="mulnorm",
         inputs={"file": str(args.file), "nvars": nvars, "degrees": degrees},
         outputs={"schedule": values},
-        checks=[check_at_most("schedule-monotonicity-violation", violation, 1e-9)],
+        checks=[check_at_most("schedule-monotonicity-violation", violation, args.tol)],
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -734,14 +743,9 @@ def _cmd_recover(args) -> RunReport:
     )
 
 
-#: Options that ``verify`` and ``example-sot`` pass on to a suite when set.
-_SUITE_OPTIONS = ("nvars", "degree", "dim", "p", "grid", "radius", "tol")
-
-
 def _suite_params(args) -> dict:
-    params = {k: getattr(args, k) for k in _SUITE_OPTIONS if getattr(args, k) is not None}
-    params["seed"] = args.seed
-    return params
+    """The shared options a suite's subparser offers, where set."""
+    return {k: v for k, v in vars(args).items() if k in _SHARED_OPTIONS and v is not None}
 
 
 def _cmd_example_sot(args) -> RunReport:
@@ -759,6 +763,20 @@ def _cmd_verify(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+#: Options several subcommands share.  Each subparser offers only those its
+#: command reads, so argparse rejects the rest.
+_SHARED_OPTIONS = {
+    "nvars": {"type": int, "help": "number of variables"},
+    "degree": {"type": int, "help": "total-degree bound"},
+    "dim": {"type": int, "help": "coefficient dimension"},
+    "p": {"type": float, "default": 2.0, "help": "norm exponent (default 2)"},
+    "grid": {"type": _int_list, "help": "grid points per variable (comma list for schedules)"},
+    "radius": {"type": _float_list, "help": "grid radius in (0, 1] (comma list for schedules)"},
+    "seed": {"type": int, "default": 0, "help": "random seed (default 0)"},
+    "tol": {"type": float, "help": "check tolerance (default %(default)s)"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyhardy",
@@ -770,50 +788,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
 
-    def common() -> argparse.ArgumentParser:
-        """Shared options; built afresh for each subcommand, because argparse
-        shares parent actions and ``set_defaults`` on one subcommand would
-        change the default of every other."""
-        common = argparse.ArgumentParser(add_help=False)
-        common.add_argument("--nvars", type=int, default=None, help="number of variables")
-        common.add_argument("--degree", type=int, default=None, help="total-degree bound")
-        common.add_argument("--dim", type=int, default=None, help="coefficient dimension")
-        common.add_argument("--p", type=float, default=2.0, help="norm exponent")
-        common.add_argument(
-            "--grid",
-            type=_int_list,
-            default=None,
-            help="grid points per variable (comma list for schedules)",
-        )
-        common.add_argument(
-            "--radius",
-            type=_float_list,
-            default=None,
-            help="grid radius in (0, 1] (comma list for schedules)",
-        )
-        common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        common.add_argument("--tol", type=float, default=1e-12, help="check tolerance")
-        common.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-        return common
+    def command(parent, name, handler, shared, **kwargs) -> argparse.ArgumentParser:
+        """Subparser ``name`` offering ``--out`` and the ``shared`` options.
+        Abbreviations are off, or ``--p`` would be taken for ``--pairs``."""
+        sp = parent.add_parser(name, allow_abbrev=False, **kwargs)
+        for option in shared:
+            sp.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
+        sp.add_argument("--out", type=Path, default=None, help="write the JSON report here")
+        sp.set_defaults(handler=handler)
+        return sp
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("transform", parents=[common()], help="power <-> Dirichlet transport")
+    sp = command(sub, "transform", _cmd_transform, (), help="power <-> Dirichlet transport")
     sp.add_argument("file", type=Path)
-    sp.set_defaults(handler=_cmd_transform)
 
-    sp = sub.add_parser("product", parents=[common()], help="operator * vector product")
+    sp = command(
+        sub, "product", _cmd_product, ("nvars", "degree", "tol"),
+        help="operator * vector product",
+    )
     sp.add_argument("left", type=Path, help="operator-valued series file")
     sp.add_argument("right", type=Path, help="vector-valued series file")
     sp.add_argument("--max-frequency", type=int, default=None, dest="max_frequency")
-    sp.set_defaults(handler=_cmd_product)
+    sp.set_defaults(tol=1e-12)
 
-    sp = sub.add_parser("norm", parents=[common()], help="h2 / hp / hinf norms")
-    sp.add_argument("which", choices=("h2", "hp", "hinf"))
-    sp.add_argument("file", type=Path)
-    sp.set_defaults(handler=_cmd_norm)
+    norms = sub.add_parser("norm", help="h2 / hp / hinf norms").add_subparsers(
+        dest="which", required=True
+    )
+    for which, shared in (
+        ("h2", ()),
+        ("hp", ("nvars", "p", "grid", "radius")),
+        ("hinf", ("nvars", "grid", "radius")),
+    ):
+        command(norms, which, _cmd_norm, shared, help=f"{which} norm").add_argument(
+            "file", type=Path
+        )
 
-    sp = sub.add_parser("mulnorm", parents=[common()], help="compression-norm schedule")
+    sp = command(
+        sub, "mulnorm", _cmd_mulnorm, ("nvars", "degree", "tol"),
+        help="compression-norm schedule",
+    )
     sp.add_argument("file", type=Path, help="operator-valued power series file")
     sp.add_argument(
         "--degrees",
@@ -821,31 +835,38 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="explicit comma list of degree checkpoints",
     )
-    sp.set_defaults(handler=_cmd_mulnorm)
+    sp.set_defaults(tol=1e-9)
 
-    sp = sub.add_parser("recover", parents=[common()], help="vertical-line coefficient recovery")
+    sp = command(
+        sub, "recover", _cmd_recover, ("grid", "tol"), help="vertical-line coefficient recovery"
+    )
     sp.add_argument("file", type=Path, help="Dirichlet series file")
     sp.add_argument("--frequency", type=int, required=True)
     sp.add_argument("--sigma", type=float, default=2.0)
     sp.add_argument("--R", type=float, default=1e4, help="integration half-length")
-    sp.set_defaults(handler=_cmd_recover, tol=1e-2)
+    sp.set_defaults(tol=1e-2)
 
-    sp = sub.add_parser("verify", parents=[common()], help="run a verification suite")
-    sp.add_argument("suite", choices=VERIFY_SUITES)
-    sp.set_defaults(handler=_cmd_verify, p=None, tol=None)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True
+    )
+    for suite, (_, defaults) in _SUITES.items():
+        reads = {"seed", *defaults}
+        command(suites, suite, _cmd_verify, [k for k in _SHARED_OPTIONS if k in reads])
 
-    sp = sub.add_parser(
-        "example-sot", parents=[common()], help="diagonal-symbol distance table"
+    sp = command(
+        sub, "example-sot", _cmd_example_sot, ("dim", "seed"),
+        help="diagonal-symbol distance table",
     )
     sp.add_argument("--pairs", type=int, default=20)
-    sp.set_defaults(handler=_cmd_example_sot, p=None, tol=None)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version, or a usage error
+        return exc.code
     try:
         report: RunReport = args.handler(args)
     except (SeriesFormatError, ValueError, OverflowError, ArithmeticError) as exc:

@@ -10,7 +10,9 @@ so it is the backbone of everything else in the package.
 Frequencies are kept within signed 64-bit range; anything larger raises
 ``OverflowError`` rather than wrapping.  The prime tables are built by a
 sieve and grow lazily up to ``SIEVE_LIMIT`` (a module attribute that can
-be raised if deeper factorizations are ever needed).
+be raised if deeper factorizations are ever needed).  The sieve stores the
+*position* of each n's smallest prime factor (-1 for 0 and 1), so factoring
+is a chain of plain-int ``memoryview`` lookups ``p = prime[table[n]]``.
 """
 
 from __future__ import annotations
@@ -41,23 +43,25 @@ SIEVE_LIMIT = 1 << 24
 
 _MIN_SIEVE = 1 << 16
 
-_spf: np.ndarray | None = None  # smallest-prime-factor table, index < bound
-_prime_array: np.ndarray | None = None  # primes below the current bound
+_pos_table = memoryview(b"")  # int32: position of n's smallest prime factor
+_prime = memoryview(b"")  # int64: the primes below the current bound
 _bound = 0
 
 
 def _rebuild_tables(bound: int) -> None:
-    global _spf, _prime_array, _bound
-    spf = np.zeros(bound, dtype=np.int32)
+    global _pos_table, _prime, _bound
+    table = np.full(bound, -1, dtype=np.int32)
+    count = 0  # primes below sqrt(bound) are met in increasing order
     i = 2
     while i * i < bound:
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
+        if table[i] == -1:
+            block = table[i * i :: i]
+            block[block == -1] = count
+            count += 1
         i += 1
-    primes_found = np.nonzero(spf[2:] == 0)[0].astype(np.int64) + 2
-    spf[primes_found] = primes_found
-    _spf, _prime_array, _bound = spf, primes_found, bound
+    primes_found = np.flatnonzero(table[2:] == -1) + 2
+    table[primes_found] = np.arange(len(primes_found), dtype=np.int32)
+    _pos_table, _prime, _bound = memoryview(table), memoryview(primes_found), bound
 
 
 def _ensure_bound(bound: int) -> None:
@@ -76,7 +80,7 @@ def _ensure_bound(bound: int) -> None:
 
 def _ensure_count(count: int) -> None:
     _ensure_bound(_MIN_SIEVE)
-    while len(_prime_array) < count:
+    while len(_prime) < count:
         if _bound >= SIEVE_LIMIT:
             raise ValueError(
                 f"need {count} primes but the sieve is capped at SIEVE_LIMIT={SIEVE_LIMIT}"
@@ -92,19 +96,20 @@ def primes(count: int) -> tuple[int, ...]:
     if count == 0:
         return ()
     _ensure_count(count)
-    return tuple(int(p) for p in _prime_array[:count])
+    return tuple(_prime[:count])
 
 
 def _prime_at(position: int) -> int:
-    _ensure_count(position + 1)
-    return int(_prime_array[position])
+    if position >= len(_prime):
+        _ensure_count(position + 1)
+    return _prime[position]
 
 
 def _prime_position(p: int) -> int:
     """Position of the prime ``p`` in the increasing prime sequence."""
     _ensure_bound(p + 1)
-    pos = int(np.searchsorted(_prime_array, p))
-    if pos >= len(_prime_array) or _prime_array[pos] != p:
+    pos = _pos_table[p]
+    if pos < 0 or _prime[pos] != p:
         raise ValueError(f"{p} is not prime")
     return pos
 
@@ -148,9 +153,14 @@ class MultiIndex:
                 raise ValueError("exponents must be non-negative")
             if e:
                 merged[pos] = merged.get(pos, 0) + e
+        return cls._trusted(tuple(sorted(merged.items())))
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "MultiIndex":
+        """Wrap canonical pairs: positions increasing, exponents positive ints."""
         self = cls.__new__(cls)
-        self._items = tuple(sorted(merged.items()))
-        self._hash = hash(self._items)
+        self._items = items
+        self._hash = hash(items)
         return self
 
     @classmethod
@@ -214,7 +224,10 @@ class MultiIndex:
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if not isinstance(other, MultiIndex):
             return NotImplemented
-        return MultiIndex.from_items(self._items + other._items)
+        merged = dict(self._items)
+        for pos, e in other._items:
+            merged[pos] = merged.get(pos, 0) + e
+        return MultiIndex._trusted(tuple(sorted(merged.items())))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         if not isinstance(other, MultiIndex):
@@ -264,14 +277,15 @@ def index_to_multiindex(n: int) -> MultiIndex:
     rem = n
     if n < SIEVE_LIMIT:
         _ensure_bound(n + 1)
-        spf = _spf
+        table, prime = _pos_table, _prime
         while rem > 1:
-            p = int(spf[rem])
+            pos = table[rem]
+            p = prime[pos]
             e = 0
             while rem % p == 0:
                 rem //= p
                 e += 1
-            items.append((_prime_position(p), e))
+            items.append((pos, e))
     else:
         pos = 0
         while rem > 1:
@@ -287,7 +301,7 @@ def index_to_multiindex(n: int) -> MultiIndex:
             pos += 1
         if rem > 1:
             items.append((_prime_position(rem), 1))
-    return MultiIndex.from_items(items)
+    return MultiIndex._trusted(tuple(items))
 
 
 def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:

@@ -73,7 +73,9 @@ class TestMulnorm:
         schedules = []
         for tol in ("1e-12", "1e-2"):
             assert main(["mulnorm", str(path), "--degree", "4", "--tol", tol]) == 0
-            schedules.append(json.loads(capsys.readouterr().out)["outputs"]["schedule"])
+            report = json.loads(capsys.readouterr().out)
+            assert [c["tolerance"] for c in report["checks"]] == [float(tol)]
+            schedules.append(report["outputs"]["schedule"])
         assert schedules[0] == schedules[1]
 
 
@@ -152,6 +154,73 @@ class TestRecover:
         assert main(["recover", str(path), "--frequency", "2", *flags]) == status
         report = json.loads(capsys.readouterr().out)
         assert [c["tolerance"] for c in report["checks"]] == [tolerance]
+
+
+class TestUnusedFlags:
+    """A flag the command does not read exits 2 and is named on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["transform", "G", "--degree", "3"], "--degree"),
+            (["transform", "G", "--tol", "5"], "--tol"),
+            (["transform", "G", "--grid", "7"], "--grid"),
+            (["transform", "G", "--seed", "1"], "--seed"),
+            (["norm", "h2", "G", "--p", "7"], "--p"),
+            (["norm", "h2", "G", "--grid", "7"], "--grid"),
+            (["norm", "h2", "G", "--radius", "0.5"], "--radius"),
+            (["norm", "h2", "G", "--nvars", "2"], "--nvars"),
+            (["norm", "hinf", "G", "--p", "3"], "--p"),
+            (["product", "F", "G", "--max-frequency", "5"], "--max-frequency"),
+            (["product", "DF", "DG", "--nvars", "2"], "--nvars"),
+            (["product", "DF", "DG", "--degree", "2"], "--degree"),
+            (["mulnorm", "F", "--degrees", "1,2", "--degree", "4"], "--degree"),
+            (["mulnorm", "F", "--grid", "7"], "--grid"),
+            (["recover", "DG", "--frequency", "2", "--nvars", "2"], "--nvars"),
+            *[
+                (["verify", "bohr", flag, "1"], flag)
+                for flag in ("--p", "--grid", "--radius", "--tol")
+            ],
+            (["verify", "diagonal", "--degree", "3"], "--degree"),
+            *[
+                (["example-sot", flag, "1"], flag)
+                for flag in ("--p", "--grid", "--radius", "--tol", "--nvars")
+            ],
+        ],
+    )
+    def test_exit_2_naming_the_flag(self, files, capsys, argv, flag):
+        _, paths = files
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_verify_help_offers_no_unread_flags(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        for suite in ("parseval", "diagonal", "bohr"):
+            assert main(["verify", suite, "--help"]) == 0
+        assert main(["example-sot", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert not any(flag in text for flag in ("--p ", "--grid", "--radius", "--tol"))
+        assert all(flag in text for flag in ("--nvars", "--degree", "--dim", "--seed", "--pairs"))
+
+
+class TestZeroValuedFlags:
+    """A flag set to 0 is used, not replaced by its default."""
+
+    def test_mulnorm_degree_zero_is_one_checkpoint(self, files, capsys):
+        _, paths = files
+        status, report = run(["mulnorm", paths["F"], "--degree", "0"], capsys)
+        assert status == 0
+        assert report["inputs"]["degrees"] == [0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mulnorm", "F"], ["norm", "hp", "G"], ["norm", "hinf", "G"], ["product", "F", "G"]],
+    )
+    def test_nvars_zero_is_rejected(self, files, capsys, argv):
+        _, paths = files
+        assert main([str(paths.get(a, a)) for a in argv] + ["--nvars", "0"]) == 2
+        assert "nvars" in capsys.readouterr().err
 
 
 #: Every suite at sizes small enough for the unit tests.

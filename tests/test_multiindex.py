@@ -1,13 +1,17 @@
 """Multi-index arithmetic and the prime-power frequency bijection."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhardy import multiindex
 from polyhardy.multiindex import (
     MAX_FREQUENCY,
+    SIEVE_LIMIT,
     MultiIndex,
     graded_lex_key,
     index_to_multiindex,
@@ -67,6 +71,50 @@ class TestMultiIndexBasics:
         assert alpha.items() == ((0, 2), (3, 1))
 
 
+#: Primes from an implementation independent of the package's sieve.
+REFERENCE_PRIMES = list(sympy.primerange(2, (1 << 17) + 1))
+
+
+def trial_division(n):
+    """``(position, exponent)`` pairs of n, dividing out each prime in turn."""
+    items = []
+    for pos, p in enumerate(REFERENCE_PRIMES):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            items.append((pos, e))
+    if n > 1:
+        items.append((bisect_left(REFERENCE_PRIMES, n), 1))
+    return items
+
+
+@pytest.fixture
+def small_sieve(monkeypatch):
+    """Shrink the prime tables to their minimum; the originals return afterwards."""
+    for name in ("_pos_table", "_prime", "_bound"):
+        monkeypatch.setattr(multiindex, name, getattr(multiindex, name))
+    multiindex._rebuild_tables(multiindex._MIN_SIEVE)
+    return multiindex._MIN_SIEVE
+
+
+sparse_indices = st.dictionaries(
+    st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=6), max_size=6
+).map(lambda d: MultiIndex.from_items(d.items()))
+
+
+def assert_same_index(got, reference):
+    """Equal, with the same items and hash, and found under the same dict key."""
+    assert got == reference
+    assert got.items() == reference.items()
+    assert all(type(x) is int for pair in got.items() for x in pair)
+    assert hash(got) == hash(reference)
+    assert {reference: "found"}[got] == "found"
+
+
 class TestBijection:
     @pytest.mark.parametrize(
         "n, exponents",
@@ -116,6 +164,41 @@ class TestBijection:
             }
             got = {primes(pos + 1)[pos]: e for pos, e in alpha.items()}
             assert got == expected
+
+    def test_every_frequency_to_2_17_matches_trial_division(self):
+        for n in range(1, (1 << 17) + 1):
+            assert index_to_multiindex(n).items() == tuple(trial_division(n)), n
+
+    def test_growing_the_sieve_keeps_smaller_frequencies(self, small_sieve):
+        n = small_sieve + 1  # 65537 is prime, one past the table
+        assert index_to_multiindex(n).items() == ((bisect_left(REFERENCE_PRIMES, n), 1),)
+        assert multiindex._bound > small_sieve
+        for n in [*range(1, 5000), *range(small_sieve - 5000, small_sieve + 5000)]:
+            assert index_to_multiindex(n).items() == tuple(trial_division(n)), n
+
+    @pytest.mark.parametrize("n", [SIEVE_LIMIT, SIEVE_LIMIT + 1, 3 * SIEVE_LIMIT + 7])
+    def test_trial_division_branch_above_the_sieve(self, n):
+        expected = {sympy.primepi(p) - 1: e for p, e in sympy.factorint(n).items()}
+        assert dict(index_to_multiindex(n).items()) == expected
+        assert multiindex_to_index(index_to_multiindex(n)) == n
+
+    def test_prime_position_past_the_table_grows_it(self, small_sieve):
+        position = len(multiindex._prime)
+        alpha = MultiIndex.from_items([(position, 1)])
+        assert multiindex_to_index(alpha) == sympy.prime(position + 1)
+        assert len(multiindex._prime) > position
+
+
+class TestTrustedConstruction:
+    @given(sparse_indices, sparse_indices)
+    @settings(max_examples=300, deadline=None)
+    def test_sum_is_built_like_from_items(self, alpha, beta):
+        assert_same_index(alpha + beta, MultiIndex.from_items(alpha.items() + beta.items()))
+
+    @given(st.integers(min_value=1, max_value=1 << 17))
+    @settings(max_examples=300, deadline=None)
+    def test_factorization_is_built_like_from_items(self, n):
+        assert_same_index(index_to_multiindex(n), MultiIndex.from_items(trial_division(n)))
 
 
 class TestWeightedDegree:
