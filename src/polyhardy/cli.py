@@ -59,6 +59,7 @@ from .series import (
     evaluate_power,
     op_vec_product,
     radial_dilate,
+    truncate,
 )
 from .seriesio import (
     SeriesFormatError,
@@ -68,6 +69,8 @@ from .seriesio import (
 )
 
 __all__ = ["Check", "RunReport", "main", "parse_series_file", "run_verify"]
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -359,6 +362,11 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     )
     window = TruncationParams(nvars=1, max_degree=degree, dim=1)
     endpoint = operator_norm(assemble_compression(symbol, window).matrix)
+    # The degree-D compression of 1 + z is the (D+1)-row lower bidiagonal
+    # of ones, whose norm is 2 cos(pi / (2D + 3)).  Allowed: the LAPACK
+    # bound (D+1) eps ||M|| plus 4 eps for rounding the closed form.
+    closed = 2.0 * math.cos(math.pi / (2 * degree + 3))
+    endpoint_tol = (degree + 1) * _EPS * closed + 4 * _EPS
 
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     shift_symbol = PowerSeries.operator(3, {MultiIndex([1]): A})
@@ -380,10 +388,11 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     outputs = {
         "endpoint_degree": degree,
         "endpoint_value": endpoint,
+        "endpoint_closed_form": closed,
         "shift_schedule": schedule,
     }
     checks = [
-        check_close("toeplitz-endpoint-vs-2", endpoint, 2.0, 1e-3),
+        check_close("toeplitz-endpoint-vs-closed-form", endpoint, closed, endpoint_tol),
         check_at_most("shift-symbol-schedule-gap", shift_gap, 1e-8),
         check_at_most("schedule-monotonicity-violation", monotone_violation, 1e-9),
     ]
@@ -598,59 +607,74 @@ def _cmd_transform(args) -> RunReport:
     return report
 
 
+def _coefficient_gap(a, b) -> float:
+    """Largest Euclidean distance between the coefficients of two series."""
+    gaps = (
+        float(np.linalg.norm(a.coefficient(k) - b.coefficient(k)))
+        for k in a.terms.keys() | b.terms.keys()
+    )
+    return max(gaps, default=0.0)
+
+
 def _cmd_product(args) -> RunReport:
+    """Windowed product, checked against the full product: the full product
+    must match ``left(z) @ right(z)`` at one point, and the windowed one
+    must equal the full one restricted to the window."""
     start = time.perf_counter()
     left = load_series(args.left)
     right = load_series(args.right)
     inputs = {"left": str(args.left), "right": str(args.right)}
-    checks: list[Check] = []
     if isinstance(left, PowerSeries) and isinstance(right, PowerSeries):
         _reject_unused(args, "product of power series", "max_frequency")
-        nvars = max(left.nvars_used, right.nvars_used, 1) if args.nvars is None else args.nvars
-        degree = (
-            args.degree
-            if args.degree is not None
-            else left.total_degree + right.total_degree
+        full_window = TruncationParams(
+            nvars=max(left.nvars_used, right.nvars_used, 1),
+            max_degree=left.total_degree + right.total_degree,
+            dim=left.dim,
         )
-        window = TruncationParams(nvars=nvars, max_degree=degree, dim=left.dim)
+        window = TruncationParams(
+            nvars=full_window.nvars if args.nvars is None else args.nvars,
+            max_degree=full_window.max_degree if args.degree is None else args.degree,
+            dim=left.dim,
+        )
         product = op_vec_product(left, right, window)
-        inputs.update({"nvars": nvars, "degree": degree})
-        if degree >= left.total_degree + right.total_degree:
-            z = np.full(nvars, 0.4 + 0.1j)
-            direct = evaluate_power(left, z) @ evaluate_power(right, z)
-            via = evaluate_power(product, z)
-            checks.append(
-                check_at_most(
-                    "product-evaluation-consistency",
-                    float(np.linalg.norm(direct - via)),
-                    args.tol,
-                )
-            )
+        full = op_vec_product(left, right, full_window)
+        restricted = truncate(full, window)
+        z = np.full(full_window.nvars, 0.4 + 0.1j)
+        direct = evaluate_power(left, z) @ evaluate_power(right, z)
+        via = evaluate_power(full, z)
+        inputs.update({"nvars": window.nvars, "degree": window.max_degree})
     elif isinstance(left, DirichletSeries) and isinstance(right, DirichletSeries):
         _reject_unused(args, "product of Dirichlet series", "nvars", "degree")
-        full = max((k * j for k in left.frequencies for j in right.frequencies), default=1)
-        max_freq = full if args.max_frequency is None else args.max_frequency
+        full_frequency = max(left.frequencies, default=1) * max(right.frequencies, default=1)
+        max_freq = full_frequency if args.max_frequency is None else args.max_frequency
         product = dirichlet_product(left, right, max_freq)
-        inputs["max_frequency"] = max_freq
+        full = dirichlet_product(left, right, full_frequency)
+        restricted = DirichletSeries(
+            full.kind, full.dim, {n: c for n, c in full.terms.items() if n <= max_freq}
+        )
         s = 2.0
         direct = evaluate_dirichlet(left, s) @ evaluate_dirichlet(right, s)
-        via = evaluate_dirichlet(product, s)
-        if max_freq >= full:
-            checks.append(
-                check_at_most(
-                    "product-evaluation-consistency",
-                    float(np.linalg.norm(direct - via)),
-                    args.tol,
-                )
-            )
+        via = evaluate_dirichlet(full, s)
+        inputs["max_frequency"] = max_freq
     else:
         raise SeriesFormatError(
             "product needs two power series or two Dirichlet series"
         )
+    evaluation_gap = float(np.linalg.norm(direct - via))
+    window_gap = _coefficient_gap(product, restricted)
+    checks = [
+        check_at_most(
+            "product-evaluation-consistency", max(evaluation_gap, window_gap), args.tol
+        )
+    ]
     return RunReport(
         command="product",
         inputs=inputs,
-        outputs={"series": series_to_dict(product)},
+        outputs={
+            "series": series_to_dict(product),
+            "evaluation_gap": evaluation_gap,
+            "window_gap": window_gap,
+        },
         checks=checks,
         wall_time_s=time.perf_counter() - start,
     )

@@ -2,7 +2,8 @@
 
 :class:`DirichletSeries` shares its sparse core with
 :class:`~polyhardy.series.PowerSeries` and differs only in its keys:
-positive integer frequencies, combined by multiplication.  The Bohr
+positive integer frequencies, combined by multiplication and handled as
+int64 arrays inside the shared convolution.  The Bohr
 transform carries the coefficient at multi-index alpha to the
 coefficient at frequency ``prod(p_i ** alpha_i)`` and is an exact
 bijection on finitely supported series.  Multiplication becomes divisor
@@ -20,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
-from .series import PowerSeries, _coefficient_shape, _convolve, _SparseSeries
+from .series import (
+    PowerSeries,
+    _check_op_vec,
+    _coefficient_shape,
+    _convolve,
+    _kept_pairs,
+    _SparseSeries,
+)
 
 __all__ = [
     "DirichletSeries",
@@ -51,8 +59,6 @@ class DirichletSeries(_SparseSeries):
     positive and stay within 64-bit range."""
 
     __slots__ = ()
-
-    _combine = staticmethod(operator.mul)
 
     @staticmethod
     def _key(n) -> int:
@@ -95,11 +101,27 @@ def dirichlet_product(
 ) -> DirichletSeries:
     """Divisor convolution: coefficient at n is ``sum over k*j = n of a_k @ b_j``.
 
-    Frequencies above ``max_frequency`` are discarded during
-    accumulation, mirroring degree truncation on the power-series side.
+    Pairs with ``k*j > max_frequency`` are never formed (the exact test
+    ``j <= max_frequency // k``, which cannot overflow), mirroring degree
+    truncation on the power-series side.  A kept product beyond the
+    64-bit range raises ``OverflowError``.
     """
     max_frequency = operator.index(max_frequency)
-    return _convolve(D, E, lambda n: n <= max_frequency)
+    _check_op_vec(D, E)
+    left = np.fromiter(D.terms, dtype=np.int64, count=D.num_terms)
+    right = np.fromiter(E.terms, dtype=np.int64, count=E.num_terms)
+    limit = max(min(max_frequency, MAX_FREQUENCY), 0)
+    if max_frequency > MAX_FREQUENCY:
+        # per left key, the smallest right key whose product leaves the range
+        ordered = np.sort(right)
+        past = np.searchsorted(ordered, MAX_FREQUENCY // left, side="right")
+        for k, at in zip(left.tolist(), past.tolist()):
+            if at < len(ordered) and k * int(ordered[at]) <= max_frequency:
+                raise OverflowError(
+                    f"frequency {k * int(ordered[at])} exceeds the 64-bit range"
+                )
+    i, j = _kept_pairs(limit // left, right)
+    return _convolve(D, E, i, j, left[i] * right[j], np.ndarray.tolist)
 
 
 def evaluate_dirichlet(

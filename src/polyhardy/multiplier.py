@@ -12,6 +12,7 @@ randomized Rayleigh-quotient estimator is provided instead.
 
 from __future__ import annotations
 
+import math
 import operator as _operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -25,6 +26,8 @@ from .series import (
     PowerSeries,
     TruncationParams,
     _check_op_vec,
+    _exponent_rows,
+    _window_pairs,
     op_vec_product,
 )
 
@@ -104,16 +107,31 @@ def assemble_compression(
             "use hp_rayleigh_lower_bound for other exponents"
         )
     basis = simplex(trunc.nvars, trunc.max_degree)
-    position = {alpha: i for i, alpha in enumerate(basis)}
-    d = trunc.dim
-    matrix = np.zeros((len(basis) * d, len(basis) * d), dtype=np.complex128)
-    for gamma, col in position.items():
-        for beta, block in F.terms.items():
-            row = position.get(beta + gamma)
-            if row is not None:
-                matrix[row * d : (row + 1) * d, col * d : (col + 1) * d] += block
+    columns, (symbol, rows) = _exponent_rows(F.terms, basis)
+    i, j = _window_pairs(columns, symbol, rows, trunc)
+    n, d = len(basis), trunc.dim
+    matrix = np.zeros((n, d, n, d), dtype=np.complex128)
+    # block (beta + gamma, gamma) is a_beta; each block is one coefficient
+    matrix[_row_positions(rows, symbol[i] + rows[j]), :, j, :] = F._coefficient_stack()[i]
+    matrix = matrix.reshape(n * d, n * d)
     matrix.setflags(write=False)
     return CompressionMatrix(matrix=matrix, basis=basis, trunc=trunc)
+
+
+def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in ``table`` (distinct rows) of each row of ``rows``, all of which occur in it.
+
+    One stable sort of both, table rows before equal query rows, so each
+    query row's match is the last table row before it.
+    """
+    stacked = np.concatenate([table, rows])
+    is_query = np.arange(len(stacked)) >= len(table)
+    order = np.lexsort((is_query, *stacked.T[::-1]))
+    query = is_query[order]
+    last_table = np.maximum.accumulate(np.where(query, 0, np.arange(len(order))))
+    positions = np.empty(len(rows), dtype=np.intp)
+    positions[order[query] - len(table)] = order[last_table[query]]
+    return positions
 
 
 def multiplier_norm_schedule(
@@ -123,20 +141,28 @@ def multiplier_norm_schedule(
 ) -> list[float]:
     """Compression norms over a strictly increasing list of degree cutoffs.
 
-    Nested simplices make the sequence nondecreasing, and every entry is
-    a lower bound of the symbol's sup norm; for symbols whose sup norm is
-    attained at finite degree the sequence is eventually constant.  Each
-    norm is the largest singular value from LAPACK's SVD, accurate to
-    ``p(n) * eps`` times the norm for an ``n``-row compression.
+    The compression is assembled once, at the largest degree, and each
+    norm is taken of a leading principal block.  That is exact: the
+    graded-lex simplex of degree D is the first ``C(nvars + D, nvars)``
+    basis entries of every larger one, and each block of a compression
+    is one symbol coefficient (never a sum), so the leading block is bit
+    for bit the degree-D compression.  Nested simplices make the sequence
+    nondecreasing, and every entry is a lower bound of the symbol's sup
+    norm; for symbols whose sup norm is attained at finite degree the
+    sequence is eventually constant.  Each norm is the largest singular
+    value from LAPACK's SVD, accurate to ``p(n) * eps`` times the norm
+    for an ``n``-row compression.
     """
     degrees = [_operator.index(D) for D in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly increasing")
-    values = []
-    for D in degrees:
-        window = replace(trunc_base, max_degree=D)
-        values.append(operator_norm(assemble_compression(F, window).matrix))
-    return values
+    if not degrees:
+        return []
+    if degrees[0] < 0:
+        raise ValueError("max_degree must be non-negative")
+    matrix = assemble_compression(F, replace(trunc_base, max_degree=degrees[-1])).matrix
+    sizes = [math.comb(trunc_base.nvars + D, trunc_base.nvars) * trunc_base.dim for D in degrees]
+    return [operator_norm(matrix[:size, :size]) for size in sizes]
 
 
 def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray:

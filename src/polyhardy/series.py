@@ -4,13 +4,16 @@ A series is a finitely supported map from keys to coefficients.
 Coefficients are either d-vectors (function values in C^d) or d x d
 matrices (operator symbols acting on C^d); a single series never mixes
 the two.  One private core holds the map, its validation and its
-comparisons, and one convolution serves every product; a subclass fixes
-only the key type and the key product.  :class:`PowerSeries` keys are
-multi-indices that add; :class:`~polyhardy.dirichlet.DirichletSeries`
-keys are frequencies that multiply, so the Bohr transform is a relabelling
-of keys.  All arithmetic is exact sparse bookkeeping in complex double
-precision; truncation windows are carried explicitly via
-:class:`TruncationParams`.
+comparisons, and one array-form convolution serves every product.
+:class:`PowerSeries` keys are multi-indices that add, handled as exponent
+rows over the positions the keys use;
+:class:`~polyhardy.dirichlet.DirichletSeries` keys are frequencies that
+multiply, handled as int64 arrays, so the Bohr transform is a relabelling
+of keys.  A product lists the key pairs its window keeps, forms every kept
+coefficient product in one stacked matmul, and sums the pairs of each
+product key after one stable sort.  All arithmetic is exact sparse
+bookkeeping in complex double precision; truncation windows are carried
+explicitly via :class:`TruncationParams`.
 """
 
 from __future__ import annotations
@@ -83,8 +86,9 @@ class _SparseSeries:
 
     The shared core of :class:`PowerSeries` and
     :class:`~polyhardy.dirichlet.DirichletSeries`.  A subclass fixes its
-    key type through ``_key``, which normalizes and validates one key,
-    and ``_combine``, the key product under which coefficients convolve.
+    key type through ``_key``, which normalizes and validates one key;
+    its product function turns the keys into arrays, lists the kept key
+    pairs and their product keys, and hands them to :func:`_convolve`.
     """
 
     __slots__ = ("_kind", "_dim", "_terms")
@@ -115,6 +119,20 @@ class _SparseSeries:
         self._kind = kind
         self._dim = dim
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, kind: Kind, dim: int, terms: dict):
+        """Wrap canonical keys mapped to nonzero, finite, read-only coefficients."""
+        self = cls.__new__(cls)
+        self._kind = kind
+        self._dim = dim
+        self._terms = terms
+        return self
+
+    def _coefficient_stack(self) -> np.ndarray:
+        """Coefficients stacked along a new first axis, in ``terms`` order."""
+        shape = _coefficient_shape(self._kind, self._dim)
+        return np.array(list(self._terms.values())).reshape(len(self._terms), *shape)
 
     @classmethod
     def vector(cls, dim: int, terms=()):
@@ -184,8 +202,6 @@ class PowerSeries(_SparseSeries):
     """Immutable sparse power series keyed by :class:`MultiIndex`."""
 
     __slots__ = ()
-
-    _combine = staticmethod(operator.add)
 
     @staticmethod
     def _key(alpha) -> MultiIndex:
@@ -266,27 +282,96 @@ def _check_op_vec(F: _SparseSeries, G: _SparseSeries) -> None:
         raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
 
 
-def _convolve(F: _SparseSeries, G: _SparseSeries, keep) -> _SparseSeries:
-    """Operator-by-vector convolution over the key product of ``F``'s type.
+def _kept_pairs(thresholds: np.ndarray, scalars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` with ``scalars[j] <= thresholds[i]``.
 
-    The coefficient at key k is ``sum over F._combine(i, j) = k of
-    a_i @ b_j``; keys for which ``keep`` is false are discarded during
-    accumulation.  Bilinear in (F, G).
+    Every kept pair is listed once, ``i`` ascending and, within one
+    ``i``, ``j`` by ascending scalar (ties in index order); nothing of
+    size ``len(thresholds) * len(scalars)`` is built.
     """
-    _check_op_vec(F, G)
-    combine = F._combine
-    accum: dict = {}
-    for i, a in F._terms.items():
-        for j, b in G._terms.items():
-            key = combine(i, j)
-            if not keep(key):
-                continue
-            contrib = a @ b
-            if key in accum:
-                accum[key] = accum[key] + contrib
-            else:
-                accum[key] = contrib
-    return type(F)("vector", F.dim, accum)
+    order = np.argsort(scalars, kind="stable")
+    counts = np.searchsorted(scalars[order], thresholds, side="right")
+    i = np.repeat(np.arange(len(thresholds)), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    return i, order[np.arange(len(i)) - starts]
+
+
+def _exponent_rows(*key_lists) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Multi-indices as int64 exponent rows over the positions they use.
+
+    Returns the increasing positions (the columns, shared by every list)
+    and one ``(len(keys), len(columns))`` array per key list; a position
+    no key uses gets no column, so sparse high positions stay cheap.
+    """
+    columns = sorted({pos for keys in key_lists for alpha in keys for pos, _ in alpha.items()})
+    column = {pos: c for c, pos in enumerate(columns)}
+    tables = []
+    for keys in key_lists:
+        rows, cols, exps = [], [], []
+        for t, alpha in enumerate(keys):
+            for pos, e in alpha.items():
+                rows.append(t)
+                cols.append(column[pos])
+                exps.append(e)
+        table = np.zeros((len(keys), len(columns)), dtype=np.int64)
+        table[rows, cols] = exps
+        tables.append(table)
+    return np.array(columns, dtype=np.int64), tables
+
+
+def _window_pairs(
+    columns: np.ndarray, left: np.ndarray, right: np.ndarray, trunc: TruncationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs whose sum lies in the window: total degree at most
+    ``trunc.max_degree`` and no exponent at position ``trunc.nvars`` or beyond.
+
+    Found from per-row degrees alone; a row outside the variables never
+    pairs.  The degree bound is capped at the int64 maximum so that the
+    per-row thresholds stay in int64.
+    """
+    outside = columns >= trunc.nvars
+    limit = min(trunc.max_degree, np.iinfo(np.int64).max)
+    thresholds = np.where(left[:, outside].any(axis=1), -1, limit - left.sum(axis=1))
+    inside = np.flatnonzero(~right[:, outside].any(axis=1))
+    i, j = _kept_pairs(thresholds, right[inside].sum(axis=1))
+    return i, inside[j]
+
+
+def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys, decode) -> _SparseSeries:
+    """Operator-by-vector convolution over the kept key pairs ``(i[k], j[k])``.
+
+    ``i`` and ``j`` index the terms of ``F`` and ``G`` in ``terms``
+    order, and ``keys[k]`` is the product key of pair k in array form
+    (an int, or an exponent row).  Pairs are grouped by one stable sort
+    of ``keys``; the coefficient at each distinct key is the sum of
+    ``a_i @ b_j`` over its pairs, in pair order.  ``decode`` turns the
+    distinct key arrays back into keys.  Sums that are not finite raise
+    the constructor's ``ValueError``; zero sums are dropped.  Extra
+    memory is O(kept pairs * (columns + d^2)).  Bilinear in (F, G).
+    """
+    if not len(keys):
+        return type(F)._trusted("vector", F.dim, {})
+    if keys.ndim == 1:
+        order = np.argsort(keys, kind="stable")
+    elif keys.shape[1]:
+        order = np.lexsort(keys.T[::-1])
+    else:  # every key is the empty multi-index
+        order = np.arange(len(keys))
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    changed = keys[1:] != keys[:-1]
+    first[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
+    starts = np.flatnonzero(first)
+    a, b = F._coefficient_stack(), G._coefficient_stack()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        blocks = np.matmul(a[i[order]], b[j[order], :, None])[..., 0]
+        sums = np.add.reduceat(blocks, starts, axis=0)
+    if not np.isfinite(sums).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    nonzero = sums.any(axis=1)
+    sums = sums[nonzero]
+    sums.setflags(write=False)
+    return type(F)._trusted("vector", F.dim, dict(zip(decode(keys[starts[nonzero]]), sums)))
 
 
 def op_vec_product(
@@ -295,14 +380,22 @@ def op_vec_product(
     """Cauchy product of an operator symbol with a vector series.
 
     The coefficient at alpha is ``sum over beta + gamma = alpha of
-    a_beta @ b_gamma``; terms whose total degree exceeds
-    ``trunc.max_degree`` (or that use variables beyond ``trunc.nvars``)
-    are discarded during accumulation, matching the compression window.
-    Bilinear in (F, G).
+    a_beta @ b_gamma``; pairs whose sum exceeds total degree
+    ``trunc.max_degree`` (or uses variables beyond ``trunc.nvars``) are
+    never formed, matching the compression window.  Bilinear in (F, G).
     """
-    return _convolve(
-        F, G, lambda a: a.degree <= trunc.max_degree and len(a) <= trunc.nvars
-    )
+    _check_op_vec(F, G)
+    columns, (left, right) = _exponent_rows(F.terms, G.terms)
+    i, j = _window_pairs(columns, left, right, trunc)
+    positions = columns.tolist()
+
+    def decode(rows: np.ndarray) -> list[MultiIndex]:
+        return [
+            MultiIndex._trusted(tuple((p, e) for p, e in zip(positions, row) if e))
+            for row in rows.tolist()
+        ]
+
+    return _convolve(F, G, i, j, left[i] + right[j], decode)
 
 
 def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:

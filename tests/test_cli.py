@@ -1,6 +1,7 @@
 """Command-line entry points: suites and subcommands run end to end."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,10 @@ class TestTransform:
         assert series_from_dict(report["outputs"]["series"]) == series[other]
 
 
+#: Product windows that cut the full product of the ``files`` series.
+TRUNCATING_WINDOWS = [("F", "G", ["--degree", "1"]), ("DF", "DG", ["--max-frequency", "5"])]
+
+
 class TestProduct:
     @pytest.mark.parametrize("left, right", [("F", "G"), ("DF", "DG")])
     def test_evaluation_consistency(self, files, capsys, left, right):
@@ -103,6 +108,26 @@ class TestProduct:
         _, report = run(["product", paths["F"], paths["G"]], capsys)
         window = TruncationParams(nvars=2, max_degree=F.total_degree + G.total_degree, dim=2)
         assert series_from_dict(report["outputs"]["series"]) == op_vec_product(F, G, window)
+
+    @pytest.mark.parametrize("left, right, window", TRUNCATING_WINDOWS)
+    def test_truncating_window_is_checked(self, files, capsys, left, right, window):
+        _, paths = files
+        argv = ["product", paths[left], paths[right], *window, "--tol", "5"]
+        status, report = run(argv, capsys)
+        assert status == 0
+        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == [
+            ("product-evaluation-consistency", 5.0)
+        ]
+        assert report["outputs"]["window_gap"] == 0.0
+        assert report["outputs"]["evaluation_gap"] < 1e-14
+
+    @pytest.mark.parametrize("left, right, window", TRUNCATING_WINDOWS)
+    def test_failing_tolerance_exits_1(self, files, capsys, left, right, window):
+        _, paths = files
+        argv = ["product", paths[left], paths[right], *window, "--tol", "-1"]
+        status, report = run(argv, capsys)
+        assert status == 1
+        assert not report["checks"][0]["pass"]
 
 
 class TestNorm:
@@ -254,6 +279,16 @@ class TestVerify:
         envelopes = [c.tolerance for c in report.checks[1::2]]
         assert envelopes == sorted(envelopes, reverse=True)
         assert envelopes[-1] < 1e-3
+
+    def test_toeplitz_endpoint_is_the_closed_form(self):
+        report = run_verify("toeplitz", count=5)
+        check = report.checks[0]
+        closed = 2.0 * math.cos(math.pi / (2 * 50 + 3))
+        eps = float(np.finfo(np.float64).eps)
+        assert check.name == "toeplitz-endpoint-vs-closed-form"
+        assert check.expected == closed
+        assert check.tolerance == 51 * eps * closed + 4 * eps
+        assert check.passed
 
     def test_report_lists_the_parameters_used(self):
         assert run_verify("recover", seed=3).inputs == {"seed": 3, "sigma": 2.0}

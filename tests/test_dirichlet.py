@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_power_series
+from conftest import gamma, random_power_series, summed_norms, terms
 from polyhardy import (
     DirichletSeries,
     HalfPlanePoint,
@@ -22,6 +24,7 @@ from polyhardy import (
     op_vec_product,
     recover_coefficient,
 )
+from polyhardy.multiindex import MAX_FREQUENCY
 
 
 class TestBohrTransform:
@@ -132,6 +135,81 @@ class TestDirichletProduct:
             dirichlet_product(
                 DirichletSeries.vector(2), DirichletSeries.vector(2), 10
             )
+
+
+def divisor_pair_oracle(D, E, max_frequency):
+    """Reference loop in Python ints: every pair (k, j) with k * j <= max_frequency."""
+    out = {}
+    for k, a in D.terms.items():
+        for j, b in E.terms.items():
+            if k * j <= max_frequency:
+                out[k * j] = out.get(k * j, 0.0) + a @ b
+    return out
+
+
+#: Small frequencies that share divisors, and large ones whose products stay below 2^62.
+frequencies = st.one_of(
+    st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=2**31)
+)
+
+
+@st.composite
+def dirichlet_operands(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    return (
+        DirichletSeries("operator", dim, draw(terms(frequencies, "operator", dim))),
+        DirichletSeries("vector", dim, draw(terms(frequencies, "vector", dim))),
+    )
+
+
+class TestDirichletProductAgainstOracle:
+    """The array-form convolution against the divisor-pair loop:
+    coefficientwise within gamma_{(T_D T_E + 1) d} sum|a| sum|b|."""
+
+    @given(
+        dirichlet_operands(),
+        st.one_of(
+            st.integers(min_value=-3, max_value=4000),
+            st.integers(min_value=-(2**70), max_value=2**70),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_divisor_pair_oracle(self, operands, max_frequency):
+        D, E = operands
+        P = dirichlet_product(D, E, max_frequency)
+        expected = divisor_pair_oracle(D, E, max_frequency)
+        assert all(n <= max_frequency for n in P.frequencies)
+        tol = gamma((D.num_terms * E.num_terms + 1) * D.dim) * summed_norms(D) * summed_norms(E)
+        for n in set(P.frequencies) | set(expected):
+            assert np.linalg.norm(P.coefficient(n) - expected.get(n, 0.0)) <= tol
+
+    def test_kept_product_past_64_bits_raises(self):
+        D = DirichletSeries.operator(1, {1: [[1.0]], 3: [[1.0]]})
+        E = DirichletSeries.vector(1, {2**62: [1.0]})
+        with pytest.raises(OverflowError, match=str(3 * 2**62)):
+            dirichlet_product(D, E, 2**64)
+        # 3 * 2^62 lies outside these windows, so nothing overflows
+        for max_frequency in (MAX_FREQUENCY, 2**63, 3 * 2**62 - 1):
+            assert dirichlet_product(D, E, max_frequency).frequencies == (2**62,)
+
+    @pytest.mark.parametrize("max_frequency", [0, -1, -(2**70)])
+    def test_empty_window_gives_zero(self, max_frequency):
+        D = DirichletSeries.operator(1, {1: [[1.0]], 2: [[2.0]]})
+        E = DirichletSeries.vector(1, {1: [1.0]})
+        P = dirichlet_product(D, E, max_frequency)
+        assert P.is_zero and P.kind == "vector"
+
+    def test_empty_operands(self):
+        D = DirichletSeries.operator(2, {2: np.eye(2)})
+        E = DirichletSeries.vector(2, {3: [1.0, 1.0]})
+        assert dirichlet_product(DirichletSeries.operator(2), E, 100).is_zero
+        assert dirichlet_product(D, DirichletSeries.vector(2), 100).is_zero
+
+    def test_overflowing_coefficients_raise(self):
+        D = DirichletSeries.operator(1, {1: [[1e308]], 2: [[1e308]]})
+        E = DirichletSeries.vector(1, {1: [1.0], 2: [1.0]})
+        with pytest.raises(ValueError, match="finite"):  # 1e308 + 1e308 at n = 2
+            dirichlet_product(D, E, 4)
 
 
 class TestIntertwining:

@@ -1,5 +1,7 @@
 """Compression matrices, operator norms, schedules, consistency checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,21 @@ class TestOperatorNorm:
             operator_norm(np.eye(2), tol=1e-13)
 
 
+def compression_loop_oracle(F, trunc):
+    """Reference assembly: for each basis column gamma and symbol term beta,
+    add a_beta to the block at row beta + gamma when that row is in the basis."""
+    basis = simplex(trunc.nvars, trunc.max_degree)
+    position = {alpha: i for i, alpha in enumerate(basis)}
+    d = trunc.dim
+    matrix = np.zeros((len(basis) * d, len(basis) * d), dtype=np.complex128)
+    for gamma, col in position.items():
+        for beta, block in F.terms.items():
+            row = position.get(beta + gamma)
+            if row is not None:
+                matrix[row * d : (row + 1) * d, col * d : (col + 1) * d] += block
+    return matrix
+
+
 class TestAssembleCompression:
     def test_constant_symbol_is_block_diagonal(self):
         rng = np.random.default_rng(0)
@@ -128,6 +145,15 @@ class TestAssembleCompression:
                     np.testing.assert_array_equal(block, F.coefficient(alpha - gamma))
                 else:
                     np.testing.assert_array_equal(block, np.zeros((d, d)))
+
+    @pytest.mark.parametrize("nvars, max_degree", [(1, 7), (2, 4), (3, 3)])
+    def test_equals_loop_oracle_bit_for_bit(self, nvars, max_degree):
+        rng = np.random.default_rng(9)
+        F = random_power_series(rng, "operator", 2, 3, 3, 8)
+        F = F + PowerSeries.operator(2, {MultiIndex.from_items([(40, 1)]): np.eye(2)})
+        window = TruncationParams(nvars=nvars, max_degree=max_degree, dim=2)
+        got = assemble_compression(F, window).matrix
+        assert got.tobytes() == compression_loop_oracle(F, window).tobytes()
 
     def test_dimension_and_kind_validation(self):
         window = TruncationParams(nvars=1, max_degree=1, dim=2)
@@ -238,6 +264,25 @@ class TestNormSchedule:
         base = TruncationParams(nvars=1, max_degree=0, dim=1)
         with pytest.raises(ValueError):
             multiplier_norm_schedule(F, [2, 2], base)
+
+    @pytest.mark.parametrize(
+        "nvars, degrees", [(1, [0, 3, 7, 8]), (2, [0, 2, 5]), (3, [1, 3, 4])]
+    )
+    def test_equals_per_degree_assembly_bit_for_bit(self, nvars, degrees):
+        rng = np.random.default_rng(10)
+        F = random_power_series(rng, "operator", 2, nvars, 3, 6)
+        base = TruncationParams(nvars=nvars, max_degree=0, dim=2)
+        per_degree = [
+            operator_norm(compression_loop_oracle(F, replace(base, max_degree=D)))
+            for D in degrees
+        ]
+        assert multiplier_norm_schedule(F, degrees, base) == per_degree
+
+    def test_negative_degree_rejected(self):
+        F = PowerSeries.operator(1, {MultiIndex(): [[1.0]]})
+        base = TruncationParams(nvars=1, max_degree=0, dim=1)
+        with pytest.raises(ValueError):
+            multiplier_norm_schedule(F, [-1, 2], base)
 
     def test_zero_symbol(self):
         F = PowerSeries.operator(2)

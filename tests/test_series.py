@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_power_series
+from conftest import gamma, random_power_series, summed_norms, terms
 from polyhardy import (
     MultiIndex,
     PowerSeries,
@@ -159,6 +161,75 @@ class TestOpVecProduct:
         window = TruncationParams(nvars=1, max_degree=2, dim=1)
         P = op_vec_product(F, G, window)
         assert P.support == (MultiIndex([2]),)  # the degree-3 term is dropped
+
+
+#: Keys on the first three variables plus keys at sparse high positions.
+power_keys = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(MultiIndex),
+    st.sampled_from(
+        [MultiIndex.from_items([(40, 1)]), MultiIndex.from_items([(1, 1), (40, 2)])]
+    ),
+)
+
+
+@st.composite
+def op_vec_operands(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    return (
+        PowerSeries("operator", dim, draw(terms(power_keys, "operator", dim))),
+        PowerSeries("vector", dim, draw(terms(power_keys, "vector", dim))),
+    )
+
+
+class TestOpVecProductAgainstOracle:
+    """The array-form convolution against the dense double loop, on every
+    window: coefficientwise within gamma_{(T_F T_G + 1) d} sum|a| sum|b|."""
+
+    @given(
+        op_vec_operands(),
+        st.integers(min_value=1, max_value=42),
+        st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, operands, nvars, max_degree):
+        F, G = operands
+        P = op_vec_product(F, G, TruncationParams(nvars=nvars, max_degree=max_degree, dim=F.dim))
+        expected = {
+            alpha: c
+            for alpha, c in dense_convolution_oracle(F, G, max_degree).items()
+            if len(alpha) <= nvars
+        }
+        assert all(a.degree <= max_degree and len(a) <= nvars for a in P.terms)
+        tol = gamma((F.num_terms * G.num_terms + 1) * F.dim) * summed_norms(F) * summed_norms(G)
+        for alpha in set(P.terms) | set(expected):
+            gap = np.linalg.norm(P.coefficient(alpha) - expected.get(alpha, 0.0))
+            assert gap <= tol
+
+    def test_empty_operands(self):
+        window = TruncationParams(nvars=2, max_degree=3, dim=2)
+        F = PowerSeries.operator(2, {MultiIndex([1]): np.eye(2)})
+        G = PowerSeries.vector(2, {MultiIndex([0, 1]): [1.0, 2.0]})
+        for left, right in ((PowerSeries.operator(2), G), (F, PowerSeries.vector(2))):
+            P = op_vec_product(left, right, window)
+            assert P.is_zero and P.kind == "vector" and P.dim == 2
+
+    def test_sparse_high_position_keys(self):
+        high = MultiIndex.from_items([(40, 1)])
+        F = PowerSeries.operator(1, {high: [[2.0]], MultiIndex(): [[1.0]]})
+        G = PowerSeries.vector(1, {high: [3.0]})
+        P = op_vec_product(F, G, TruncationParams(nvars=41, max_degree=2, dim=1))
+        assert P.terms.keys() == {high, high + high}
+        assert P.coefficient(high + high)[0] == 6.0
+        assert op_vec_product(F, G, TruncationParams(nvars=40, max_degree=2, dim=1)).is_zero
+
+    def test_overflowing_coefficients_raise(self):
+        window = TruncationParams(nvars=1, max_degree=2, dim=1)
+        big = PowerSeries.operator(1, {MultiIndex(): [[1e308]], MultiIndex([1]): [[1e308]]})
+        one = PowerSeries.vector(1, {MultiIndex(): [1.0], MultiIndex([1]): [1.0]})
+        with pytest.raises(ValueError, match="finite"):
+            op_vec_product(big, PowerSeries.vector(1, {MultiIndex(): [10.0]}), window)
+        with pytest.raises(ValueError, match="finite"):  # 1e308 + 1e308 at z^1
+            op_vec_product(big, one, window)
 
 
 class TestRadialDilate:
