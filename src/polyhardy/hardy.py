@@ -9,12 +9,18 @@ variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
 the grid exceeds twice the degree (discrete orthogonality), which lets
 the tests compare it against Parseval with no quadrature error in the
 way.  The sup norm is estimated from below by grid maxima over a
-schedule of grids.
+schedule of grids.  For an operator symbol the node norms are largest
+singular values; every node's Frobenius norm comes from one batched
+call, and a node gets an SVD only while its Frobenius norm, widened by
+a stated rounding allowance, exceeds the maximum found so far.  Since
+sigma_max <= ||.||_F, a skipped node cannot raise the maximum, so the
+result is bit for bit the maximum over all nodes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .multiindex import MultiIndex, simplex
-from .series import PowerSeries, _coefficient_shape
+from .series import PowerSeries, _coefficient_shape, _exponent_rows
 
 __all__ = [
     "TorusGrid",
@@ -46,6 +52,12 @@ class TorusGrid:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("nvars", "points_per_var"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.nvars < 1:
             raise ValueError("nvars must be at least 1")
         if self.points_per_var < 1:
@@ -71,16 +83,15 @@ def h2_norm(F) -> float:
 
     Exact for finitely supported series.  Accepts a vector power series
     or a vector Dirichlet series; the Bohr bijection is an isometry for
-    this norm, so both sides give the same number.
+    this norm, so both sides give the same number.  One sum of squares
+    over all T*d coefficient entries, so the relative error is at most
+    gamma_{T*d+2}; the empty series has norm 0.
     """
     if F.kind != "vector":
         raise ValueError(
             "h2_norm is defined for vector series; use hinf_norm for operator symbols"
         )
-    total = 0.0
-    for coeff in F.terms.values():
-        total += float(np.sum(np.abs(coeff) ** 2))
-    return math.sqrt(total)
+    return float(np.linalg.norm(F._coefficient_stack()))
 
 
 def _cell(alpha: MultiIndex, grid: TorusGrid) -> tuple[int, ...]:
@@ -115,11 +126,21 @@ def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.fftn(tensor, axes=range(grid.nvars)) / grid.num_nodes
 
 
-def _grid_values_and_norms(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
-    values = _grid_values(F, grid)
-    if F.kind == "vector":
-        return np.linalg.norm(values, axis=1)
-    return np.array([operator_norm(m) for m in values])
+def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``operator_norm`` of each ``(d, d)`` node matrix.
+
+    For a stored node M with Frobenius norm f, numpy's ``sqrt(sum
+    |m_ij|^2)`` returns f_hat with f <= (f_hat + d 2^-537) (1 + gamma_{d^2+2})
+    (the ``d 2^-537`` covers squares that underflow), and LAPACK's
+    sigma_hat <= sigma_max (1 + p(d) eps) <= f (1 + p(d) eps).  Hence
+    sigma_hat <= (f_hat + d 2^-537)(1 + delta) with delta = 16 (d^2 + 2) eps,
+    which leaves room for p(d) up to about 15 (d^2 + 2) and for the rounding
+    of the ceiling itself.  An all-zero node has sigma_hat = 0 and ceiling 0.
+    """
+    d = values.shape[-1]
+    delta = 16 * (d * d + 2) * np.finfo(np.float64).eps
+    frob = np.linalg.norm(values, axis=(1, 2))
+    return np.where(values.any(axis=(1, 2)), (frob + d * 2.0**-537) * (1 + delta), 0.0)
 
 
 def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
@@ -137,7 +158,7 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("p must be finite; use hinf_norm for the sup norm")
     if F.kind != "vector":
         raise ValueError("hp_norm is defined for vector series")
-    norms = _grid_values_and_norms(F, grid)
+    norms = np.linalg.norm(_grid_values(F, grid), axis=1)
     return float(np.mean(norms**p) ** (1.0 / p))
 
 
@@ -147,15 +168,32 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     Always a lower bound of the true sup over the polydisk, nondecreasing
     as more grids are appended; the grid metadata is the caller's record
     of how far the schedule reached.
+
+    For an operator symbol the pointwise norm is ``operator_norm``, but
+    it runs only on nodes that could raise the maximum: each grid's nodes
+    are visited by descending ceiling from ``_sigma_ceilings`` (the
+    Frobenius norm widened by a stated rounding allowance, all nodes in one
+    batched call), and the visit stops at the first ceiling at most the
+    maximum so far.  Every later node's computed norm is below its
+    ceiling, so the result equals the maximum of ``operator_norm`` over
+    all nodes bit for bit.  Non-finite operator values raise ``ValueError``.
     """
     grids = list(grid_schedule)
     if not grids:
         raise ValueError("grid schedule must be non-empty")
     best = 0.0
     for grid in grids:
-        norms = _grid_values_and_norms(F, grid)
-        if norms.size:
-            best = max(best, float(np.max(norms)))
+        values = _grid_values(F, grid)
+        if F.kind == "vector":
+            best = max(best, float(np.max(np.linalg.norm(values, axis=1))))
+            continue
+        if not np.isfinite(values).all():
+            raise ValueError("grid values must be finite")
+        ceilings = _sigma_ceilings(values)
+        for k in np.argsort(-ceilings, kind="stable").tolist():
+            if ceilings[k] <= best:
+                break
+            best = max(best, operator_norm(values[k]))
     return best
 
 
@@ -204,26 +242,36 @@ def cole_gamelin_kernel(
     whose expansion has coefficient ``x * prod_j sqrt(1 - |z_j|^2) *
     conj(z)^alpha`` at ``w^alpha``.  Untruncated it has H_2 norm exactly
     ``||x||`` and attains the point-evaluation bound at ``w = z``.
+
+    Every monomial of the degree simplex comes from one array expression,
+    ``conj(z_j) ** alpha_j`` multiplied along the variables in increasing
+    order.  ``x`` and ``z`` must be finite and one-dimensional.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty vector")
+    if z.ndim != 1:
+        raise ValueError("kernel base point must be one-dimensional")
+    if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        raise ValueError("x and the kernel base point must be finite")
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("kernel base point must lie in the open polydisk")
     if degree < 0:
         raise ValueError("degree must be non-negative")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
-    zbar = np.conj(z)
-    terms = {}
-    if z.size == 0:
-        return PowerSeries("vector", x.size, {MultiIndex(): amplitude * x})
-    for alpha in simplex(z.size, degree):
-        mono = 1.0 + 0.0j
-        for pos, e in alpha.items():
-            mono *= zbar[pos] ** e
-        terms[alpha] = (amplitude * mono) * x
-    return PowerSeries("vector", x.size, terms)
+    keys = simplex(z.size, degree) if z.size else (MultiIndex(),)
+    columns, (exponents,) = _exponent_rows(keys)
+    monomials = np.prod(np.conj(z)[columns] ** exponents, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        coeffs = (amplitude * monomials)[:, None] * x
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    nonzero = coeffs.any(axis=1)
+    coeffs = coeffs[nonzero]
+    coeffs.setflags(write=False)
+    kept = (key for key, keep in zip(keys, nonzero.tolist()) if keep)
+    return PowerSeries._trusted("vector", x.size, dict(zip(kept, coeffs)))
 
 
 def cole_gamelin_kernel_value(

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_power_series
+import polyhardy.hardy
+from conftest import random_power_series, terms
 from polyhardy import (
+    DirichletSeries,
     MultiIndex,
     PowerSeries,
     TorusGrid,
@@ -21,6 +25,7 @@ from polyhardy import (
     operator_norm,
     point_evaluation_bound,
     radial_dilate,
+    simplex,
 )
 
 
@@ -54,6 +59,19 @@ class TestTorusGrid:
         with pytest.raises(ValueError):
             TorusGrid(**kwargs)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((1, 4.5), "points_per_var"), ((1.5, 4), "nvars"), ((2, "4"), "points_per_var")],
+    )
+    def test_non_integer_sizes_rejected(self, args, name):
+        with pytest.raises(TypeError, match=name):
+            TorusGrid(*args)
+
+    def test_integer_like_sizes_become_ints(self):
+        grid = TorusGrid(np.int64(2), np.int32(3))
+        assert type(grid.nvars) is int and type(grid.points_per_var) is int
+        assert grid == TorusGrid(2, 3) and grid.num_nodes == 9
+
 
 class TestH2Norm:
     def test_single_term(self):
@@ -74,6 +92,29 @@ class TestH2Norm:
     def test_accepts_dirichlet_series(self):
         F = PowerSeries.vector(1, {MultiIndex([1, 1]): [2.0]})
         assert h2_norm(bohr(F)) == h2_norm(F)
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                terms(st.lists(st.integers(0, 3), max_size=3).map(MultiIndex), "vector", dim),
+                terms(st.integers(min_value=1, max_value=10**6), "vector", dim),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fsum_reference(self, drawn):
+        """One sum of squares over T*d entries: within gamma_{T*d+2} ||F||_2
+        of the correctly rounded sum of the same squares."""
+        dim, power_terms, dirichlet_terms = drawn
+        for F in (PowerSeries("vector", dim, power_terms), DirichletSeries("vector", dim, dirichlet_terms)):
+            entries = [v for c in F.terms.values() for v in c.tolist()]
+            reference = math.sqrt(math.fsum([v.real**2 for v in entries] + [v.imag**2 for v in entries]))
+            assert abs(h2_norm(F) - reference) <= gamma(F.num_terms * dim + 2) * reference
+
+    def test_empty_series_has_norm_zero(self):
+        assert h2_norm(PowerSeries.vector(3)) == 0.0
+        assert h2_norm(DirichletSeries.vector(2)) == 0.0
 
 
 class TestHpNorm:
@@ -144,6 +185,91 @@ class TestHinfNorm:
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
             hinf_norm(PowerSeries.vector(1), [])
+
+    def test_non_finite_grid_values_rejected(self):
+        F = PowerSeries.operator(1, {MultiIndex(): [[1e308]], MultiIndex([1]): [[1e308]]})
+        # The FFT gives inf + nan*j at w = 1, whose Frobenius ceiling is NaN,
+        # and 0 at w = -1, whose zero ceiling alone would end the search.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            hinf_norm(F, [TorusGrid(1, 2)])
+
+
+#: Entries from subnormal to 1e3 in modulus, so Frobenius squares can underflow.
+_entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def operator_symbols(draw):
+    """Operator symbols of dim 1-4 on 1-2 variables, with a schedule.
+
+    Besides generic coefficients: rank-one symbols, where sigma_max equals
+    the Frobenius norm at every node (the tight case for the pruning
+    allowance); one monomial times one matrix, where every node of a
+    unit-radius grid ties; and the zero symbol.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    nvars = draw(st.integers(min_value=1, max_value=2))
+    keys = st.lists(st.integers(0, 3), max_size=nvars).map(MultiIndex)
+    matrices = st.lists(_entries, min_size=dim * dim, max_size=dim * dim).map(
+        lambda v: np.reshape(v, (dim, dim))
+    )
+    vectors = st.lists(_entries, min_size=dim, max_size=dim).map(np.array)
+    family = draw(st.sampled_from(["generic", "rank-one", "monomial", "zero"]))
+    if family == "generic":
+        coefficients = draw(st.dictionaries(keys, matrices, max_size=6))
+    elif family == "rank-one":
+        u, v = draw(vectors), draw(vectors)
+        scalars = draw(st.dictionaries(keys, _entries, max_size=6))
+        coefficients = {a: c * np.outer(u, v.conj()) for a, c in scalars.items()}
+    elif family == "monomial":
+        coefficients = {draw(keys): draw(matrices)}
+    else:
+        coefficients = {}
+    grids = st.builds(
+        TorusGrid,
+        st.just(nvars),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1.0, 0.9, 0.5]),
+    )
+    return PowerSeries.operator(dim, coefficients), draw(st.lists(grids, min_size=1, max_size=3))
+
+
+class TestPrunedOperatorSup:
+    """An operator ``hinf_norm`` takes SVDs only where a node's Frobenius
+    ceiling exceeds the maximum so far, and must still equal the maximum
+    over every node bit for bit."""
+
+    @given(operator_symbols())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_unpruned_maximum(self, drawn):
+        F, schedule = drawn
+        unpruned = max(
+            float(np.max(np.linalg.norm(polyhardy.hardy._grid_values(F, g), 2, axis=(1, 2))))
+            for g in schedule
+        )
+        assert hinf_norm(F, schedule) == unpruned
+
+    def count_svds(self, monkeypatch, F, schedule):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return operator_norm(matrix)
+
+        monkeypatch.setattr(polyhardy.hardy, "operator_norm", counted)
+        return hinf_norm(F, schedule), len(calls)
+
+    def test_generic_symbol_needs_few_svds(self, monkeypatch):
+        F = random_power_series(np.random.default_rng(0), "operator", 3, 2, 3, 8)
+        grid = TorusGrid(2, 40)
+        value, calls = self.count_svds(monkeypatch, F, [grid])
+        assert calls < grid.num_nodes // 4
+        values = polyhardy.hardy._grid_values(F, grid)
+        assert value == max(operator_norm(m) for m in values)
+
+    def test_zero_symbol_needs_no_svd(self, monkeypatch):
+        schedule = [TorusGrid(2, 8), TorusGrid(2, 5, 0.5)]
+        assert self.count_svds(monkeypatch, PowerSeries.operator(3), schedule) == (0.0, 0)
 
 
 U = np.finfo(float).eps / 2
@@ -306,6 +432,63 @@ class TestColeGamelinKernel:
     def test_boundary_base_point_rejected(self):
         with pytest.raises(ValueError):
             cole_gamelin_kernel([1.0], [1.0], degree=3)
+
+    def test_non_vector_base_point_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            cole_gamelin_kernel([1.0], [[0.5]], 2)
+
+    @pytest.mark.parametrize(
+        "x, z",
+        [
+            ([np.nan], [0.5]),
+            ([1.0, np.inf], [0.5]),
+            ([1.0], [np.nan]),
+            ([1.0], [0.2, complex(0.1, np.inf)]),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, x, z):
+        # Warnings are errors in this suite, so this also shows that the
+        # check comes before any arithmetic on the inputs.
+        with pytest.raises(ValueError, match="finite"):
+            cole_gamelin_kernel(x, z, degree=3)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 7, 40])
+    def test_coefficients_match_python_reference(self, nvars, degree):
+        """Each coefficient against ``amplitude * prod conj(z_j)**alpha_j * x``
+        in Python complex arithmetic.
+
+        With |z_j| <= 0.7, one side's amplitude is within 4n u relative
+        (hypot, square, 1 - a amplified by at most 0.49/0.51, sqrt, n
+        products); a power of degree k by binary powering and the product
+        over n variables take at most D + n complex products of sqrt(2)
+        gamma_2 < 3u each; scaling and the product with x add 4u.  So each
+        side is within (7n + 3D + 4)u, and the two differ by at most
+        gamma_{2(7n + 3D + 5)} |reference|.
+        """
+        rng = np.random.default_rng([nvars, degree])
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z = 0.7 * rng.random(nvars) * np.exp(2j * np.pi * rng.random(nvars))
+        z[-1] = 0.7 * np.exp(1j)  # one coordinate at the largest modulus
+        kernel = cole_gamelin_kernel(x, z, degree)
+        amplitude = math.prod(math.sqrt(1.0 - abs(complex(zj)) ** 2) for zj in z)
+        tol = gamma(2 * (7 * nvars + 3 * degree + 5))
+        keys = simplex(nvars, degree)
+        assert set(kernel.terms) == set(keys)
+        for alpha in keys:
+            mono = math.prod(complex(z[j]).conjugate() ** alpha[j] for j in range(nvars))
+            got = kernel.coefficient(alpha)
+            for i, xi in enumerate(x.tolist()):
+                expected = amplitude * mono * xi
+                assert abs(complex(got[i]) - expected) <= tol * abs(expected)
+
+    def test_coefficients_are_read_only_and_zero_rows_dropped(self):
+        kernel = cole_gamelin_kernel([0.0, 0.0], [0.5], degree=4)
+        assert kernel.is_zero
+        kernel = cole_gamelin_kernel([1.0, 2.0], [0.5, 0.0], degree=3)
+        assert kernel.support == tuple(MultiIndex([k]) for k in range(4))
+        for c in kernel.terms.values():
+            assert not c.flags.writeable
 
     def test_point_evaluation_inequality(self):
         rng = np.random.default_rng(7)
