@@ -10,6 +10,12 @@ bijection on finitely supported series.  Multiplication becomes divisor
 convolution, radial structure becomes the epsilon-shift ``a_n / n^eps``,
 and coefficients can be recovered from vertical-line averages of the
 evaluated series.
+
+The transports and the shift work on the arrays a series already holds.
+Its coefficients are finite, nonzero and read-only, so :func:`bohr` and
+:func:`bohr_inverse` relabel the keys and share the coefficient arrays,
+and :func:`epsilon_shift` scales the stacked coefficients in one array
+operation; none of them copies or re-checks a coefficient one by one.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .series import (
     _coefficient_shape,
     _convolve,
     _kept_pairs,
+    _scaled,
     _SparseSeries,
 )
 
@@ -40,6 +47,9 @@ __all__ = [
     "evaluate_dirichlet",
     "recover_coefficient",
 ]
+
+#: Most cosines ``recover_coefficient`` holds at once (8 MB).
+_LINE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,10 @@ def bohr(F: PowerSeries) -> DirichletSeries:
     """Transport a power series to frequency coordinates.
 
     The coefficient at ``z^alpha`` lands at frequency ``prod(p_i**alpha_i)``;
-    the support cardinality is preserved exactly.
+    the support cardinality is preserved exactly.  The map is a bijection,
+    so the keys stay distinct and the coefficient arrays are shared.
     """
-    return DirichletSeries(
+    return DirichletSeries._trusted(
         F.kind,
         F.dim,
         {multiindex_to_index(alpha): coeff for alpha, coeff in F.terms.items()},
@@ -88,8 +99,11 @@ def bohr(F: PowerSeries) -> DirichletSeries:
 
 
 def bohr_inverse(D: DirichletSeries) -> PowerSeries:
-    """Inverse transport; exact on every finitely supported series."""
-    return PowerSeries(
+    """Inverse transport; exact on every finitely supported series.
+
+    Like :func:`bohr`, it relabels keys and shares the coefficient arrays.
+    """
+    return PowerSeries._trusted(
         D.kind,
         D.dim,
         {index_to_multiindex(n): coeff for n, coeff in D.terms.items()},
@@ -146,15 +160,11 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
     compose additively: shifting by a then b equals shifting by a + b.
     """
     eps = float(eps)
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     if eps == 0.0:
         return D
-    return DirichletSeries(
-        D.kind,
-        D.dim,
-        {n: (n ** (-eps)) * coeff for n, coeff in D.terms.items()},
-    )
+    return _scaled(D, [n ** (-eps) for n in D.terms])
 
 
 def recover_coefficient(
@@ -166,32 +176,53 @@ def recover_coefficient(
 ) -> np.ndarray:
     """Vertical-line average ``(1/2R) * integral_{-R}^{R} D(sigma+it) n^(sigma+it) dt``.
 
-    Trapezoid quadrature on a uniform t-grid.  For a finite series the
-    term at frequency n is reproduced exactly in the limit; every other
-    frequency m contributes a cross term
-    ``a_m (n/m)^sigma sin(R log(n/m)) / (R log(n/m))``, so the error
-    decays like O(1/R) modulated by the oscillating sine.  ``sigma``
-    should be moderately large (2 is comfortable) so the integrand is
-    well scaled.
+    The integrand is ``sum_m a_m (n/m)^(sigma+it)``, so the average is
+    ``sum_m w_m a_m`` with one real weight per term: the trapezoid rule on
+    ``grid_points`` uniform nodes of step ``h = 2R / (grid_points - 1)``,
+    symmetric about t = 0, applied to ``exp((sigma + i t) L)`` with
+    ``L = log(n/m)``.  On symmetric nodes the sines of +t and -t cancel,
+    so ``w_m`` is ``(n/m)^sigma`` times the rule folded onto ``t >= 0``
+    and applied to ``cos(t L)``: one cosine per term and pair of nodes.
+    The weights come from one matrix-vector product per block of terms
+    (at most ``_LINE_BLOCK`` cosines at once) and are contracted with the
+    stacked coefficients; no per-node coefficient array is formed.
+
+    For a finite series the term at frequency n is reproduced exactly in
+    the limit.  On a grid of step h every other frequency m contributes
+    exactly ``a_m (n/m)^sigma sin(R L) / (R L) * x cot x`` with
+    ``L = log(n/m)`` and ``x = h L / 2``, so the error decays like O(1/R)
+    modulated by the oscillating sine.  ``sigma`` should be moderately
+    large (2 is comfortable) so the integrand is well scaled.  ``n`` must
+    be a frequency; ``sigma`` and ``R`` must be finite.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("target frequency must be a positive integer")
+    if n > MAX_FREQUENCY:
+        raise OverflowError(f"target frequency {n} exceeds the 64-bit range")
+    sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     R = float(R)
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"R must be finite and positive, got {R}")
     grid_points = operator.index(grid_points)
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    sigma = float(sigma)
 
-    t = np.linspace(-R, R, grid_points)
-    s_line = sigma + 1j * t
-    target_factor = np.exp(s_line * math.log(n))
-    shape = _coefficient_shape(D.kind, D.dim)
-    integrand = np.zeros((grid_points, *shape), dtype=np.complex128)
-    expand = (slice(None),) + (None,) * len(shape)
-    for m, coeff in D.terms.items():
-        line_values = np.exp(-s_line * math.log(m)) * target_factor
-        integrand += line_values[expand] * coeff
-    return np.trapezoid(integrand, t, axis=0) / (2.0 * R)
+    # Nodes t_k = h (k - (P - 1) / 2) are symmetric about 0, so the sines
+    # of +-t cancel: only t >= 0 is kept, each t > 0 standing for +-t.
+    h = 2.0 * R / (grid_points - 1)
+    t = h * (np.arange(grid_points // 2, grid_points) - (grid_points - 1) / 2)
+    fold = np.full(len(t), 2.0 / (grid_points - 1))  # trapezoid weights / 2R, folded
+    fold[-1] /= 2
+    if grid_points % 2:
+        fold[0] /= 2  # the node t = 0 has no mirror
+    logs = np.array([math.log(n / m) for m in D.terms])
+    weights = np.empty(len(logs))
+    rows = max(1, _LINE_BLOCK // len(t))
+    for start in range(0, len(logs), rows):
+        block = logs[start : start + rows]
+        weights[start : start + rows] = np.cos(np.multiply.outer(block, t)) @ fold
+    weights *= np.exp(sigma * logs)
+    return np.tensordot(weights, D._coefficient_stack(), axes=1)

@@ -8,11 +8,17 @@ of coordinates between multivariate power series and Dirichlet series,
 so it is the backbone of everything else in the package.
 
 Frequencies are kept within signed 64-bit range; anything larger raises
-``OverflowError`` rather than wrapping.  The prime tables are built by a
-sieve and grow lazily up to ``SIEVE_LIMIT`` (a module attribute that can
-be raised if deeper factorizations are ever needed).  The sieve stores the
-*position* of each n's smallest prime factor (-1 for 0 and 1), so factoring
-is a chain of plain-int ``memoryview`` lookups ``p = prime[table[n]]``.
+``OverflowError`` rather than wrapping.  An exponent above 62 is rejected
+before any power is taken, since ``2**63`` is already out of range, so a
+huge exponent read from a file costs nothing.  The prime tables are built
+by a sieve and grow lazily up to ``SIEVE_LIMIT`` (a module attribute that
+can be raised if deeper factorizations are ever needed).  The sieve stores
+the *position* of each n's smallest prime factor (-1 for 0 and 1), so
+factoring is a chain of plain-int ``memoryview`` lookups
+``p = prime[table[n]]``, and each exponent is the length of the run of
+quotients whose smallest factor stays at that position: no trial ``%``.
+Building a frequency reads the prime table directly once it is long
+enough.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ __all__ = [
 ]
 
 MAX_FREQUENCY = 2**63 - 1
+
+#: Largest exponent a frequency can carry: every prime is at least 2 and
+#: ``2**63`` already leaves the 64-bit range.
+_MAX_EXPONENT = 62
 
 #: Hard ceiling for lazy sieve growth.  Factoring a frequency requires the
 #: prime table to reach its largest prime factor (the factor's *position*
@@ -266,42 +276,52 @@ def index_to_multiindex(n: int) -> MultiIndex:
     increasing primes.  ``n = 1`` maps to the empty index.
     """
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("frequency must be a positive integer")
-    if n > MAX_FREQUENCY:
-        raise OverflowError(f"frequency {n} exceeds the 64-bit range")
-    if n == 1:
-        return MultiIndex()
-
-    items: list[tuple[int, int]] = []
-    rem = n
-    if n < SIEVE_LIMIT:
+    if not 1 < n < _bound:  # the table lookup below covers every other n
+        if n < 1:
+            raise ValueError("frequency must be a positive integer")
+        if n > MAX_FREQUENCY:
+            raise OverflowError(f"frequency {n} exceeds the 64-bit range")
+        if n == 1:
+            return MultiIndex._trusted(())
+        if n >= SIEVE_LIMIT:
+            return MultiIndex._trusted(_trial_division(n))
         _ensure_bound(n + 1)
-        table, prime = _pos_table, _prime
-        while rem > 1:
-            pos = table[rem]
-            p = prime[pos]
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            items.append((pos, e))
-    else:
-        pos = 0
-        while rem > 1:
-            p = _prime_at(pos)
-            if p * p > rem:
-                break
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            if e:
-                items.append((pos, e))
-            pos += 1
-        if rem > 1:
-            items.append((_prime_position(rem), 1))
+    table, prime = _pos_table, _prime
+    items = []
+    rem = n
+    while rem > 1:
+        # every prime factor of rem is at least p, so p still divides rem
+        # exactly while p is its smallest prime factor
+        pos = table[rem]
+        p = prime[pos]
+        rem //= p
+        e = 1
+        while table[rem] == pos:
+            rem //= p
+            e += 1
+        items.append((pos, e))
     return MultiIndex._trusted(tuple(items))
+
+
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """``(position, exponent)`` pairs of ``n`` past the sieve, by trial division."""
+    items = []
+    rem = n
+    pos = 0
+    while rem > 1:
+        p = _prime_at(pos)
+        if p * p > rem:
+            break
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        if e:
+            items.append((pos, e))
+        pos += 1
+    if rem > 1:
+        items.append((_prime_position(rem), 1))
+    return tuple(items)
 
 
 def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:
@@ -312,9 +332,17 @@ def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:
     """
     if not isinstance(alpha, MultiIndex):
         alpha = MultiIndex(alpha)
+    items = alpha._items
+    if items and items[-1][0] >= len(_prime):
+        _ensure_count(items[-1][0] + 1)
+    prime = _prime
     result = 1
-    for pos, e in alpha.items():
-        result *= _prime_at(pos) ** e
+    for pos, e in items:
+        if e > _MAX_EXPONENT:
+            raise OverflowError(
+                f"exponent {e} at position {pos} leaves the 64-bit frequency range"
+            )
+        result *= prime[pos] ** e
         if result > MAX_FREQUENCY:
             raise OverflowError(
                 f"frequency of multi-index {alpha!r} exceeds the 64-bit range"
@@ -368,9 +396,14 @@ def max_frequency_for_simplex(nvars: int, max_degree: int) -> int:
         raise ValueError("nvars must be at least 1")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    freq = _prime_at(nvars - 1) ** max_degree
+    if max_degree > _MAX_EXPONENT:
+        raise OverflowError(
+            f"max_degree {max_degree} leaves the 64-bit frequency range"
+        )
+    p = _prime_at(nvars - 1)
+    freq = p**max_degree
     if freq > MAX_FREQUENCY:
         raise OverflowError(
-            f"simplex frequency bound {freq} exceeds the 64-bit range"
+            f"simplex frequency bound {p}**{max_degree} exceeds the 64-bit range"
         )
     return freq

@@ -11,13 +11,16 @@ rows over the positions the keys use;
 multiply, handled as int64 arrays, so the Bohr transform is a relabelling
 of keys.  A product lists the key pairs its window keeps, forms every kept
 coefficient product in one stacked matmul, and sums the pairs of each
-product key after one stable sort.  All arithmetic is exact sparse
-bookkeeping in complex double precision; truncation windows are carried
-explicitly via :class:`TruncationParams`.
+product key after one stable sort.  Rescaling each term by its own
+factor (scalar multiples, dilations, epsilon-shifts) is one array product
+over the stacked coefficients, wrapped without re-checking each one.  All
+arithmetic is exact sparse bookkeeping in complex double precision;
+truncation windows are carried explicitly via :class:`TruncationParams`.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -132,7 +135,9 @@ class _SparseSeries:
     def _coefficient_stack(self) -> np.ndarray:
         """Coefficients stacked along a new first axis, in ``terms`` order."""
         shape = _coefficient_shape(self._kind, self._dim)
-        return np.array(list(self._terms.values())).reshape(len(self._terms), *shape)
+        return np.array(list(self._terms.values()), dtype=np.complex128).reshape(
+            len(self._terms), *shape
+        )
 
     @classmethod
     def vector(cls, dim: int, terms=()):
@@ -263,13 +268,40 @@ class PowerSeries(_SparseSeries):
     def __mul__(self, scalar) -> "PowerSeries":
         if not np.isscalar(scalar):
             return NotImplemented
-        return PowerSeries(
-            self._kind,
-            self._dim,
-            {a: scalar * c for a, c in self._terms.items()},
-        )
+        return _scaled(self, scalar)
 
     __rmul__ = __mul__
+
+
+def _scaled(F: _SparseSeries, factors) -> _SparseSeries:
+    """``F`` with the coefficient of its t-th term (``terms`` order) times ``factors[t]``.
+
+    ``factors`` holds one real or complex number per term, or one number
+    for every term.  Each product is the one ``factor * coefficient``
+    gives, in complex double precision, so the result equals building
+    the scaled terms through the constructor, bit for bit; but the keys
+    are reused as they are and the coefficients are formed in one array
+    operation instead of being copied and checked one by one.  Products
+    that are not finite raise the constructor's ``ValueError``; a
+    coefficient that underflows to zero is dropped; the kept rows are
+    read-only views of one new array.
+    """
+    stack = F._coefficient_stack()
+    factors = np.asarray(factors, dtype=np.complex128)
+    # factor on the left, as in ``factor * coefficient``: with fused
+    # multiply-adds numpy's complex product can round the two operand
+    # orders differently
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        stack = factors.reshape(-1, *(1,) * (stack.ndim - 1)) * stack
+    if not np.isfinite(stack).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    keys = F._terms.keys()
+    nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
+    if not nonzero.all():
+        stack = stack[nonzero]
+        keys = itertools.compress(keys, nonzero.tolist())
+    stack.setflags(write=False)
+    return F._trusted(F._kind, F._dim, dict(zip(keys, stack)))
 
 
 def _check_op_vec(F: _SparseSeries, G: _SparseSeries) -> None:
@@ -409,11 +441,7 @@ def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
         raise ValueError("dilation radius must lie in (0, 1]")
     if r == 1.0:
         return F
-    return PowerSeries(
-        F.kind,
-        F.dim,
-        {a: (r ** weighted_degree(a)) * c for a, c in F.terms.items()},
-    )
+    return _scaled(F, [r ** weighted_degree(a) for a in F.terms])
 
 
 def _evaluate_at(F: PowerSeries, point: np.ndarray) -> np.ndarray:
@@ -445,10 +473,14 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
 
 
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:
-    """Drop terms beyond the window; idempotent."""
+    """Drop terms beyond the window; idempotent.
+
+    The kept coefficients are shared with ``F``, not copied: they are
+    already finite, nonzero and read-only.
+    """
     kept = {
         a: c
         for a, c in F.terms.items()
         if a.degree <= trunc.max_degree and len(a) <= trunc.nvars
     }
-    return PowerSeries(F.kind, F.dim, kept)
+    return PowerSeries._trusted(F.kind, F.dim, kept)

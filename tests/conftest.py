@@ -7,6 +7,7 @@ tests and suites draw their random inputs from one definition.
 import numpy as np
 from hypothesis import strategies as st
 
+from polyhardy import MultiIndex
 from polyhardy.cli import _random_power_series as random_power_series  # noqa: F401
 
 #: Unit roundoff of IEEE double precision.
@@ -14,6 +15,9 @@ U = 2.0**-53
 
 #: Non-dyadic values, so products round, and none so small that they underflow.
 _VALUES = st.integers(min_value=-1000, max_value=1000).map(lambda n: n / 37)
+
+#: Every finite double: signed zeros, subnormals and values whose products overflow.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def gamma(n: int) -> float:
@@ -26,11 +30,42 @@ def summed_norms(series) -> float:
     return sum(float(np.linalg.norm(c)) for c in series.terms.values())
 
 
-def terms(keys, kind: str, dim: int, max_size: int = 6):
+def terms(keys, kind: str, dim: int, max_size: int = 6, values=_VALUES):
     """Strategy: a dict from drawn keys to complex coefficients of one kind and dim."""
     shape = (dim,) if kind == "vector" else (dim, dim)
     size = int(np.prod(shape))
     coefficient = st.lists(
-        st.tuples(_VALUES, _VALUES), min_size=size, max_size=size
+        st.tuples(values, values), min_size=size, max_size=size
     ).map(lambda parts: np.array([complex(*p) for p in parts]).reshape(shape))
     return st.dictionaries(keys, coefficient, max_size=max_size)
+
+
+def built_term_by_term(cls, S, mapping):
+    """``cls(kind, dim, terms)`` of ``S`` with ``mapping`` applied to each
+    ``(key, coeff)``: the public constructor, which copies and checks
+    every coefficient."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor reports it
+        return cls(S.kind, S.dim, [mapping(k, c) for k, c in S.terms.items()])
+
+
+def assert_same_bits(got, want):
+    """Same type, kind, dim and keys in the same order, and coefficients
+    with the same bytes (so signed zeros count); ``got``'s are read-only."""
+    assert type(got) is type(want)
+    assert (got.kind, got.dim) == (want.kind, want.dim)
+    assert list(got.terms) == list(want.terms)
+    for key, c in got.terms.items():
+        assert c.dtype == np.complex128 and c.tobytes() == want.terms[key].tobytes()
+        assert not c.flags.writeable
+
+
+@st.composite
+def series(draw, cls, keys, values=FINITE):
+    """Strategy: a ``cls`` series of either kind and dim 1-3 on drawn keys."""
+    kind = draw(st.sampled_from(["vector", "operator"]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    return cls(kind, dim, draw(terms(keys, kind, dim, values=values)))
+
+
+#: Multi-indices on four variables with exponents at most 4: frequencies up to 210^4.
+small_indices = st.lists(st.integers(min_value=0, max_value=4), max_size=4).map(MultiIndex)

@@ -219,6 +219,12 @@ class TestUnusedFlags:
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
 
+    def test_huge_exponent_in_a_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "vector", "dim": 1, "terms": [{"alpha": [1000000], "coeff": [[1.0, 0.0]]}]}')
+        assert main(["transform", str(path)]) == 2
+        assert "exponent 1000000" in capsys.readouterr().err
+
     def test_verify_help_offers_no_unread_flags(self, capsys):
         assert main(["verify", "--help"]) == 0
         for suite in ("parseval", "diagonal", "bohr"):

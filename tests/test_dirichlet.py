@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma, random_power_series, summed_norms, terms
+from conftest import (
+    assert_same_bits,
+    built_term_by_term,
+    gamma,
+    random_power_series,
+    series,
+    small_indices,
+    summed_norms,
+    terms,
+)
 from polyhardy import (
     DirichletSeries,
     HalfPlanePoint,
@@ -24,7 +33,7 @@ from polyhardy import (
     op_vec_product,
     recover_coefficient,
 )
-from polyhardy.multiindex import MAX_FREQUENCY
+from polyhardy.multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
 
 
 class TestBohrTransform:
@@ -361,3 +370,104 @@ class TestRecoverCoefficient:
         D = DirichletSeries.operator(2, {2: A})
         got = recover_coefficient(D, 2, 2.0, 500.0, 20_001)
         np.testing.assert_allclose(got, A, atol=1e-12)
+
+
+class TestTransportsReuseTheirInput:
+    """The transports and the shift equal the term-by-term constructor path
+    bit for bit (signed zeros and subnormals included), with read-only
+    coefficients."""
+
+    @given(series(PowerSeries, small_indices))
+    @settings(max_examples=200, deadline=None)
+    def test_bohr(self, F):
+        D = bohr(F)
+        assert_same_bits(
+            D, built_term_by_term(DirichletSeries, F, lambda a, c: (multiindex_to_index(a), c))
+        )
+        assert all(D.terms[multiindex_to_index(a)] is c for a, c in F.terms.items())
+
+    @given(series(PowerSeries, small_indices))
+    @settings(max_examples=200, deadline=None)
+    def test_bohr_inverse(self, F):
+        D = DirichletSeries(F.kind, F.dim, {multiindex_to_index(a): c for a, c in F.terms.items()})
+        assert_same_bits(
+            bohr_inverse(D),
+            built_term_by_term(PowerSeries, D, lambda n, c: (index_to_multiindex(n), c)),
+        )
+
+    @given(
+        series(DirichletSeries, st.integers(min_value=1, max_value=MAX_FREQUENCY)),
+        st.floats(min_value=0.0, max_value=60.0, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_epsilon_shift(self, D, eps):
+        want = built_term_by_term(DirichletSeries, D, lambda n, c: (n, n ** (-eps) * c))
+        assert_same_bits(epsilon_shift(D, eps), want)
+
+    def test_underflowing_rows_are_dropped(self):
+        D = DirichletSeries.vector(1, {1: [1.0], 10**15: [1e-300]})
+        shifted = epsilon_shift(D, 5.0)
+        assert shifted.frequencies == (1,)
+        assert not shifted.coefficient(1).flags.writeable
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_is_named(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            epsilon_shift(DirichletSeries.vector(1, {2: [1.0]}), eps)
+
+
+def trapezoid_closed_form(D, n, sigma, R, grid_points):
+    """What the trapezoid rule on ``grid_points`` uniform nodes gives exactly:
+    ``a_n + sum_{m != n} a_m (n/m)^sigma sin(R L)/(R L) x cot x`` with
+    ``L = log(n/m)`` and ``x = h L / 2``, and ``sum |a_m| (n/m)^sigma``."""
+    h = 2 * R / (grid_points - 1)
+    value = D.coefficient(n).astype(complex)
+    scale = 0.0
+    for m, a in D.terms.items():
+        L = math.log(n / m)
+        weight = (n / m) ** sigma
+        scale += float(np.linalg.norm(a)) * weight
+        if m != n:
+            x = h * L / 2
+            value = value + a * weight * math.sin(R * L) / (R * L) * x / math.tan(x)
+    return value, scale
+
+
+class TestRecoverAgainstClosedForm:
+    """``recover_coefficient`` equals the trapezoid rule's closed form within
+    gamma_{P + 4} sum |a_m| (n/m)^sigma, for vector and operator series."""
+
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    @pytest.mark.parametrize(
+        "sigma, R, grid_points", [(2.0, 200.0, 8001), (0.5, 37.5, 300), (3.0, 1000.0, 6000), (1.0, 5.0, 2)]
+    )
+    def test_within_rounding_of_the_closed_form(self, kind, sigma, R, grid_points):
+        rng = np.random.default_rng(11)
+        D = bohr(random_power_series(rng, kind, 2, 3, 4, 30))
+        for n in [*rng.choice(D.frequencies, 3, replace=False).tolist(), 1, 4, 1000]:
+            got = recover_coefficient(D, n, sigma, R, grid_points)
+            want, scale = trapezoid_closed_form(D, n, sigma, R, grid_points)
+            assert got.shape == want.shape and got.dtype == np.complex128
+            assert np.linalg.norm(got - want) <= gamma(grid_points + 4) * scale
+
+    def test_empty_series_recovers_zero(self):
+        got = recover_coefficient(DirichletSeries.operator(2), 3, 2.0, 10.0, 11)
+        assert got.shape == (2, 2) and got.dtype == np.complex128 and not got.any()
+
+    @pytest.mark.parametrize(
+        "sigma, R, name",
+        [
+            (float("nan"), 100.0, "sigma"),
+            (float("inf"), 100.0, "sigma"),
+            (2.0, float("inf"), "R"),
+            (2.0, float("nan"), "R"),
+        ],
+    )
+    def test_non_finite_parameters_are_named(self, sigma, R, name):
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        with pytest.raises(ValueError, match=name):
+            recover_coefficient(D, 2, sigma, R, 4001)
+
+    def test_target_past_64_bits_rejected(self):
+        with pytest.raises(OverflowError):
+            recover_coefficient(DirichletSeries.vector(1, {2: [1.0]}), MAX_FREQUENCY + 1, 2.0, 10.0, 11)

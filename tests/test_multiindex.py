@@ -189,6 +189,60 @@ class TestBijection:
         assert len(multiindex._prime) > position
 
 
+def sympy_items(n):
+    """sympy's factorization of n as ``{prime position: exponent}``."""
+    return {int(sympy.primepi(p)) - 1: int(e) for p, e in sympy.factorint(n).items()}
+
+
+class TestFactoringBoundaries:
+    """Run-length factoring against sympy where the table ends or grows,
+    where trial division takes over, and at the largest 64-bit powers."""
+
+    def check(self, n):
+        alpha = index_to_multiindex(n)
+        assert dict(alpha.items()) == sympy_items(n)
+        assert multiindex_to_index(alpha) == n
+
+    def test_at_the_table_bound(self, small_sieve):
+        bound = multiindex._bound
+        self.check(bound - 1)
+        self.check(int(sympy.prevprime(bound)))
+        assert multiindex._bound == bound  # both read the table as it is
+        self.check(bound)
+        assert multiindex._bound > bound
+
+    def test_around_the_sieve_limit(self, small_sieve):
+        for n in (SIEVE_LIMIT - 1, int(sympy.prevprime(SIEVE_LIMIT)), SIEVE_LIMIT, SIEVE_LIMIT + 1):
+            self.check(n)
+
+    # 16 777 213 is the largest prime below SIEVE_LIMIT
+    @pytest.mark.parametrize(
+        "n", [2**62, 3**39, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2**30 * 16_777_213]
+    )
+    def test_large_frequencies(self, small_sieve, n):
+        self.check(n)
+
+
+class TestExponentGuard:
+    """An exponent that must leave the 64-bit range is named, before any power is taken."""
+
+    def test_frequency(self):
+        with pytest.raises(OverflowError, match="exponent 1000000 at position 2"):
+            multiindex_to_index(MultiIndex([0, 1, 10**6]))
+        with pytest.raises(OverflowError, match="exponent 63 at position 0"):
+            multiindex_to_index(MultiIndex([63]))
+        assert multiindex_to_index(MultiIndex([62])) == 2**62
+
+    def test_simplex_bound(self):
+        with pytest.raises(OverflowError, match="max_degree 1000000"):
+            max_frequency_for_simplex(1, 10**6)
+        with pytest.raises(OverflowError, match="max_degree 63"):
+            max_frequency_for_simplex(1, 63)
+        with pytest.raises(OverflowError, match=r"5\*\*28"):
+            max_frequency_for_simplex(3, 28)
+        assert max_frequency_for_simplex(1, 62) == 2**62
+
+
 class TestTrustedConstruction:
     @given(sparse_indices, sparse_indices)
     @settings(max_examples=300, deadline=None)

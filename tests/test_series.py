@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma, random_power_series, summed_norms, terms
+from conftest import (
+    FINITE,
+    assert_same_bits,
+    built_term_by_term,
+    gamma,
+    random_power_series,
+    series,
+    small_indices,
+    summed_norms,
+    terms,
+)
 from polyhardy import (
     MultiIndex,
     PowerSeries,
@@ -15,6 +25,7 @@ from polyhardy import (
     op_vec_product,
     radial_dilate,
     truncate,
+    weighted_degree,
 )
 
 
@@ -363,3 +374,64 @@ class TestTruncationParams:
 
     def test_infinite_exponent_allowed(self):
         assert TruncationParams(1, 1, 1, exponent=np.inf).exponent == np.inf
+
+
+def assert_matches_term_by_term(op, F, mapping):
+    """``op()`` equals the constructor path bit for bit, or both reject the
+    products as not finite."""
+    try:
+        want = built_term_by_term(PowerSeries, F, mapping)
+    except ValueError:
+        with pytest.raises(ValueError, match="finite"):
+            op()
+    else:
+        assert_same_bits(op(), want)
+
+
+scalars = st.one_of(
+    FINITE,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+
+
+class TestScalingsShareOneArrayPath:
+    """Scalar multiples, dilations and truncations equal the term-by-term
+    constructor path bit for bit, signed zeros and subnormals included, and
+    hold read-only coefficients."""
+
+    @given(series(PowerSeries, small_indices), scalars)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_multiple(self, F, scalar):
+        assert_matches_term_by_term(lambda: scalar * F, F, lambda a, c: (a, scalar * c))
+        assert_matches_term_by_term(lambda: F * scalar, F, lambda a, c: (a, scalar * c))
+
+    @given(
+        series(PowerSeries, small_indices),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_radial_dilate(self, F, r):
+        assert_matches_term_by_term(
+            lambda: radial_dilate(F, r), F, lambda a, c: (a, r ** weighted_degree(a) * c)
+        )
+
+    @given(
+        series(PowerSeries, small_indices),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_shares_the_kept_coefficients(self, F, nvars, max_degree):
+        window = TruncationParams(nvars=nvars, max_degree=max_degree, dim=F.dim)
+        kept = [(a, c) for a, c in F.terms.items() if a.degree <= max_degree and len(a) <= nvars]
+        got = truncate(F, window)
+        assert_same_bits(got, PowerSeries(F.kind, F.dim, kept))
+        assert all(got.terms[a] is c for a, c in kept)
+
+    def test_overflowing_scalar_multiple_raises(self):
+        F = PowerSeries.vector(1, {MultiIndex(): [1e300], MultiIndex([1]): [1.0]})
+        with pytest.raises(ValueError, match="finite"):
+            1e300 * F
+        with pytest.raises(ValueError, match="finite"):
+            F * complex(1e300, 1e300)
