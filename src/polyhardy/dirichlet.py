@@ -193,7 +193,8 @@ def recover_coefficient(
     ``L = log(n/m)`` and ``x = h L / 2``, so the error decays like O(1/R)
     modulated by the oscillating sine.  ``sigma`` should be moderately
     large (2 is comfortable) so the integrand is well scaled.  ``n`` must
-    be a frequency; ``sigma`` and ``R`` must be finite.
+    be a frequency; ``sigma`` and ``R`` must be finite, and a ``(n/m)^sigma``
+    beyond the float range raises ``ValueError``.
     """
     n = operator.index(n)
     if n < 1:
@@ -219,10 +220,15 @@ def recover_coefficient(
     if grid_points % 2:
         fold[0] /= 2  # the node t = 0 has no mirror
     logs = np.array([math.log(n / m) for m in D.terms])
+    with np.errstate(over="ignore"):  # reported below
+        scales = np.exp(sigma * logs)
+    if not np.isfinite(scales).all():
+        m = list(D.terms)[int(np.argmax(scales))]  # the first inf
+        raise ValueError(f"(n/m)^sigma overflows at sigma={sigma} for n/m = {n}/{m}")
     weights = np.empty(len(logs))
     rows = max(1, _LINE_BLOCK // len(t))
     for start in range(0, len(logs), rows):
         block = logs[start : start + rows]
         weights[start : start + rows] = np.cos(np.multiply.outer(block, t)) @ fold
-    weights *= np.exp(sigma * logs)
+    weights *= scales
     return np.tensordot(weights, D._coefficient_stack(), axes=1)

@@ -4,6 +4,9 @@ The H_2 norm is the exact Parseval sum of squared coefficient norms.
 The H_p norms are tensor-grid quadratures over scaled roots of unity.
 Grid values are one inverse DFT of the folded coefficients, exact for
 every grid size; Fourier coefficients are one forward DFT of the values.
+Folding and extraction go by one index array: the flat cell ``alpha mod
+M`` of every term, from its exponent row, so the fold is one in-order
+``np.add.at`` and the extraction one fancy index.
 Quadrature exactness, not evaluation, is what needs enough points per
 variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
 the grid exceeds twice the degree (discrete orthogonality), which lets
@@ -27,8 +30,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._linalg import operator_norm
-from .multiindex import MultiIndex, simplex
-from .series import PowerSeries, _coefficient_shape, _exponent_rows
+from .multiindex import MultiIndex, _simplex_table
+from .series import PowerSeries, _coefficient_shape, _exponent_rows, _scaled
 
 __all__ = [
     "TorusGrid",
@@ -94,10 +97,12 @@ def h2_norm(F) -> float:
     return float(np.linalg.norm(F._coefficient_stack()))
 
 
-def _cell(alpha: MultiIndex, grid: TorusGrid) -> tuple[int, ...]:
-    """Position of ``alpha mod M`` among the variable axes of a grid tensor."""
-    exps = alpha.exponents
-    return tuple(e % grid.points_per_var for e in exps) + (0,) * (grid.nvars - len(exps))
+def _cells(keys: Iterable[MultiIndex], grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Row of cell ``alpha mod M`` in a flattened ``M^N`` grid tensor, and
+    the total degree, of each key; keys use at most ``grid.nvars`` variables."""
+    columns, (rows,) = _exponent_rows(keys)
+    M = grid.points_per_var
+    return (rows % M) @ M ** (grid.nvars - 1 - columns), rows.sum(axis=1)
 
 
 def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
@@ -105,25 +110,31 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
 
     At M-th roots of unity ``w^alpha`` depends only on ``alpha mod M``, so
     one inverse DFT of ``r^|alpha| c_alpha`` folded into cell ``alpha mod M``
-    of an ``M^N`` tensor gives every node value exactly, for every M.
+    of an ``M^N`` tensor gives every node value exactly, for every M.  The
+    fold is one in-order ``np.add.at`` over the cell of each term, so terms
+    that share a cell are summed in ``terms`` order.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
             f"grid covers {grid.nvars} variables but the series uses {F.nvars_used}"
         )
     shape = _coefficient_shape(F.kind, F.dim)
+    cells, degrees = _cells(F.terms, grid)
+    # Python float powers, one per degree: the ``r ** |alpha|`` each term took
+    powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
     folded = np.zeros((grid.points_per_var,) * grid.nvars + shape, dtype=np.complex128)
-    for alpha, coeff in F.terms.items():
-        folded[_cell(alpha, grid)] += grid.radius**alpha.degree * coeff
+    scaled = powers[degrees].reshape(-1, *(1,) * len(shape)) * F._coefficient_stack()
+    np.add.at(folded.reshape(grid.num_nodes, *shape), cells, scaled)  # a view of folded
     values = np.fft.ifftn(folded, axes=range(grid.nvars)) * grid.num_nodes
     return values.reshape(grid.num_nodes, *shape)
 
 
 def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Unit-grid means of ``values * w^(-alpha)``, at cell ``alpha mod M`` of an
-    ``M^N`` tensor; ``values`` has one row per node in ``grid.nodes()`` order."""
+    """Unit-grid means of ``values * w^(-alpha)``, at row ``alpha mod M`` of
+    a flattened ``M^N`` tensor (see ``_cells``); ``values`` has one row per
+    node in ``grid.nodes()`` order."""
     tensor = values.reshape((grid.points_per_var,) * grid.nvars + values.shape[1:])
-    return np.fft.fftn(tensor, axes=range(grid.nvars)) / grid.num_nodes
+    return (np.fft.fftn(tensor, axes=range(grid.nvars)) / grid.num_nodes).reshape(values.shape)
 
 
 def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
@@ -219,15 +230,15 @@ def fourier_coefficient(
             f"multi-index uses {len(alpha)} variables but the grid has {grid.nvars}"
         )
     values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()])
-    return _grid_coefficients(values, grid)[_cell(alpha, grid)]
+    return _grid_coefficients(values, grid)[_cells([alpha], grid)[0][0]]
 
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
     """Growth factor ``prod (1 - |z_j|^2)^(-1/p)`` in the point-evaluation
     inequality ``||G(z)|| <= ||G||_p * bound``."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("point must lie in the open polydisk")
+    if not (np.abs(z) < 1.0).all():  # also false for NaN
+        raise ValueError(f"point must be finite and lie in the open polydisk, got {z}")
     if not float(p) >= 1:
         raise ValueError("p must be at least 1")
     return float(np.prod((1.0 - np.abs(z) ** 2) ** (-1.0 / float(p))))
@@ -260,18 +271,10 @@ def cole_gamelin_kernel(
     if degree < 0:
         raise ValueError("degree must be non-negative")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
-    keys = simplex(z.size, degree) if z.size else (MultiIndex(),)
-    columns, (exponents,) = _exponent_rows(keys)
-    monomials = np.prod(np.conj(z)[columns] ** exponents, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        coeffs = (amplitude * monomials)[:, None] * x
-    if not np.isfinite(coeffs).all():
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
-    nonzero = coeffs.any(axis=1)
-    coeffs = coeffs[nonzero]
-    coeffs.setflags(write=False)
-    kept = (key for key, keep in zip(keys, nonzero.tolist()) if keep)
-    return PowerSeries._trusted("vector", x.size, dict(zip(kept, coeffs)))
+    keys, exponents = _simplex_table(z.size, operator.index(degree))
+    monomials = np.prod(np.conj(z) ** exponents, axis=1)
+    constant = PowerSeries._trusted("vector", x.size, dict.fromkeys(keys, x))  # x at every key
+    return _scaled(constant, amplitude * monomials)
 
 
 def cole_gamelin_kernel_value(
@@ -291,8 +294,8 @@ def cole_gamelin_kernel_value(
     p = float(p)
     if not p >= 1:
         raise ValueError("p must be at least 1")
-    if np.any(np.abs(z) >= 1.0) or np.any(np.abs(zeta) >= 1.0):
-        raise ValueError("points must lie in the open polydisk")
+    if not (np.isfinite(x).all() and (np.abs(z) < 1.0).all() and (np.abs(zeta) < 1.0).all()):
+        raise ValueError(f"x must be finite, z and zeta in the open polydisk; got z={z}, zeta={zeta}")
     if z.shape != zeta.shape:
         raise ValueError("z and zeta must have the same length")
     factors = (1.0 - np.abs(z) ** 2) ** (1.0 / p) / (1.0 - np.conj(z) * zeta) ** (2.0 / p)

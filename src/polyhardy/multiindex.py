@@ -19,10 +19,16 @@ factoring is a chain of plain-int ``memoryview`` lookups
 quotients whose smallest factor stays at that position: no trial ``%``.
 Building a frequency reads the prime table directly once it is long
 enough.
+
+Each degree simplex is enumerated once per ``(nvars, max_degree)`` shape,
+in one array pass that yields the graded-lex exponent rows and their
+keys together, and memoized: ``simplex`` returns the same tuple on every
+call, and array callers read the cached read-only rows.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Iterator
 
@@ -355,32 +361,48 @@ def graded_lex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
     return (alpha.degree, alpha.exponents)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-def simplex(nvars: int, max_degree: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices on ``nvars`` variables with total degree <= ``max_degree``.
-
-    Returned in graded-lexicographic order, the canonical basis
-    enumeration for compression matrices.
-    """
+def _simplex_shape(nvars: int, max_degree: int) -> tuple[int, int]:
     nvars = operator.index(nvars)
     max_degree = operator.index(max_degree)
     if nvars < 1:
         raise ValueError("nvars must be at least 1")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    return tuple(
-        MultiIndex(t)
-        for degree in range(max_degree + 1)
-        for t in _compositions(degree, nvars)
-    )
+    return nvars, max_degree
+
+
+@functools.lru_cache(maxsize=32)
+def _simplex_table(nvars: int, max_degree: int) -> tuple[tuple[MultiIndex, ...], np.ndarray]:
+    """Graded-lex keys of the ``(nvars, max_degree)`` simplex and their
+    read-only ``(len, nvars)`` int64 exponent rows; ``nvars = 0`` gives
+    the empty index alone.
+
+    Each pass over the variables prepends every leading exponent a row has
+    room for, which keeps the rows in lexicographic order; one stable sort
+    by degree then makes the order graded.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    leading = np.arange(max_degree + 1)[:, None]
+    for _ in range(nvars):
+        first, kept = np.nonzero(leading <= max_degree - rows.sum(axis=1))
+        rows = np.column_stack((first, rows[kept]))
+    rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    rows.setflags(write=False)
+    r, c = np.nonzero(rows)
+    pairs = list(zip(c.tolist(), rows[r, c].tolist()))
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+    keys = tuple([MultiIndex._trusted(tuple(pairs[s:e])) for s, e in zip([0, *ends], ends)])
+    return keys, rows
+
+
+def simplex(nvars: int, max_degree: int) -> tuple[MultiIndex, ...]:
+    """All multi-indices on ``nvars`` variables with total degree <= ``max_degree``.
+
+    Returned in graded-lexicographic order, the canonical basis
+    enumeration for compression matrices.  Each shape is enumerated once
+    per process and the same tuple is returned on every later call.
+    """
+    return _simplex_table(*_simplex_shape(nvars, max_degree))[0]
 
 
 def max_frequency_for_simplex(nvars: int, max_degree: int) -> int:
@@ -390,12 +412,7 @@ def max_frequency_for_simplex(nvars: int, max_degree: int) -> int:
     prime, so this is ``p_nvars ** max_degree``.  Used to reconcile degree
     truncation with frequency truncation across the Bohr bijection.
     """
-    nvars = operator.index(nvars)
-    max_degree = operator.index(max_degree)
-    if nvars < 1:
-        raise ValueError("nvars must be at least 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    nvars, max_degree = _simplex_shape(nvars, max_degree)
     if max_degree > _MAX_EXPONENT:
         raise OverflowError(
             f"max_degree {max_degree} leaves the 64-bit frequency range"

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import operator_norm
-from .hardy import TorusGrid, _cell, _grid_coefficients, _grid_values, hp_norm
-from .multiindex import MultiIndex, simplex
+from .hardy import TorusGrid, _cells, _grid_coefficients, _grid_values, hp_norm
+from .multiindex import MultiIndex, _simplex_shape, _simplex_table, simplex
 from .series import (
     PowerSeries,
     TruncationParams,
@@ -106,8 +106,9 @@ def assemble_compression(
             "compression matrices realize the p = 2 coefficient inner product; "
             "use hp_rayleigh_lower_bound for other exponents"
         )
-    basis = simplex(trunc.nvars, trunc.max_degree)
-    columns, (symbol, rows) = _exponent_rows(F.terms, basis)
+    basis, rows = _simplex_table(*_simplex_shape(trunc.nvars, trunc.max_degree))
+    columns, (symbol,) = _exponent_rows(F.terms, width=trunc.nvars)
+    rows = np.pad(rows, ((0, 0), (0, len(columns) - trunc.nvars)))  # columns start 0..nvars-1
     i, j = _window_pairs(columns, symbol, rows, trunc)
     n, d = len(basis), trunc.dim
     matrix = np.zeros((n, d, n, d), dtype=np.complex128)
@@ -205,19 +206,24 @@ def pointwise_vs_symbolic(
             f"variable, got {grid.points_per_var}"
         )
 
-    window = TruncationParams(
-        nvars=grid.nvars,
-        max_degree=F.total_degree + G.total_degree,
-        dim=F.dim,
-    )
+    window = TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
     product = op_vec_product(F, G, window)
     sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid))
     extracted = _grid_coefficients(sampled, grid)
-    residual = 0.0
-    for alpha, coeff in product.terms.items():
-        gap = float(np.linalg.norm(extracted[_cell(alpha, grid)] - coeff))
-        residual = max(residual, gap)
-    return residual
+    gaps = extracted[_cells(product.terms, grid)[0]] - product._coefficient_stack()
+    # fmax, like a running Python max from 0.0, passes over NaN gaps
+    return float(np.fmax.reduce(_row_norms(gaps), initial=0.0))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex 2-d array, bit for bit.
+
+    For one complex vector numpy computes ``sqrt(re . re + im . im)`` with
+    two real dots, and ``np.vecdot`` takes the same dot per row; the
+    batched ``np.linalg.norm(rows, axis=1)`` sums ``|x_i|^2`` instead and
+    can round differently.
+    """
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
 def hp_rayleigh_lower_bound(

@@ -328,14 +328,16 @@ def _kept_pairs(thresholds: np.ndarray, scalars: np.ndarray) -> tuple[np.ndarray
     return i, order[np.arange(len(i)) - starts]
 
 
-def _exponent_rows(*key_lists) -> tuple[np.ndarray, list[np.ndarray]]:
+def _exponent_rows(*key_lists, width: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
     """Multi-indices as int64 exponent rows over the positions they use.
 
     Returns the increasing positions (the columns, shared by every list)
-    and one ``(len(keys), len(columns))`` array per key list; a position
-    no key uses gets no column, so sparse high positions stay cheap.
+    and one ``(len(keys), len(columns))`` array per key list.  Positions
+    below ``width`` always get a column; any other position no key uses
+    gets none, so sparse high positions stay cheap.
     """
-    columns = sorted({pos for keys in key_lists for alpha in keys for pos, _ in alpha.items()})
+    used = {pos for keys in key_lists for alpha in keys for pos, _ in alpha.items()}
+    columns = sorted(used.union(range(width)))
     column = {pos: c for c, pos in enumerate(columns)}
     tables = []
     for keys in key_lists:

@@ -69,3 +69,37 @@ def series(draw, cls, keys, values=FINITE):
 
 #: Multi-indices on four variables with exponents at most 4: frequencies up to 210^4.
 small_indices = st.lists(st.integers(min_value=0, max_value=4), max_size=4).map(MultiIndex)
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` non-negative ints summing to ``total``, in
+    ascending lexicographic order (the recursive enumeration ``simplex``
+    once ran on every call)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def simplex_by_compositions(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
+    """Reference graded-lex simplex: exponent tuples, degree by degree."""
+    return [t for degree in range(max_degree + 1) for t in compositions(degree, nvars)]
+
+
+def grid_cell(alpha, grid) -> tuple[int, ...]:
+    """Position of ``alpha mod M`` among the variable axes of an ``M^N`` tensor."""
+    exps = alpha.exponents
+    return tuple(e % grid.points_per_var for e in exps) + (0,) * (grid.nvars - len(exps))
+
+
+def grid_values_by_term(F, grid) -> np.ndarray:
+    """Reference grid values: ``r^|alpha| c_alpha`` added to cell ``alpha mod M``
+    one term at a time, then one inverse DFT, rows in ``grid.nodes()`` order."""
+    shape = (F.dim,) if F.kind == "vector" else (F.dim, F.dim)
+    folded = np.zeros((grid.points_per_var,) * grid.nvars + shape, dtype=np.complex128)
+    for alpha, coeff in F.terms.items():
+        folded[grid_cell(alpha, grid)] += grid.radius**alpha.degree * coeff
+    values = np.fft.ifftn(folded, axes=range(grid.nvars)) * grid.num_nodes
+    return values.reshape(grid.num_nodes, *shape)

@@ -1,6 +1,7 @@
 """Bohr transform, divisor convolution, evaluation, shifts, recovery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -471,3 +472,17 @@ class TestRecoverAgainstClosedForm:
     def test_target_past_64_bits_rejected(self):
         with pytest.raises(OverflowError):
             recover_coefficient(DirichletSeries.vector(1, {2: [1.0]}), MAX_FREQUENCY + 1, 2.0, 10.0, 11)
+
+    @pytest.mark.parametrize(
+        "terms, n, sigma, ratio",
+        [
+            ({1: [1.0]}, 2**62, 20.0, f"{2**62}/1"),  # (n/m)^sigma = 2^1240
+            ({1: [1.0], 6: [2.0]}, 3, -1100.0, "3/6"),  # 2^1100
+            ({5: [1.0]}, 7, 1e308, "7/5"),  # sigma * log(n/m) itself overflows
+        ],
+    )
+    def test_overflowing_scale_names_sigma_and_ratio(self, terms, n, sigma, ratio):
+        # Warnings are errors in this suite, so this also shows that the
+        # overflow is reported, not warned about.
+        with pytest.raises(ValueError, match=rf"sigma={re.escape(str(sigma))}.*n/m = {ratio}"):
+            recover_coefficient(DirichletSeries.vector(1, terms), n, sigma, 10.0, 11)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyhardy.hardy
-from conftest import random_power_series, terms
+from conftest import (
+    assert_same_bits,
+    grid_values_by_term,
+    random_power_series,
+    simplex_by_compositions,
+    terms,
+)
 from polyhardy import (
     DirichletSeries,
     MultiIndex,
@@ -27,6 +33,7 @@ from polyhardy import (
     radial_dilate,
     simplex,
 )
+from polyhardy.series import _exponent_rows
 
 
 def geometric_tail_bound(t, nvars, degree):
@@ -500,6 +507,45 @@ class TestColeGamelinKernel:
             rhs = h2_norm(G) * point_evaluation_bound(z, 2.0)
             assert lhs <= rhs + 1e-10
 
+    @pytest.mark.parametrize("point", [[np.nan], [0.5, complex(np.nan, 0.1)], [0.1, complex(0, np.nan)]])
+    def test_non_finite_points_rejected(self, point):
+        # Warnings are errors in this suite, so the checks come before any
+        # arithmetic on the point.
+        with pytest.raises(ValueError, match=r"finite .*got \[.*nan"):
+            point_evaluation_bound(point)
+        origin = [0.0] * len(point)
+        with pytest.raises(ValueError, match=r"got z=\[.*nan.*\], zeta=\[0"):
+            cole_gamelin_kernel_value([1.0], point, origin)
+        with pytest.raises(ValueError, match=r"got z=\[0.*\], zeta=\[.*nan"):
+            cole_gamelin_kernel_value([1.0], origin, point)
+
+    def test_non_finite_x_rejected_by_value(self):
+        with pytest.raises(ValueError, match="x must be finite"):
+            cole_gamelin_kernel_value([1.0, np.inf], [0.5], [0.1])
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_same_bits_as_enumerated_exponent_rows(self, nvars):
+        """Against the kernel built from the recursive simplex enumeration
+        and ``_exponent_rows`` of its keys, for every degree 0-40; one base
+        point has a zero and a negative-zero coordinate."""
+        rng = np.random.default_rng(nvars)
+        x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        generic = 0.9 * rng.random(nvars) * np.exp(2j * np.pi * rng.random(nvars))
+        with_zeros = generic.copy()
+        with_zeros[0] = 0.0
+        if nvars > 1:
+            with_zeros[-1] = complex(-0.0, -0.0)
+        for z in (generic, with_zeros):
+            amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
+            for degree in range(41):
+                keys = [MultiIndex(t) for t in simplex_by_compositions(nvars, degree)]
+                columns, (exponents,) = _exponent_rows(keys)
+                coeffs = (amplitude * np.prod(np.conj(z)[columns] ** exponents, axis=1))[:, None] * x
+                expected = PowerSeries._trusted(
+                    "vector", x.size, {a: c for a, c in zip(keys, coeffs) if c.any()}
+                )
+                assert_same_bits(cole_gamelin_kernel(x, z, degree), expected)
+
 
 class TestDilationConvergence:
     def test_contraction_and_explicit_bound(self):
@@ -518,3 +564,43 @@ class TestDilationConvergence:
         gaps = [h2_norm(F - radial_dilate(F, r)) for r in (0.9, 0.99, 0.999, 0.9999)]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 1e-3 * max(h2_norm(F), 1.0)
+
+
+#: Finite parts from signed zeros and subnormals up to 1e300: a cell's sum
+#: and the DFT of at most 216 nodes stay finite.
+_PARTS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def folded_series(draw):
+    """A vector or operator series on 1-3 variables with exponents up to 9,
+    and a grid of 1-6 points per variable (so cells often collide) at a
+    radius in (0, 1]."""
+    kind = draw(st.sampled_from(["vector", "operator"]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    keys = st.lists(st.integers(0, 9), max_size=nvars).map(MultiIndex)
+    F = PowerSeries(kind, dim, draw(terms(keys, kind, dim, max_size=8, values=_PARTS)))
+    radius = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]) | st.floats(min_value=1e-3, max_value=1.0))
+    return F, TorusGrid(nvars, draw(st.integers(min_value=1, max_value=6)), radius)
+
+
+class TestGridFoldBits:
+    """Folding by one cell index array must give the bytes of the per-term fold."""
+
+    @given(folded_series())
+    @settings(max_examples=400, deadline=None)
+    def test_grid_values_equal_per_term_fold(self, drawn):
+        F, grid = drawn
+        got = polyhardy.hardy._grid_values(F, grid)
+        want = grid_values_by_term(F, grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_aliased_cells_sum_in_term_order(self):
+        # 1 + 2^-53 + (-1) differs from 1 + (-1) + 2^-53: the order is kept
+        F = PowerSeries.vector(
+            1, {MultiIndex([0]): [1.0], MultiIndex([3]): [2.0**-53], MultiIndex([6]): [-1.0]}
+        )
+        grid = TorusGrid(1, 3)
+        got = polyhardy.hardy._grid_values(F, grid)
+        assert got.tobytes() == grid_values_by_term(F, grid).tobytes()

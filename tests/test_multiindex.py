@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import simplex_by_compositions
 from polyhardy import multiindex
 from polyhardy.multiindex import (
     MAX_FREQUENCY,
@@ -21,6 +22,7 @@ from polyhardy.multiindex import (
     simplex,
     weighted_degree,
 )
+from polyhardy.series import _exponent_rows
 
 
 class TestMultiIndexBasics:
@@ -303,6 +305,9 @@ class TestEnumeration:
             simplex(0, 2)
         with pytest.raises(ValueError):
             simplex(2, -1)
+        for bad in ((2.0, 1), (2, 1.0), ("2", 1), (2, None)):
+            with pytest.raises(TypeError):
+                simplex(*bad)
 
     def test_max_frequency_for_simplex(self):
         assert max_frequency_for_simplex(3, 6) == 5**6
@@ -316,3 +321,41 @@ class TestEnumeration:
         assert all(
             multiindex_to_index(alpha) <= bound for alpha in simplex(3, 4)
         )
+
+
+class TestSimplexTable:
+    """``simplex`` enumerates each shape once and memoizes keys and rows."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_matches_recursive_reference(self, nvars):
+        for degree in range(13):
+            reference = simplex_by_compositions(nvars, degree)
+            got = simplex(nvars, degree)
+            assert [a.exponents + (0,) * (nvars - len(a)) for a in got] == reference
+            for alpha, t in zip(got, reference):
+                built = MultiIndex(t)
+                assert alpha == built and hash(alpha) == hash(built)
+                assert alpha.items() == built.items()
+
+    def test_repeated_call_returns_the_cached_tuple(self):
+        first = simplex(3, 5)
+        assert simplex(3, 5) is first
+        assert simplex(np.int64(3), np.int64(5)) is first  # indexed to the same shape
+        assert multiindex._simplex_table(3, 5)[0] is first
+
+    @pytest.mark.parametrize("nvars, degree", [(1, 0), (1, 7), (2, 0), (2, 6), (3, 4), (4, 3)])
+    def test_rows_are_read_only_and_match_exponent_rows(self, nvars, degree):
+        keys, rows = multiindex._simplex_table(nvars, degree)
+        assert keys is simplex(nvars, degree)
+        assert rows.dtype == np.int64 and rows.shape == (len(keys), nvars)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        columns, (table,) = _exponent_rows(keys)
+        widened = np.zeros_like(rows)
+        widened[:, columns] = table
+        np.testing.assert_array_equal(rows, widened)
+
+    def test_no_variables_is_the_empty_index(self):
+        keys, rows = multiindex._simplex_table(0, 5)
+        assert keys == (MultiIndex(),) and rows.shape == (1, 0)

@@ -4,8 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_power_series
+import polyhardy.multiplier
+from conftest import grid_cell, grid_values_by_term, random_power_series, terms
 from polyhardy import (
     MultiIndex,
     PowerSeries,
@@ -359,6 +362,78 @@ class TestPointwiseVsSymbolic:
             pointwise_vs_symbolic(
                 F, G, TorusGrid(nvars=2, points_per_var=9, radius=0.9)
             )
+
+
+def pointwise_by_term(F, G, grid):
+    """Reference ``pointwise_vs_symbolic``: per-term grid values, and a
+    running maximum of one ``np.linalg.norm`` per product term."""
+    product = op_vec_product(
+        F, G, TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
+    )
+    sampled = np.einsum("kij,kj->ki", grid_values_by_term(F, grid), grid_values_by_term(G, grid))
+    shape = (grid.points_per_var,) * grid.nvars + (F.dim,)
+    extracted = np.fft.fftn(sampled.reshape(shape), axes=range(grid.nvars)) / grid.num_nodes
+    residual = 0.0
+    for alpha, coeff in product.terms.items():
+        residual = max(residual, float(np.linalg.norm(extracted[grid_cell(alpha, grid)] - coeff)))
+    return residual
+
+
+#: Parts from signed zeros and subnormals up to 1e100, so products stay finite.
+_PARTS = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@st.composite
+def symbol_and_vector(draw):
+    """An operator symbol and a vector series of dim 1-3 on 1-2 variables,
+    and a unit grid fine enough for ``pointwise_vs_symbolic``."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    nvars = draw(st.integers(min_value=1, max_value=2))
+    keys = st.lists(st.integers(0, 3), max_size=nvars).map(MultiIndex)
+    values = draw(st.sampled_from([None, _PARTS]))
+    kwargs = {} if values is None else {"values": values}
+    F = PowerSeries("operator", dim, draw(terms(keys, "operator", dim, **kwargs)))
+    G = PowerSeries("vector", dim, draw(terms(keys, "vector", dim, **kwargs)))
+    needed = F.total_degree + G.total_degree + 1
+    return F, G, TorusGrid(nvars, needed + draw(st.integers(min_value=0, max_value=2)))
+
+
+class TestPointwiseBits:
+    """One fancy index and one batched norm must return the bytes of the
+    per-term extraction loop."""
+
+    @given(symbol_and_vector())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_term_loop(self, drawn):
+        F, G, grid = drawn
+        # a gap whose square overflows gives inf with a RuntimeWarning on
+        # both paths; the bits are what is compared here
+        with np.errstate(over="ignore"):
+            got = pointwise_vs_symbolic(F, G, grid)
+            want = pointwise_by_term(F, G, grid)
+        assert got.hex() == want.hex()
+
+    def test_row_norms_equal_per_row_norm(self):
+        # magnitudes over 20 decades and lengths 1-4: numpy's axis-wise
+        # norm differs from the per-row one on a few of these rows
+        rng = np.random.default_rng(0)
+        for d in (1, 2, 3, 4):
+            parts = rng.standard_normal((2, 5000, d)) * 10.0 ** rng.integers(-10, 10, (2, 5000, d))
+            rows = parts[0] + 1j * parts[1]
+            want = np.array([np.linalg.norm(row) for row in rows])
+            assert polyhardy.multiplier._row_norms(rows).tobytes() == want.tobytes()
+
+    def test_grid_overflow_matches_per_term_loop(self):
+        # the products 0.81e308 and 1.62e308 are finite, but the sampled
+        # value at w = 1 is 3.24e308: every extracted cell is inf + NaN j,
+        # every gap norm NaN, and both paths pass over NaN to return 0.0
+        F = PowerSeries.operator(1, {MultiIndex(): [[0.9e154]], MultiIndex([1]): [[0.9e154]]})
+        G = PowerSeries.vector(1, {MultiIndex(): [0.9e154], MultiIndex([1]): [0.9e154]})
+        grid = TorusGrid(1, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pointwise_vs_symbolic(F, G, grid)
+            want = pointwise_by_term(F, G, grid)
+        assert got.hex() == want.hex()
 
 
 class TestRayleighEstimator:
