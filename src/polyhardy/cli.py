@@ -152,15 +152,22 @@ class RunReport:
 
 
 def _random_power_series(rng, kind, dim, nvars, degree, num_terms):
-    """Sparse random series with standard complex normal coefficients."""
+    """Sparse random series with standard complex normal coefficients.
+
+    The keys are distinct simplex entries and every coefficient is a fresh
+    finite complex128 array, so the series is wrapped as it is, with the
+    bytes, key order and zero-dropping of the validating constructor.
+    """
     pool = simplex(nvars, degree)
     chosen = rng.choice(len(pool), size=min(num_terms, len(pool)), replace=False)
     shape = (dim,) if kind == "vector" else (dim, dim)
-    terms = {
-        pool[i]: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for i in chosen
-    }
-    return PowerSeries(kind, dim, terms)
+    terms = {}
+    for i in chosen.tolist():
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if coeff.any():
+            coeff.setflags(write=False)
+            terms[pool[i]] = coeff
+    return PowerSeries._trusted(kind, dim, terms)
 
 
 # ---------------------------------------------------------------------------

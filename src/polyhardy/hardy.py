@@ -6,18 +6,23 @@ Grid values are one inverse DFT of the folded coefficients, exact for
 every grid size; Fourier coefficients are one forward DFT of the values.
 Folding and extraction go by one index array: the flat cell ``alpha mod
 M`` of every term, from its exponent row, so the fold is one in-order
-``np.add.at`` and the extraction one fancy index.
+``np.add.at`` and the extraction one fancy index.  The grid tensor is
+laid out coefficient axes first and node axes last, so the transform
+runs over the trailing axes and per-node arithmetic broadcasts over
+contiguous rows of node values.
 Quadrature exactness, not evaluation, is what needs enough points per
 variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
 the grid exceeds twice the degree (discrete orthogonality), which lets
 the tests compare it against Parseval with no quadrature error in the
 way.  The sup norm is estimated from below by grid maxima over a
 schedule of grids.  For an operator symbol the node norms are largest
-singular values; every node's Frobenius norm comes from one batched
-call, and a node gets an SVD only while its Frobenius norm, widened by
-a stated rounding allowance, exceeds the maximum found so far.  Since
-sigma_max <= ||.||_F, a skipped node cannot raise the maximum, so the
-result is bit for bit the maximum over all nodes.
+singular values.  Every node gets a certified ceiling in one batched
+pass: the smaller of its Frobenius norm and its Schatten-4 norm
+``||M^H M||_F^(1/2)``, each widened by a stated rounding allowance.  A
+node gets an SVD only while its ceiling exceeds the maximum found so
+far.  Since sigma_max <= ||.||_S4 <= ||.||_F, a skipped node cannot
+raise the maximum, so the result is bit for bit the maximum over all
+nodes.
 """
 
 from __future__ import annotations
@@ -113,6 +118,14 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     of an ``M^N`` tensor gives every node value exactly, for every M.  The
     fold is one in-order ``np.add.at`` over the cell of each term, so terms
     that share a cell are summed in ``terms`` order.
+
+    The tensor is laid out coefficient axes first, ``(*shape, M, ..., M)``,
+    and transformed over its trailing grid axes, so each coefficient entry
+    is one contiguous block of node values; every 1-D transform sees the
+    same numbers as on a node-first tensor, so the values are the same
+    bytes.  The result is a node-first view of that node-last tensor: its
+    ``np.moveaxis(values, 0, -1)`` is the contiguous ``(*shape, num_nodes)``
+    array.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
@@ -122,11 +135,14 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     cells, degrees = _cells(F.terms, grid)
     # Python float powers, one per degree: the ``r ** |alpha|`` each term took
     powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
-    folded = np.zeros((grid.points_per_var,) * grid.nvars + shape, dtype=np.complex128)
-    scaled = powers[degrees].reshape(-1, *(1,) * len(shape)) * F._coefficient_stack()
-    np.add.at(folded.reshape(grid.num_nodes, *shape), cells, scaled)  # a view of folded
-    values = np.fft.ifftn(folded, axes=range(grid.nvars)) * grid.num_nodes
-    return values.reshape(grid.num_nodes, *shape)
+    rank = len(shape)
+    node_first = (rank, *range(rank))  # axes of a (*shape, num_nodes) array, node axis first
+    folded = np.zeros(shape + (grid.points_per_var,) * grid.nvars, dtype=np.complex128)
+    scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coefficient_stack()
+    np.add.at(folded.reshape(*shape, grid.num_nodes).transpose(node_first), cells, scaled)
+    values = np.fft.ifftn(folded, axes=range(rank, folded.ndim))
+    values *= grid.num_nodes
+    return values.reshape(*shape, grid.num_nodes).transpose(node_first)
 
 
 def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -140,18 +156,65 @@ def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
     """Upper bounds on ``operator_norm`` of each ``(d, d)`` node matrix.
 
-    For a stored node M with Frobenius norm f, numpy's ``sqrt(sum
-    |m_ij|^2)`` returns f_hat with f <= (f_hat + d 2^-537) (1 + gamma_{d^2+2})
-    (the ``d 2^-537`` covers squares that underflow), and LAPACK's
-    sigma_hat <= sigma_max (1 + p(d) eps) <= f (1 + p(d) eps).  Hence
-    sigma_hat <= (f_hat + d 2^-537)(1 + delta) with delta = 16 (d^2 + 2) eps,
-    which leaves room for p(d) up to about 15 (d^2 + 2) and for the rounding
-    of the ceiling itself.  An all-zero node has sigma_hat = 0 and ceiling 0.
+    A node's ceiling is the smaller of two certified bounds on LAPACK's
+    sigma_hat <= sigma_max (1 + p(d) eps) (LAPACK Users' Guide), widened
+    by one allowance delta = 16 (d^2 + 2) eps, which leaves room for p(d)
+    up to about 15 (d^2 + 2) and for the roundings counted below.
+
+    *Frobenius*, ``sigma_max <= ||M||_F``: numpy's ``sqrt(sum |m_ij|^2)``
+    returns f_hat with ||M||_F <= (f_hat + d 2^-537)(1 + gamma_{d^2+2})
+    (the ``d 2^-537`` covers squares that underflow), so the ceiling is
+    (f_hat + d 2^-537)(1 + delta).  An all-zero node has sigma_hat = 0
+    and ceiling 0.
+
+    *Schatten-4*, ``sigma_max <= (sum sigma_i^4)^(1/4) = ||M^H M||_F^(1/2)``:
+    equal to sigma_max for rank one and never above d^(1/4) sigma_max,
+    where the Frobenius norm reaches d^(1/2) sigma_max.  Each node is
+    scaled by the power of two 2^-e with e the ``frexp`` exponent of its
+    largest entry, clipped to [-1022, 1023]; that is exact except where an
+    entry turns subnormal, and puts the largest entry of S = 2^-e M in
+    [2^-52, 2), so the Gram S^H S cannot overflow.  Each Gram entry is a
+    d-term complex dot product, off by at most gamma_{d+2} (|S|^T |S|)_ij
+    (Higham, Lemma 3.5), so the computed Gram is off by at most
+    gamma_{d+2} ||S||_F^2 <= gamma_{d+2} sqrt(d) ||S^H S||_F in Frobenius
+    norm (sum sigma_i^2 <= sqrt(d) (sum sigma_i^4)^(1/2)).  numpy's norm
+    of the computed Gram, g_hat, adds gamma_{d^2+2}; the fourth root
+    halves both, and the square root and the widening are two more
+    roundings.  Entries, Gram products and squares that land in the
+    subnormal range are off by absolute amounts, below d^2 2^-860 of
+    ||S^H S||_F because the largest entry of S is at least 2^-52.  All of
+    it fits in delta, so sigma_hat <= 2^e sqrt(g_hat)(1 + delta), plus
+    2^-1073 for the rounding of a result in the subnormal range (of
+    ``ldexp`` or of LAPACK).  The Gram is one broadcast over the
+    node-last ``(d, d, N)`` tensor, which ``_grid_values`` returns as it
+    is; a non-finite Gram (from an entry whose modulus exceeds the double
+    range) loses to the Frobenius ceiling in ``np.fmin``.
     """
     d = values.shape[-1]
     delta = 16 * (d * d + 2) * np.finfo(np.float64).eps
-    frob = np.linalg.norm(values, axis=(1, 2))
-    return np.where(values.any(axis=(1, 2)), (frob + d * 2.0**-537) * (1 + delta), 0.0)
+    nodes = values.transpose(1, 2, 0)  # (d, d, N)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite ceilings are kept
+        frob = np.linalg.norm(nodes, axis=(0, 1))
+        frobenius = np.where(nodes.any(axis=(0, 1)), (frob + d * 2.0**-537) * (1 + delta), 0.0)
+        e = np.clip(np.frexp(np.abs(nodes).max(axis=(0, 1)))[1], -1022, 1023)
+        scaled = nodes * np.ldexp(1.0, -e)
+        gram = (scaled.conj()[:, :, None, :] * scaled[:, None, :, :]).sum(axis=0)
+        schatten = np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(0, 1))) * (1 + delta), e)
+    return np.fmin(frobenius, schatten + 2.0**-1073)
+
+
+def _node_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each node's vector, bit for bit the
+    ``np.linalg.norm(values, axis=1)`` of contiguous node-first rows.
+
+    numpy sums a contiguous row of fewer than 8 squares in order, which is
+    also the order in which it reduces the coefficient axis of the
+    node-last tensor, so short rows use that tensor as it is; longer rows
+    it sums pairwise, so they are normed on a contiguous node-first copy.
+    """
+    if values.shape[1] >= 8:
+        values = np.ascontiguousarray(values)
+    return np.linalg.norm(values, axis=1)
 
 
 def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
@@ -169,7 +232,7 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("p must be finite; use hinf_norm for the sup norm")
     if F.kind != "vector":
         raise ValueError("hp_norm is defined for vector series")
-    norms = np.linalg.norm(_grid_values(F, grid), axis=1)
+    norms = _node_norms(_grid_values(F, grid))
     return float(np.mean(norms**p) ** (1.0 / p))
 
 
@@ -182,12 +245,14 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
 
     For an operator symbol the pointwise norm is ``operator_norm``, but
     it runs only on nodes that could raise the maximum: each grid's nodes
-    are visited by descending ceiling from ``_sigma_ceilings`` (the
-    Frobenius norm widened by a stated rounding allowance, all nodes in one
-    batched call), and the visit stops at the first ceiling at most the
-    maximum so far.  Every later node's computed norm is below its
-    ceiling, so the result equals the maximum of ``operator_norm`` over
-    all nodes bit for bit.  Non-finite operator values raise ``ValueError``.
+    whose ceiling from ``_sigma_ceilings`` exceeds the maximum so far (the
+    smaller of the Frobenius and Schatten-4 norms, each widened by a
+    stated rounding allowance, all nodes in one batched pass) are visited
+    by descending ceiling, and the visit stops at the first ceiling at
+    most the maximum so far.  Every skipped node's computed norm is at
+    most its ceiling, so the result equals the maximum of
+    ``operator_norm`` over all nodes bit for bit.  Non-finite operator
+    values raise ``ValueError``.
     """
     grids = list(grid_schedule)
     if not grids:
@@ -196,12 +261,13 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     for grid in grids:
         values = _grid_values(F, grid)
         if F.kind == "vector":
-            best = max(best, float(np.max(np.linalg.norm(values, axis=1))))
+            best = max(best, float(np.max(_node_norms(values))))
             continue
         if not np.isfinite(values).all():
             raise ValueError("grid values must be finite")
         ceilings = _sigma_ceilings(values)
-        for k in np.argsort(-ceilings, kind="stable").tolist():
+        candidates = np.flatnonzero(ceilings > best)
+        for k in candidates[np.argsort(-ceilings[candidates], kind="stable")].tolist():
             if ceilings[k] <= best:
                 break
             best = max(best, operator_norm(values[k]))

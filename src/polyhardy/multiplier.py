@@ -194,7 +194,8 @@ def pointwise_vs_symbolic(
     Fourier coefficient over the symbolic product support, and returns
     the max Euclidean distance to the convolution coefficients.  For
     polynomial inputs on an exact-resolution grid this is pure rounding
-    noise (<= 1e-10 by contract).
+    noise (<= 1e-10 by contract).  Non-finite sampled values raise
+    ``ValueError``; a non-finite gap is returned, not passed over.
     """
     _check_op_vec(F, G)
     needed = F.total_degree + G.total_degree + 1
@@ -208,11 +209,17 @@ def pointwise_vs_symbolic(
 
     window = TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
     product = op_vec_product(F, G, window)
-    sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid), order="C")
+    bad = np.flatnonzero(~np.isfinite(sampled).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"sampled values F(w) G(w) are not finite at {bad.size} of {grid.num_nodes} "
+            f"nodes; the first, node {bad[0]} of grid.nodes(), is {sampled[bad[0]]}"
+        )
     extracted = _grid_coefficients(sampled, grid)
     gaps = extracted[_cells(product.terms, grid)[0]] - product._coefficient_stack()
-    # fmax, like a running Python max from 0.0, passes over NaN gaps
-    return float(np.fmax.reduce(_row_norms(gaps), initial=0.0))
+    return float(np.max(_row_norms(gaps), initial=0.0))
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

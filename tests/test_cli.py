@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits, random_power_series
 from polyhardy import (
     DirichletSeries,
     MultiIndex,
@@ -17,6 +18,7 @@ from polyhardy import (
     operator_norm,
     save_series,
     series_from_dict,
+    simplex,
 )
 from polyhardy.cli import check_at_least, main, run_verify
 
@@ -313,3 +315,22 @@ def test_check_at_least_records_its_bound_as_tolerance():
     check = check_at_least("x", 2.0, 1.5)
     assert (check.expected, check.tolerance, check.passed) == (">= 1.5", 1.5, True)
     assert not check_at_least("x", 1.0, 1.5).passed
+
+
+def random_series_by_constructor(rng, kind, dim, nvars, degree, num_terms):
+    """The verify suites' generator through the validating constructor."""
+    pool = simplex(nvars, degree)
+    chosen = rng.choice(len(pool), size=min(num_terms, len(pool)), replace=False)
+    shape = (dim,) if kind == "vector" else (dim, dim)
+    terms = {pool[i]: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for i in chosen}
+    return PowerSeries(kind, dim, terms)
+
+
+@pytest.mark.parametrize("kind", ["vector", "operator"])
+@pytest.mark.parametrize("seed", range(8))
+def test_random_series_same_bits_as_constructor(kind, seed):
+    args = (kind, 1 + seed % 3, 1 + seed % 4, seed % 5, 1 + 3 * seed)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # later draws see the same stream
+        assert_same_bits(random_power_series(rng, *args), random_series_by_constructor(reference, *args))
+    assert rng.bit_generator.state == reference.bit_generator.state

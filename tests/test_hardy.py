@@ -274,9 +274,64 @@ class TestPrunedOperatorSup:
         values = polyhardy.hardy._grid_values(F, grid)
         assert value == max(operator_norm(m) for m in values)
 
+    def test_generic_symbol_needs_at_most_ten_svds(self, monkeypatch):
+        # the Frobenius ceiling alone left 165 of the 1 600 nodes to LAPACK
+        F = random_power_series(np.random.default_rng(0), "operator", 3, 2, 3, 8)
+        assert self.count_svds(monkeypatch, F, [TorusGrid(2, 40)])[1] <= 10
+
     def test_zero_symbol_needs_no_svd(self, monkeypatch):
         schedule = [TorusGrid(2, 8), TorusGrid(2, 5, 0.5)]
         assert self.count_svds(monkeypatch, PowerSeries.operator(3), schedule) == (0.0, 0)
+
+
+#: Entries from subnormal to 1e300 in modulus: the unscaled Gram overflows.
+_wide_entries = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def node_stacks(draw):
+    """A ``(N, d, d)`` stack of node matrices, d 1-4, N 1-5: generic, rank
+    one (sigma_max equals the Schatten-4 and Frobenius norms), a scalar
+    times the unitary DFT matrix (d equal singular values) and zero."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    half = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+    dft = np.exp(-2j * np.pi * np.outer(range(dim), range(dim)) / dim) / math.sqrt(dim)
+    nodes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        family = draw(st.sampled_from(["generic", "rank-one", "unitary", "zero"]))
+        if family == "generic":
+            entries = draw(st.lists(_wide_entries, min_size=dim * dim, max_size=dim * dim))
+            nodes.append(np.reshape(entries, (dim, dim)))
+        elif family == "rank-one":
+            u = draw(st.lists(half, min_size=dim, max_size=dim))
+            v = draw(st.lists(half, min_size=dim, max_size=dim))
+            nodes.append(np.outer(u, np.conj(v)))
+        elif family == "unitary":
+            nodes.append(draw(_wide_entries) * dft)
+        else:
+            nodes.append(np.zeros((dim, dim)))
+    return np.array(nodes, dtype=np.complex128)
+
+
+class TestSigmaCeilings:
+    """``_sigma_ceilings`` bounds every node's ``operator_norm`` from above,
+    which is what lets ``hinf_norm`` skip nodes and stay exact."""
+
+    @given(node_stacks())
+    @settings(max_examples=500, deadline=None)
+    def test_bounds_every_node(self, values):
+        ceilings = polyhardy.hardy._sigma_ceilings(values)
+        assert ceilings.shape == (len(values),)
+        for ceiling, matrix in zip(ceilings, values):
+            assert ceiling >= operator_norm(matrix)
+
+    def test_rank_one_ceiling_is_tight(self):
+        # sigma_max = ||M^H M||_F^(1/2) for rank one: only the allowance is left
+        u, v = np.array([1.0, 2j, -0.5]), np.array([0.25, 1.0, 1j])
+        values = np.outer(u, v.conj())[None] * np.array([1.0, 1e-300, 1e300])[:, None, None]
+        sigmas = np.array([operator_norm(m) for m in values])
+        ceilings = polyhardy.hardy._sigma_ceilings(values)
+        assert np.all(sigmas <= ceilings) and np.all(ceilings <= sigmas * (1 + 1e-13))
 
 
 U = np.finfo(float).eps / 2
@@ -604,3 +659,19 @@ class TestGridFoldBits:
         grid = TorusGrid(1, 3)
         got = polyhardy.hardy._grid_values(F, grid)
         assert got.tobytes() == grid_values_by_term(F, grid).tobytes()
+
+    def test_values_view_the_node_last_tensor(self):
+        F = random_power_series(np.random.default_rng(1), "operator", 3, 2, 3, 8)
+        values = polyhardy.hardy._grid_values(F, TorusGrid(2, 5))
+        assert values.shape == (25, 3, 3) and np.moveaxis(values, 0, -1).flags.c_contiguous
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_vector_norms_equal_node_first_rows(self, dim):
+        # rows of 8 or more squares are summed pairwise, shorter ones in order
+        F = random_power_series(np.random.default_rng(dim), "vector", dim, 2, 4, 10)
+        grid = TorusGrid(2, 9, 0.9)
+        want = np.linalg.norm(grid_values_by_term(F, grid), axis=1)
+        got = polyhardy.hardy._node_norms(polyhardy.hardy._grid_values(F, grid))
+        assert got.tobytes() == want.tobytes()
+        assert hp_norm(F, 3.0, grid) == float(np.mean(want**3.0) ** (1.0 / 3.0))
+        assert hinf_norm(F, [grid]) == float(np.max(want))

@@ -423,17 +423,15 @@ class TestPointwiseBits:
             want = np.array([np.linalg.norm(row) for row in rows])
             assert polyhardy.multiplier._row_norms(rows).tobytes() == want.tobytes()
 
-    def test_grid_overflow_matches_per_term_loop(self):
+    def test_grid_overflow_raises(self):
         # the products 0.81e308 and 1.62e308 are finite, but the sampled
-        # value at w = 1 is 3.24e308: every extracted cell is inf + NaN j,
-        # every gap norm NaN, and both paths pass over NaN to return 0.0
+        # value at w = 1 is 3.24e308: every extracted cell would be inf +
+        # NaN j and every gap NaN, which a running maximum passes over to
+        # report perfect agreement
         F = PowerSeries.operator(1, {MultiIndex(): [[0.9e154]], MultiIndex([1]): [[0.9e154]]})
         G = PowerSeries.vector(1, {MultiIndex(): [0.9e154], MultiIndex([1]): [0.9e154]})
-        grid = TorusGrid(1, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = pointwise_vs_symbolic(F, G, grid)
-            want = pointwise_by_term(F, G, grid)
-        assert got.hex() == want.hex()
+        with pytest.raises(ValueError, match=r"not finite at 1 of 3 nodes; the first, node 0"):
+            pointwise_vs_symbolic(F, G, TorusGrid(1, 3))
 
 
 class TestRayleighEstimator:
