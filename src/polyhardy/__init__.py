@@ -8,8 +8,10 @@ systems of multiplier theory for vector-valued Hardy spaces:
   (:mod:`polyhardy.series`) indexed by finitely supported multi-indices
   (:mod:`polyhardy.multiindex`);
 * Dirichlet series (:mod:`polyhardy.dirichlet`), which share that
-  sparse core with frequency keys in place of multi-indices, so that
-  the prime-power Bohr bijection only relabels keys;
+  sparse core (keys held as one int64 array, coefficients as one
+  stack) with frequency keys in place of multi-indices, so that the
+  prime-power Bohr bijection maps one key array to another and shares
+  the coefficients;
 * Hardy norms, Fourier extraction on torus grids, and extremal kernels
   (:mod:`polyhardy.hardy`);
 * multiplication operators compressed to truncated coefficient space,

@@ -42,10 +42,11 @@ from .hardy import (
 )
 from .multiindex import (
     MultiIndex,
+    _simplex_shape,
+    _simplex_table,
     index_to_multiindex,
     max_frequency_for_simplex,
     multiindex_to_index,
-    simplex,
 )
 from .multiplier import (
     assemble_compression,
@@ -154,20 +155,18 @@ class RunReport:
 def _random_power_series(rng, kind, dim, nvars, degree, num_terms):
     """Sparse random series with standard complex normal coefficients.
 
-    The keys are distinct simplex entries and every coefficient is a fresh
-    finite complex128 array, so the series is wrapped as it is, with the
-    bytes, key order and zero-dropping of the validating constructor.
+    The keys are distinct rows of the cached simplex table.  All
+    coefficients come from one draw that yields, term by term, the real
+    and then the imaginary block that one ``standard_normal(shape)`` call
+    each would give, so the bytes, key order and zero-dropping are those
+    of building each term through the validating constructor.
     """
-    pool = simplex(nvars, degree)
-    chosen = rng.choice(len(pool), size=min(num_terms, len(pool)), replace=False)
+    rows = _simplex_table(*_simplex_shape(nvars, degree))[1]
+    chosen = rng.choice(len(rows), size=min(num_terms, len(rows)), replace=False)
     shape = (dim,) if kind == "vector" else (dim, dim)
-    terms = {}
-    for i in chosen.tolist():
-        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if coeff.any():
-            coeff.setflags(write=False)
-            terms[pool[i]] = coeff
-    return PowerSeries._trusted(kind, dim, terms)
+    draws = rng.standard_normal((len(chosen), 2, *shape))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    return PowerSeries._from_stack(kind, dim, rows[chosen], coeffs, np.arange(rows.shape[1]))
 
 
 # ---------------------------------------------------------------------------

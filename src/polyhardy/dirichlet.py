@@ -2,8 +2,8 @@
 
 :class:`DirichletSeries` shares its sparse core with
 :class:`~polyhardy.series.PowerSeries` and differs only in its keys:
-positive integer frequencies, combined by multiplication and handled as
-int64 arrays inside the shared convolution.  The Bohr
+positive integer frequencies, combined by multiplication and held as one
+int64 array next to the coefficient stack.  The Bohr
 transform carries the coefficient at multi-index alpha to the
 coefficient at frequency ``prod(p_i ** alpha_i)`` and is an exact
 bijection on finitely supported series.  Multiplication becomes divisor
@@ -11,10 +11,16 @@ convolution, radial structure becomes the epsilon-shift ``a_n / n^eps``,
 and coefficients can be recovered from vertical-line averages of the
 evaluated series.
 
-The transports and the shift work on the arrays a series already holds.
-Its coefficients are finite, nonzero and read-only, so :func:`bohr` and
-:func:`bohr_inverse` relabel the keys and share the coefficient arrays,
-and :func:`epsilon_shift` scales the stacked coefficients in one array
+The transports and the shift work on the arrays a series already holds
+and never build its ``terms`` mapping.  :func:`bohr` turns the exponent
+rows into frequencies with one product of prime powers, and
+:func:`bohr_inverse` factors the frequency array with table gathers
+(frequencies from ``SIEVE_LIMIT`` up keep scalar trial division); both
+share the coefficient stack, which is finite, nonzero and read-only.
+int64 products wrap silently, so the size of every frequency is bounded
+in floating point before any product is formed, and the rows near 2^63
+take the exact scalar map, which raises its ``OverflowError``.
+:func:`epsilon_shift` scales the stacked coefficients in one array
 operation; none of them copies or re-checks a coefficient one by one.
 """
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
+from .multiindex import MAX_FREQUENCY, _factor, _frequencies
 from .series import (
     PowerSeries,
     _check_op_vec,
@@ -79,35 +85,40 @@ class DirichletSeries(_SparseSeries):
             raise OverflowError(f"frequency {n} exceeds the 64-bit range")
         return n
 
+    @staticmethod
+    def _encode(keys: list[int]) -> tuple[np.ndarray, None]:
+        return np.array(keys, dtype=np.int64), None
+
+    def _decode(self) -> list[int]:
+        return self._keys.tolist()
+
     @property
     def frequencies(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._keys.tolist()))
 
 
 def bohr(F: PowerSeries) -> DirichletSeries:
     """Transport a power series to frequency coordinates.
 
     The coefficient at ``z^alpha`` lands at frequency ``prod(p_i**alpha_i)``;
-    the support cardinality is preserved exactly.  The map is a bijection,
-    so the keys stay distinct and the coefficient arrays are shared.
+    the support cardinality is preserved exactly.  The frequencies are one
+    product of prime powers over the exponent rows (see
+    ``multiindex._frequencies`` for its overflow rule); the map is a
+    bijection, so the keys stay distinct and the coefficient stack is
+    shared.
     """
-    return DirichletSeries._trusted(
-        F.kind,
-        F.dim,
-        {multiindex_to_index(alpha): coeff for alpha, coeff in F.terms.items()},
-    )
+    freqs = _frequencies(F._columns, F._keys)
+    return DirichletSeries._wrap(F.kind, F.dim, freqs, F._coeffs, values=F._values)
 
 
 def bohr_inverse(D: DirichletSeries) -> PowerSeries:
     """Inverse transport; exact on every finitely supported series.
 
-    Like :func:`bohr`, it relabels keys and shares the coefficient arrays.
+    The frequencies are factored as one array (``multiindex._factor``) and,
+    like :func:`bohr`, the coefficient stack is shared.
     """
-    return PowerSeries._trusted(
-        D.kind,
-        D.dim,
-        {index_to_multiindex(n): coeff for n, coeff in D.terms.items()},
-    )
+    rows, columns = _factor(D._keys)
+    return PowerSeries._wrap(D.kind, D.dim, rows, D._coeffs, columns, D._values)
 
 
 def dirichlet_product(
@@ -122,8 +133,7 @@ def dirichlet_product(
     """
     max_frequency = operator.index(max_frequency)
     _check_op_vec(D, E)
-    left = np.fromiter(D.terms, dtype=np.int64, count=D.num_terms)
-    right = np.fromiter(E.terms, dtype=np.int64, count=E.num_terms)
+    left, right = D._keys, E._keys
     limit = max(min(max_frequency, MAX_FREQUENCY), 0)
     if max_frequency > MAX_FREQUENCY:
         # per left key, the smallest right key whose product leaves the range
@@ -135,7 +145,8 @@ def dirichlet_product(
                     f"frequency {k * int(ordered[at])} exceeds the 64-bit range"
                 )
     i, j = _kept_pairs(limit // left, right)
-    return _convolve(D, E, i, j, left[i] * right[j], np.ndarray.tolist)
+    keys, sums = _convolve(D, E, i, j, left[i] * right[j])
+    return DirichletSeries._from_stack("vector", D.dim, keys, sums)
 
 
 def evaluate_dirichlet(
@@ -148,7 +159,7 @@ def evaluate_dirichlet(
     """
     sc = complex(s)
     out = np.zeros(_coefficient_shape(D.kind, D.dim), dtype=np.complex128)
-    for n, coeff in D.terms.items():
+    for n, coeff in zip(D._keys.tolist(), D._coeffs):
         out += coeff * np.exp(-sc * math.log(n))
     return out
 
@@ -164,7 +175,7 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
         raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     if eps == 0.0:
         return D
-    return _scaled(D, [n ** (-eps) for n in D.terms])
+    return _scaled(D, [n ** (-eps) for n in D._keys.tolist()])
 
 
 def recover_coefficient(
@@ -219,11 +230,11 @@ def recover_coefficient(
     fold[-1] /= 2
     if grid_points % 2:
         fold[0] /= 2  # the node t = 0 has no mirror
-    logs = np.array([math.log(n / m) for m in D.terms])
+    logs = np.array([math.log(n / m) for m in D._keys.tolist()])
     with np.errstate(over="ignore"):  # reported below
         scales = np.exp(sigma * logs)
     if not np.isfinite(scales).all():
-        m = list(D.terms)[int(np.argmax(scales))]  # the first inf
+        m = D._keys[np.argmax(scales)]  # the first inf
         raise ValueError(f"(n/m)^sigma overflows at sigma={sigma} for n/m = {n}/{m}")
     weights = np.empty(len(logs))
     rows = max(1, _LINE_BLOCK // len(t))
@@ -231,4 +242,4 @@ def recover_coefficient(
         block = logs[start : start + rows]
         weights[start : start + rows] = np.cos(np.multiply.outer(block, t)) @ fold
     weights *= scales
-    return np.tensordot(weights, D._coefficient_stack(), axes=1)
+    return np.tensordot(weights, D._coeffs, axes=1)

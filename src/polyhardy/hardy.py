@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._linalg import operator_norm
-from .multiindex import MultiIndex, _simplex_table
-from .series import PowerSeries, _coefficient_shape, _exponent_rows, _scaled
+from .multiindex import MultiIndex, _rows_of_keys, _simplex_table
+from .series import PowerSeries, _coefficient_shape, _scaled
 
 __all__ = [
     "TorusGrid",
@@ -92,20 +92,22 @@ def h2_norm(F) -> float:
     Exact for finitely supported series.  Accepts a vector power series
     or a vector Dirichlet series; the Bohr bijection is an isometry for
     this norm, so both sides give the same number.  One sum of squares
-    over all T*d coefficient entries, so the relative error is at most
-    gamma_{T*d+2}; the empty series has norm 0.
+    over all T*d entries of the coefficient stack the series holds, so
+    the relative error is at most gamma_{T*d+2}; the empty series has
+    norm 0.
     """
     if F.kind != "vector":
         raise ValueError(
             "h2_norm is defined for vector series; use hinf_norm for operator symbols"
         )
-    return float(np.linalg.norm(F._coefficient_stack()))
+    return float(np.linalg.norm(F._coeffs))
 
 
-def _cells(keys: Iterable[MultiIndex], grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+def _cells(columns: np.ndarray, rows: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Row of cell ``alpha mod M`` in a flattened ``M^N`` grid tensor, and
-    the total degree, of each key; keys use at most ``grid.nvars`` variables."""
-    columns, (rows,) = _exponent_rows(keys)
+    the total degree, of each exponent row over the increasing positions
+    ``columns``, all below ``grid.nvars``: the rows a series holds, read
+    as they are."""
     M = grid.points_per_var
     return (rows % M) @ M ** (grid.nvars - 1 - columns), rows.sum(axis=1)
 
@@ -132,13 +134,13 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
             f"grid covers {grid.nvars} variables but the series uses {F.nvars_used}"
         )
     shape = _coefficient_shape(F.kind, F.dim)
-    cells, degrees = _cells(F.terms, grid)
+    cells, degrees = _cells(F._columns, F._keys, grid)
     # Python float powers, one per degree: the ``r ** |alpha|`` each term took
     powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
     rank = len(shape)
     node_first = (rank, *range(rank))  # axes of a (*shape, num_nodes) array, node axis first
     folded = np.zeros(shape + (grid.points_per_var,) * grid.nvars, dtype=np.complex128)
-    scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coefficient_stack()
+    scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coeffs
     np.add.at(folded.reshape(*shape, grid.num_nodes).transpose(node_first), cells, scaled)
     values = np.fft.ifftn(folded, axes=range(rank, folded.ndim))
     values *= grid.num_nodes
@@ -296,7 +298,8 @@ def fourier_coefficient(
             f"multi-index uses {len(alpha)} variables but the grid has {grid.nvars}"
         )
     values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()])
-    return _grid_coefficients(values, grid)[_cells([alpha], grid)[0][0]]
+    rows, columns = _rows_of_keys([alpha])
+    return _grid_coefficients(values, grid)[_cells(columns, rows, grid)[0][0]]
 
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
@@ -337,9 +340,10 @@ def cole_gamelin_kernel(
     if degree < 0:
         raise ValueError("degree must be non-negative")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
-    keys, exponents = _simplex_table(z.size, operator.index(degree))
+    _, exponents = _simplex_table(z.size, operator.index(degree))
     monomials = np.prod(np.conj(z) ** exponents, axis=1)
-    constant = PowerSeries._trusted("vector", x.size, dict.fromkeys(keys, x))  # x at every key
+    x_everywhere = np.broadcast_to(x, (len(exponents), x.size))
+    constant = PowerSeries._wrap("vector", x.size, exponents, x_everywhere, np.arange(z.size))
     return _scaled(constant, amplitude * monomials)
 
 

@@ -20,6 +20,14 @@ quotients whose smallest factor stays at that position: no trial ``%``.
 Building a frequency reads the prime table directly once it is long
 enough.
 
+Series hold multi-indices as int64 exponent rows over the positions
+they use.  On those rows the Bohr map runs as arrays: building
+frequencies is one product of prime powers after a floating-point bound
+on each frequency's size (rows near 2^63 take the exact scalar path), and
+factoring gathers ``table[rem]`` for every remainder above 1 at once,
+then scatters one count per (row, position) pair.  The scalar functions
+below keep their code and their per-call cost.
+
 Each degree simplex is enumerated once per ``(nvars, max_degree)`` shape,
 in one array pass that yields the graded-lex exponent rows and their
 keys together, and memoized: ``simplex`` returns the same tuple on every
@@ -30,7 +38,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,17 +187,6 @@ class MultiIndex:
         self._items = items
         self._hash = hash(items)
         return self
-
-    @classmethod
-    def from_string(cls, text: str) -> "MultiIndex":
-        """Parse the bracketed textual form, e.g. ``"[2,1]"`` or ``"[]"``."""
-        stripped = text.strip()
-        if not (stripped.startswith("[") and stripped.endswith("]")):
-            raise ValueError(f"multi-index text must be bracketed: {text!r}")
-        body = stripped[1:-1].strip()
-        if not body:
-            return cls()
-        return cls(int(part) for part in body.split(","))
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """Sparse ``(position, exponent)`` view, positions increasing."""
@@ -356,6 +354,80 @@ def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:
     return result
 
 
+def _rows_of_keys(keys: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 exponent row per key over the increasing positions that
+    ``keys`` use, and those positions; the inverse of ``_keys_of_rows``.
+
+    A position, an exponent or a total degree beyond the int64 range
+    raises ``OverflowError``, so degree sums of the rows never wrap.
+    """
+    triples = [(t, pos, e) for t, alpha in enumerate(keys) for pos, e in alpha._items]
+    owner, positions, exponents = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    columns, col = np.unique(positions, return_inverse=True)
+    rows = np.zeros((len(keys), len(columns)), dtype=np.int64)
+    rows[owner, col] = exponents
+    near = rows.sum(axis=1, dtype=np.float64) >= 2.0**62
+    if near.any() and max(map(sum, rows[near].tolist())) > MAX_FREQUENCY:
+        raise OverflowError("total degree of a multi-index exceeds the 64-bit range")
+    return rows, columns
+
+
+def _keys_of_rows(columns: np.ndarray, rows: np.ndarray) -> list[MultiIndex]:
+    """The multi-index of each int64 exponent row over the increasing positions ``columns``."""
+    positions = columns.tolist()
+    return [MultiIndex._trusted(tuple(compress(zip(positions, row), row))) for row in rows.tolist()]
+
+
+def _frequencies(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``multiindex_to_index`` of each exponent row over ``columns``, as int64.
+
+    int64 products wrap silently, so no product is formed before
+    ``sum e * log2 p`` of every row is bounded in floating point.  A row
+    whose bound stays below 62.99 bits has a frequency below 2^63, so
+    each of its prime powers and partial products fits, and all of them
+    are one product of prime powers.  The rows near or past 2^63 (the
+    rounding of the bound is below 1e-12 bits) go through the exact
+    scalar ``multiindex_to_index``, which raises its ``OverflowError``
+    for the first of them, in row order, that leaves the range.
+    """
+    _ensure_count(int(columns[-1]) + 1 if len(columns) else 0)
+    prime = np.asarray(_prime)[columns]
+    near = rows @ np.log2(prime) >= 62.99
+    freqs = np.prod(prime ** np.where(near[:, None], 0, rows), axis=1)
+    freqs[near] = [multiindex_to_index(a) for a in _keys_of_rows(columns, rows[near])]
+    return freqs
+
+
+def _factor(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``index_to_multiindex`` of each frequency as exponent rows over the
+    increasing positions used, and those positions (as ``_rows_of_keys``
+    returns them); the inverse of ``_frequencies``.
+
+    Below ``SIEVE_LIMIT`` each pass gathers the position ``table[rem]`` of
+    the smallest prime factor of every remainder above 1 and divides that
+    prime out; one count of the (row, position) pairs then gives the
+    exponents.  Frequencies at or above ``SIEVE_LIMIT`` keep the scalar
+    trial-division path.
+    """
+    owner = np.flatnonzero((freqs > 1) & (freqs < SIEVE_LIMIT))
+    rem = freqs[owner]
+    _ensure_bound(int(rem.max(initial=1)) + 1)
+    table, prime = np.asarray(_pos_table), np.asarray(_prime)
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]  # (row, position)
+    while len(rem):
+        pos = table[rem]
+        rem = rem // prime[pos]
+        found.append((owner, pos))
+        owner, rem = owner[rem > 1], rem[rem > 1]
+    for t in np.flatnonzero(freqs >= SIEVE_LIMIT).tolist():
+        pos, exps = zip(*_trial_division(int(freqs[t])))
+        found.append((np.full(sum(exps), t), np.repeat(pos, exps)))
+    owner, positions = map(np.concatenate, zip(*found))
+    columns, col = np.unique(positions, return_inverse=True)
+    counts = np.bincount(owner * len(columns) + col, minlength=len(freqs) * len(columns))
+    return counts.reshape(len(freqs), len(columns)), columns.astype(np.int64)
+
+
 def graded_lex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
     """Sort key: total degree first, then ascending lexicographic."""
     return (alpha.degree, alpha.exponents)
@@ -388,11 +460,7 @@ def _simplex_table(nvars: int, max_degree: int) -> tuple[tuple[MultiIndex, ...],
         rows = np.column_stack((first, rows[kept]))
     rows = rows[np.argsort(rows.sum(axis=1), kind="stable")]
     rows.setflags(write=False)
-    r, c = np.nonzero(rows)
-    pairs = list(zip(c.tolist(), rows[r, c].tolist()))
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    keys = tuple([MultiIndex._trusted(tuple(pairs[s:e])) for s, e in zip([0, *ends], ends)])
-    return keys, rows
+    return tuple(_keys_of_rows(np.arange(nvars), rows)), rows
 
 
 def simplex(nvars: int, max_degree: int) -> tuple[MultiIndex, ...]:

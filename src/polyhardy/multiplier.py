@@ -26,7 +26,7 @@ from .series import (
     PowerSeries,
     TruncationParams,
     _check_op_vec,
-    _exponent_rows,
+    _widen,
     _window_pairs,
     op_vec_product,
 )
@@ -56,37 +56,6 @@ class CompressionMatrix:
     basis: tuple[MultiIndex, ...]
     trunc: TruncationParams
 
-    @property
-    def block_dim(self) -> int:
-        return self.trunc.dim
-
-    def basis_position(self, alpha: MultiIndex) -> int:
-        return self.basis.index(alpha)
-
-    def coefficients_of(self, G: PowerSeries) -> np.ndarray:
-        """Stack the coefficients of G over the basis into one flat vector."""
-        if G.kind != "vector" or G.dim != self.trunc.dim:
-            raise ValueError("G must be a vector series of the compression dimension")
-        extra = set(G.terms) - set(self.basis)
-        if extra:
-            raise ValueError("G has support outside the compression simplex")
-        return np.concatenate([G.coefficient(alpha) for alpha in self.basis])
-
-    def series_from_coefficients(self, coeffs: np.ndarray) -> PowerSeries:
-        """Inverse of :meth:`coefficients_of`."""
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        d = self.trunc.dim
-        if coeffs.shape != (len(self.basis) * d,):
-            raise ValueError("coefficient vector has the wrong length")
-        terms = {
-            alpha: coeffs[i * d : (i + 1) * d] for i, alpha in enumerate(self.basis)
-        }
-        return PowerSeries("vector", d, terms)
-
-    def apply_to_series(self, G: PowerSeries) -> PowerSeries:
-        """Matrix action expressed back as a series (for consistency checks)."""
-        return self.series_from_coefficients(self.matrix @ self.coefficients_of(G))
-
 
 def assemble_compression(
     F: PowerSeries, trunc: TruncationParams
@@ -107,13 +76,14 @@ def assemble_compression(
             "use hp_rayleigh_lower_bound for other exponents"
         )
     basis, rows = _simplex_table(*_simplex_shape(trunc.nvars, trunc.max_degree))
-    columns, (symbol,) = _exponent_rows(F.terms, width=trunc.nvars)
+    columns = np.array(sorted({*range(trunc.nvars), *F._columns.tolist()}), dtype=np.int64)
+    symbol = _widen(F, columns)
     rows = np.pad(rows, ((0, 0), (0, len(columns) - trunc.nvars)))  # columns start 0..nvars-1
     i, j = _window_pairs(columns, symbol, rows, trunc)
     n, d = len(basis), trunc.dim
     matrix = np.zeros((n, d, n, d), dtype=np.complex128)
     # block (beta + gamma, gamma) is a_beta; each block is one coefficient
-    matrix[_row_positions(rows, symbol[i] + rows[j]), :, j, :] = F._coefficient_stack()[i]
+    matrix[_row_positions(rows, symbol[i] + rows[j]), :, j, :] = F._coeffs[i]
     matrix = matrix.reshape(n * d, n * d)
     matrix.setflags(write=False)
     return CompressionMatrix(matrix=matrix, basis=basis, trunc=trunc)
@@ -218,7 +188,7 @@ def pointwise_vs_symbolic(
             f"nodes; the first, node {bad[0]} of grid.nodes(), is {sampled[bad[0]]}"
         )
     extracted = _grid_coefficients(sampled, grid)
-    gaps = extracted[_cells(product.terms, grid)[0]] - product._coefficient_stack()
+    gaps = extracted[_cells(product._columns, product._keys, grid)[0]] - product._coeffs
     return float(np.max(_row_norms(gaps), initial=0.0))
 
 

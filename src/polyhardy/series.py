@@ -5,11 +5,20 @@ Coefficients are either d-vectors (function values in C^d) or d x d
 matrices (operator symbols acting on C^d); a single series never mixes
 the two.  One private core holds the map, its validation and its
 comparisons, and one array-form convolution serves every product.
-:class:`PowerSeries` keys are multi-indices that add, handled as exponent
-rows over the positions the keys use;
+
+A series holds its keys as one int64 array and its coefficients as one
+read-only stack of shape ``(T, *coefficient shape)``, both in ``terms``
+order.  :class:`PowerSeries` keys are multi-indices that add, held as
+exponent rows over the increasing positions that some key uses;
 :class:`~polyhardy.dirichlet.DirichletSeries` keys are frequencies that
-multiply, handled as int64 arrays, so the Bohr transform is a relabelling
-of keys.  A product lists the key pairs its window keeps, forms every kept
+multiply, held as one frequency array.  The public ``terms`` mapping,
+with :class:`MultiIndex` or int keys, is built from the arrays on first
+access and cached; products, sums, truncation, rescaling, grids and the
+Bohr transports read the arrays and never build it.  Exponents, positions
+and total degrees of power-series keys must fit in int64, so degree sums
+of the rows never wrap.
+
+A product lists the key pairs its window keeps, forms every kept
 coefficient product in one stacked matmul, and sums the pairs of each
 product key after one stable sort.  Rescaling each term by its own
 factor (scalar multiples, dilations, epsilon-shifts) is one array product
@@ -28,7 +37,7 @@ from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .multiindex import MultiIndex, graded_lex_key, weighted_degree
+from .multiindex import MultiIndex, _keys_of_rows, _rows_of_keys, graded_lex_key
 
 __all__ = [
     "Kind",
@@ -43,6 +52,8 @@ __all__ = [
 Kind = Literal["vector", "operator"]
 
 _KINDS = ("vector", "operator")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -88,13 +99,18 @@ class _SparseSeries:
     are never stored.
 
     The shared core of :class:`PowerSeries` and
-    :class:`~polyhardy.dirichlet.DirichletSeries`.  A subclass fixes its
-    key type through ``_key``, which normalizes and validates one key;
-    its product function turns the keys into arrays, lists the kept key
-    pairs and their product keys, and hands them to :func:`_convolve`.
+    :class:`~polyhardy.dirichlet.DirichletSeries`.  A series holds its
+    keys as one int64 array ``_keys`` (frequencies, or exponent rows over
+    the increasing positions ``_columns`` that some key uses) and its
+    coefficients as one read-only stack ``_coeffs`` of shape
+    ``(T, *coefficient shape)``, both in ``terms`` order.  ``terms`` is
+    built from them on first access and cached.  A subclass fixes its key
+    type through ``_key``, which normalizes and validates one key, and
+    through ``_encode``/``_decode``, which turn a list of keys into key
+    arrays and back.
     """
 
-    __slots__ = ("_kind", "_dim", "_terms")
+    __slots__ = ("_kind", "_dim", "_keys", "_columns", "_coeffs", "_values", "_terms")
 
     def __init__(
         self,
@@ -117,27 +133,49 @@ class _SparseSeries:
             else:
                 accum[key] = coeff
         clean = {k: c for k, c in accum.items() if c.any()}
-        for c in clean.values():
-            c.setflags(write=False)
-        self._kind = kind
-        self._dim = dim
-        self._terms = clean
+        shape = _coefficient_shape(kind, dim)
+        coeffs = np.array(list(clean.values()), np.complex128).reshape(-1, *shape)
+        coeffs.setflags(write=False)
+        values = list(coeffs)  # read-only views, handed out by ``terms``
+        terms = MappingProxyType(dict(zip(clean, values)))
+        self._init(kind, dim, *self._encode(list(clean)), coeffs, values, terms)
 
-    @classmethod
-    def _trusted(cls, kind: Kind, dim: int, terms: dict):
-        """Wrap canonical keys mapped to nonzero, finite, read-only coefficients."""
-        self = cls.__new__(cls)
+    def _init(self, kind, dim, keys, columns, coeffs, values=None, terms=None):
         self._kind = kind
         self._dim = dim
+        self._keys = keys
+        self._columns = columns
+        self._coeffs = coeffs
+        self._values = values
         self._terms = terms
         return self
 
-    def _coefficient_stack(self) -> np.ndarray:
-        """Coefficients stacked along a new first axis, in ``terms`` order."""
-        shape = _coefficient_shape(self._kind, self._dim)
-        return np.array(list(self._terms.values()), dtype=np.complex128).reshape(
-            len(self._terms), *shape
-        )
+    @classmethod
+    def _wrap(cls, kind: Kind, dim: int, keys, coeffs, columns=None, values=None):
+        """Wrap distinct key arrays and a read-only stack of nonzero, finite
+        coefficients in the same order; exponent-row columns that no key
+        uses are dropped.  ``values``, when given, are the per-term arrays
+        ``terms`` hands out (equal to the rows of ``coeffs``), so that
+        series sharing a stack also share them."""
+        if columns is not None:
+            used = keys.any(axis=0)
+            if not used.all():
+                columns, keys = columns[used], keys[:, used]
+        return cls.__new__(cls)._init(kind, dim, keys, columns, coeffs, values)
+
+    @classmethod
+    def _from_stack(cls, kind: Kind, dim: int, keys: np.ndarray, stack: np.ndarray, columns=None):
+        """Wrap the nonzero rows of a fresh coefficient stack and their keys.
+
+        A stack that is not finite raises the constructor's ``ValueError``.
+        """
+        if not np.isfinite(stack).all():
+            raise ValueError("coefficients must be finite (no NaN/Inf)")
+        nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
+        if not nonzero.all():
+            keys, stack = keys[nonzero], stack[nonzero]
+        stack.setflags(write=False)
+        return cls._wrap(kind, dim, keys, stack, columns)
 
     @classmethod
     def vector(cls, dim: int, terms=()):
@@ -157,19 +195,25 @@ class _SparseSeries:
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._terms)
+        """Read-only map from keys to coefficients, in the order the arrays
+        hold them; built from the key arrays on first access."""
+        if self._terms is None:
+            if self._values is None:
+                self._values = list(self._coeffs)
+            self._terms = MappingProxyType(dict(zip(self._decode(), self._values)))
+        return self._terms
 
     @property
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self._keys)
 
     def coefficient(self, key) -> np.ndarray:
         """Coefficient at ``key`` (validated like a constructor key); zero if absent."""
-        found = self._terms.get(self._key(key))
+        found = self.terms.get(self._key(key))
         if found is not None:
             return found
         return np.zeros(_coefficient_shape(self._kind, self._dim), dtype=np.complex128)
@@ -177,19 +221,18 @@ class _SparseSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _SparseSeries):
             return NotImplemented
-        return (
-            type(self) is type(other)
-            and self._kind == other._kind
-            and self._dim == other._dim
-            and self._terms.keys() == other._terms.keys()
-            and all(np.array_equal(c, other._terms[k]) for k, c in self._terms.items())
+        if type(self) is not type(other) or self._kind != other._kind or self._dim != other._dim:
+            return False
+        mine, theirs = self.terms, other.terms
+        return mine.keys() == theirs.keys() and all(
+            np.array_equal(c, theirs[k]) for k, c in mine.items()
         )
 
     def allclose(self, other: "_SparseSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         """Same type, kind and dim, and coefficientwise agreement within tolerances."""
         if type(self) is not type(other) or self._kind != other._kind or self._dim != other._dim:
             return False
-        for key in set(self._terms) | set(other._terms):
+        for key in set(self.terms) | set(other.terms):
             if not np.allclose(
                 self.coefficient(key), other.coefficient(key), rtol=rtol, atol=atol
             ):
@@ -199,7 +242,7 @@ class _SparseSeries:
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(kind={self._kind!r}, dim={self._dim}, "
-            f"num_terms={len(self._terms)})"
+            f"num_terms={len(self._keys)})"
         )
 
 
@@ -211,6 +254,11 @@ class PowerSeries(_SparseSeries):
     @staticmethod
     def _key(alpha) -> MultiIndex:
         return alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
+
+    _encode = staticmethod(_rows_of_keys)
+
+    def _decode(self) -> list[MultiIndex]:
+        return _keys_of_rows(self._columns, self._keys)
 
     @classmethod
     def zero(cls, kind: Kind, dim: int) -> "PowerSeries":
@@ -229,36 +277,44 @@ class PowerSeries(_SparseSeries):
     @property
     def support(self) -> tuple[MultiIndex, ...]:
         """Stored multi-indices in graded-lexicographic order."""
-        return tuple(sorted(self._terms, key=graded_lex_key))
+        return tuple(sorted(self.terms, key=graded_lex_key))
 
     @property
     def total_degree(self) -> int:
         """Largest total degree in the support (0 for the zero series)."""
-        return max((a.degree for a in self._terms), default=0)
+        return int(self._keys.sum(axis=1).max(initial=0))
 
     @property
     def max_weighted_degree(self) -> int:
-        return max((weighted_degree(a) for a in self._terms), default=0)
+        return max(_weighted_degrees(self), default=0)
 
     @property
     def nvars_used(self) -> int:
         """Smallest N such that the support lives on the first N variables."""
-        return max((len(a) for a in self._terms), default=0)
+        return int(self._columns[-1]) + 1 if len(self._columns) else 0
 
-    def _check_compatible(self, other: "PowerSeries") -> None:
+    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        """Termwise sum: the terms of ``self``, then the new terms of
+        ``other``, each shared key's coefficient ``a_self + a_other``; as
+        through the constructor, a sum that is not finite raises
+        ``ValueError`` and a zero sum is dropped."""
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         if self._kind != other._kind:
             raise ValueError(f"kind mismatch: {self._kind} vs {other._kind}")
         if self._dim != other._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        merged = dict(self._terms)
-        for alpha, coeff in other._terms.items():
-            merged[alpha] = merged[alpha] + coeff if alpha in merged else coeff
-        return PowerSeries(self._kind, self._dim, merged)
+        positions = {*self._columns.tolist(), *other._columns.tolist()}
+        columns = np.array(sorted(positions), dtype=np.int64)
+        keys = np.concatenate([_widen(self, columns), _widen(other, columns)])
+        stack = np.concatenate([self._coeffs, other._coeffs])
+        order = np.lexsort(keys.T[::-1]) if len(columns) else np.arange(len(keys))
+        shared = np.flatnonzero((np.diff(keys[order], axis=0) == 0).all(axis=1))
+        first, second = order[shared], order[shared + 1]  # a stable sort puts self's row first
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by _from_stack
+            stack[first] = stack[first] + stack[second]
+        stack[second] = 0  # so that _from_stack drops the merged rows
+        return PowerSeries._from_stack(self._kind, self._dim, keys, stack, columns)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
@@ -273,35 +329,31 @@ class PowerSeries(_SparseSeries):
     __rmul__ = __mul__
 
 
+def _weighted_degrees(F: PowerSeries) -> list[int]:
+    """``weighted_degree`` of each key of ``F`` in ``terms`` order, as
+    exact Python ints (an int64 product could wrap)."""
+    return (F._keys.astype(object) @ (F._columns.astype(object) + 1)).tolist()
+
+
 def _scaled(F: _SparseSeries, factors) -> _SparseSeries:
     """``F`` with the coefficient of its t-th term (``terms`` order) times ``factors[t]``.
 
     ``factors`` holds one real or complex number per term, or one number
     for every term.  Each product is the one ``factor * coefficient``
     gives, in complex double precision, so the result equals building
-    the scaled terms through the constructor, bit for bit; but the keys
-    are reused as they are and the coefficients are formed in one array
-    operation instead of being copied and checked one by one.  Products
-    that are not finite raise the constructor's ``ValueError``; a
-    coefficient that underflows to zero is dropped; the kept rows are
-    read-only views of one new array.
+    the scaled terms through the constructor, bit for bit; but the key
+    arrays are reused as they are and the coefficients are formed in one
+    array operation instead of being copied and checked one by one.
+    Products that are not finite raise the constructor's ``ValueError``;
+    a coefficient that underflows to zero is dropped.
     """
-    stack = F._coefficient_stack()
     factors = np.asarray(factors, dtype=np.complex128)
     # factor on the left, as in ``factor * coefficient``: with fused
     # multiply-adds numpy's complex product can round the two operand
     # orders differently
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        stack = factors.reshape(-1, *(1,) * (stack.ndim - 1)) * stack
-    if not np.isfinite(stack).all():
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
-    keys = F._terms.keys()
-    nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
-    if not nonzero.all():
-        stack = stack[nonzero]
-        keys = itertools.compress(keys, nonzero.tolist())
-    stack.setflags(write=False)
-    return F._trusted(F._kind, F._dim, dict(zip(keys, stack)))
+        stack = factors.reshape(-1, *(1,) * (F._coeffs.ndim - 1)) * F._coeffs
+    return F._from_stack(F._kind, F._dim, F._keys, stack, F._columns)
 
 
 def _check_op_vec(F: _SparseSeries, G: _SparseSeries) -> None:
@@ -328,31 +380,6 @@ def _kept_pairs(thresholds: np.ndarray, scalars: np.ndarray) -> tuple[np.ndarray
     return i, order[np.arange(len(i)) - starts]
 
 
-def _exponent_rows(*key_lists, width: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Multi-indices as int64 exponent rows over the positions they use.
-
-    Returns the increasing positions (the columns, shared by every list)
-    and one ``(len(keys), len(columns))`` array per key list.  Positions
-    below ``width`` always get a column; any other position no key uses
-    gets none, so sparse high positions stay cheap.
-    """
-    used = {pos for keys in key_lists for alpha in keys for pos, _ in alpha.items()}
-    columns = sorted(used.union(range(width)))
-    column = {pos: c for c, pos in enumerate(columns)}
-    tables = []
-    for keys in key_lists:
-        rows, cols, exps = [], [], []
-        for t, alpha in enumerate(keys):
-            for pos, e in alpha.items():
-                rows.append(t)
-                cols.append(column[pos])
-                exps.append(e)
-        table = np.zeros((len(keys), len(columns)), dtype=np.int64)
-        table[rows, cols] = exps
-        tables.append(table)
-    return np.array(columns, dtype=np.int64), tables
-
-
 def _window_pairs(
     columns: np.ndarray, left: np.ndarray, right: np.ndarray, trunc: TruncationParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -364,27 +391,34 @@ def _window_pairs(
     per-row thresholds stay in int64.
     """
     outside = columns >= trunc.nvars
-    limit = min(trunc.max_degree, np.iinfo(np.int64).max)
+    limit = min(trunc.max_degree, _INT64_MAX)
     thresholds = np.where(left[:, outside].any(axis=1), -1, limit - left.sum(axis=1))
     inside = np.flatnonzero(~right[:, outside].any(axis=1))
     i, j = _kept_pairs(thresholds, right[inside].sum(axis=1))
     return i, inside[j]
 
 
-def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys, decode) -> _SparseSeries:
+def _widen(F: PowerSeries, columns: np.ndarray) -> np.ndarray:
+    """Exponent rows of ``F`` over ``columns``, a superset of its own."""
+    if len(columns) == len(F._columns):
+        return F._keys
+    rows = np.zeros((F.num_terms, len(columns)), dtype=np.int64)
+    rows[:, np.searchsorted(columns, F._columns)] = F._keys
+    return rows
+
+
+def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys) -> tuple[np.ndarray, np.ndarray]:
     """Operator-by-vector convolution over the kept key pairs ``(i[k], j[k])``.
 
     ``i`` and ``j`` index the terms of ``F`` and ``G`` in ``terms``
     order, and ``keys[k]`` is the product key of pair k in array form
     (an int, or an exponent row).  Pairs are grouped by one stable sort
     of ``keys``; the coefficient at each distinct key is the sum of
-    ``a_i @ b_j`` over its pairs, in pair order.  ``decode`` turns the
-    distinct key arrays back into keys.  Sums that are not finite raise
-    the constructor's ``ValueError``; zero sums are dropped.  Extra
-    memory is O(kept pairs * (columns + d^2)).  Bilinear in (F, G).
+    ``a_i @ b_j`` over its pairs, in pair order.  Returns the distinct
+    keys in sorted order and their sums, for ``_from_stack``, which
+    raises on sums that are not finite and drops zero sums.  Extra memory
+    is O(kept pairs * (columns + d^2)).  Bilinear in (F, G).
     """
-    if not len(keys):
-        return type(F)._trusted("vector", F.dim, {})
     if keys.ndim == 1:
         order = np.argsort(keys, kind="stable")
     elif keys.shape[1]:
@@ -396,16 +430,10 @@ def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys, decode) -> _Sparse
     changed = keys[1:] != keys[:-1]
     first[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
     starts = np.flatnonzero(first)
-    a, b = F._coefficient_stack(), G._coefficient_stack()
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        blocks = np.matmul(a[i[order]], b[j[order], :, None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _from_stack
+        blocks = np.matmul(F._coeffs[i[order]], G._coeffs[j[order], :, None])[..., 0]
         sums = np.add.reduceat(blocks, starts, axis=0)
-    if not np.isfinite(sums).all():
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
-    nonzero = sums.any(axis=1)
-    sums = sums[nonzero]
-    sums.setflags(write=False)
-    return type(F)._trusted("vector", F.dim, dict(zip(decode(keys[starts[nonzero]]), sums)))
+    return keys[starts], sums
 
 
 def op_vec_product(
@@ -419,17 +447,11 @@ def op_vec_product(
     never formed, matching the compression window.  Bilinear in (F, G).
     """
     _check_op_vec(F, G)
-    columns, (left, right) = _exponent_rows(F.terms, G.terms)
+    columns = np.array(sorted({*F._columns.tolist(), *G._columns.tolist()}), dtype=np.int64)
+    left, right = _widen(F, columns), _widen(G, columns)
     i, j = _window_pairs(columns, left, right, trunc)
-    positions = columns.tolist()
-
-    def decode(rows: np.ndarray) -> list[MultiIndex]:
-        return [
-            MultiIndex._trusted(tuple((p, e) for p, e in zip(positions, row) if e))
-            for row in rows.tolist()
-        ]
-
-    return _convolve(F, G, i, j, left[i] + right[j], decode)
+    keys, sums = _convolve(F, G, i, j, left[i] + right[j])
+    return PowerSeries._from_stack("vector", F.dim, keys, sums, columns)
 
 
 def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
@@ -443,7 +465,7 @@ def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
         raise ValueError("dilation radius must lie in (0, 1]")
     if r == 1.0:
         return F
-    return _scaled(F, [r ** weighted_degree(a) for a in F.terms])
+    return _scaled(F, [r**w for w in _weighted_degrees(F)])
 
 
 def _evaluate_at(F: PowerSeries, point: np.ndarray) -> np.ndarray:
@@ -477,12 +499,14 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:
     """Drop terms beyond the window; idempotent.
 
-    The kept coefficients are shared with ``F``, not copied: they are
-    already finite, nonzero and read-only.
+    The kept coefficients are shared with ``F``, not copied one by one:
+    they are already finite, nonzero and read-only, and the arrays
+    ``F.terms`` hands out, if it has built them, are handed out again.
     """
-    kept = {
-        a: c
-        for a, c in F.terms.items()
-        if a.degree <= trunc.max_degree and len(a) <= trunc.nvars
-    }
-    return PowerSeries._trusted(F.kind, F.dim, kept)
+    rows = F._keys
+    outside = rows[:, F._columns >= trunc.nvars].any(axis=1)
+    keep = ~outside & (rows.sum(axis=1) <= min(trunc.max_degree, _INT64_MAX))
+    values = None if F._values is None else list(itertools.compress(F._values, keep.tolist()))
+    coeffs = F._coeffs[keep]
+    coeffs.setflags(write=False)
+    return PowerSeries._wrap(F.kind, F.dim, rows[keep], coeffs, F._columns, values)

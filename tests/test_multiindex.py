@@ -1,5 +1,6 @@
 """Multi-index arithmetic and the prime-power frequency bijection."""
 
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simplex_by_compositions
-from polyhardy import multiindex
+from polyhardy import DirichletSeries, PowerSeries, bohr, bohr_inverse, multiindex
 from polyhardy.multiindex import (
     MAX_FREQUENCY,
     SIEVE_LIMIT,
@@ -22,7 +23,6 @@ from polyhardy.multiindex import (
     simplex,
     weighted_degree,
 )
-from polyhardy.series import _exponent_rows
 
 
 class TestMultiIndexBasics:
@@ -62,10 +62,6 @@ class TestMultiIndexBasics:
     def test_string_forms(self):
         assert str(MultiIndex([2, 1])) == "[2,1]"
         assert str(MultiIndex()) == "[]"
-        assert MultiIndex.from_string("[2, 1]") == MultiIndex([2, 1])
-        assert MultiIndex.from_string("[]") == MultiIndex()
-        with pytest.raises(ValueError):
-            MultiIndex.from_string("2,1")
 
     def test_from_items(self):
         alpha = MultiIndex.from_items([(3, 1), (0, 2)])
@@ -245,6 +241,102 @@ class TestExponentGuard:
         assert max_frequency_for_simplex(1, 62) == 2**62
 
 
+def scalar_outcome(fn, keys):
+    """``[fn(k) for k in keys]``, or the type and message of the first error it raises."""
+    try:
+        return [fn(k) for k in keys]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def array_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def one_term_power_series(keys):
+    return PowerSeries("vector", 1, {alpha: [t + 1.0] for t, alpha in enumerate(keys)})
+
+
+class TestArrayBohrMap:
+    """``bohr`` and ``bohr_inverse`` run on key arrays; key by key, in
+    ``terms`` order, they must equal the scalar bijection and share the
+    coefficient stack."""
+
+    @given(st.lists(sparse_indices, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_bohr_is_the_scalar_map_key_by_key(self, keys):
+        F = one_term_power_series(keys)
+        want = scalar_outcome(multiindex_to_index, F.terms)
+        got = array_outcome(lambda: bohr(F))
+        if isinstance(want, tuple):  # the scalar map's first error, raised alike
+            assert got == want
+            return
+        assert list(got.terms) == want
+        assert got._coeffs is F._coeffs
+
+    @given(st.lists(st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=SIEVE_LIMIT, max_value=64 * SIEVE_LIMIT),
+        st.integers(min_value=1, max_value=MAX_FREQUENCY),
+    ), max_size=8, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_bohr_inverse_is_the_scalar_map_key_by_key(self, freqs):
+        D = DirichletSeries("vector", 1, {n: [t + 1.0] for t, n in enumerate(freqs)})
+        want = scalar_outcome(index_to_multiindex, freqs)
+        got = array_outcome(lambda: bohr_inverse(D))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert list(got.terms) == want
+        assert all(type(x) is int for alpha in got.terms for pair in alpha.items() for x in pair)
+        assert got._coeffs is D._coeffs
+
+    # 2^25 3^2 5^15 = 2^63 - 7.4e15 and 2^10 3^10 5^16 = 2^63 + 3.0e15
+    INSIDE = [[62], [0, 39], [25, 2, 15], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], []]
+    OUTSIDE = [[0, 40], [10, 10, 16], [63], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]]
+
+    def test_largest_frequencies_map_exactly(self):
+        keys = [MultiIndex(e) for e in self.INSIDE]
+        got = list(bohr(one_term_power_series(keys)).terms)
+        assert got == [multiindex_to_index(a) for a in keys]
+        assert got[:3] == [2**62, 3**39, 9_216_000_000_000_000_000]
+
+    @pytest.mark.parametrize("exponents", OUTSIDE)
+    def test_past_2_63_raises_the_scalar_error(self, exponents):
+        alpha = MultiIndex(exponents)
+        with pytest.raises(OverflowError) as scalar:
+            multiindex_to_index(alpha)
+        keys = [MultiIndex(e) for e in self.INSIDE[:3]] + [alpha]
+        with pytest.raises(OverflowError, match=re.escape(str(scalar.value))):
+            bohr(one_term_power_series(keys))
+
+    def test_first_failing_key_in_terms_order_is_named(self):
+        keys = [MultiIndex([1]), MultiIndex([0, 40]), MultiIndex([63])]
+        with pytest.raises(OverflowError, match=re.escape("MultiIndex([0, 40])")):
+            bohr(one_term_power_series(keys))
+
+    def test_positions_past_the_prime_table(self, small_sieve):
+        position = len(multiindex._prime)
+        keys = [MultiIndex.from_items([(position, 1)]), MultiIndex([1])]
+        assert bohr(one_term_power_series(keys)).frequencies == (2, sympy.prime(position + 1))
+        assert len(multiindex._prime) > position
+
+    def test_frequencies_past_the_sieve_table(self, small_sieve):
+        freqs = [small_sieve + 1, 6, 1]  # 65537 is prime, one past the table
+        got = bohr_inverse(DirichletSeries("vector", 1, {n: [1.0] for n in freqs}))
+        assert list(got.terms) == [index_to_multiindex(n) for n in freqs]
+
+    def test_frequencies_from_the_sieve_limit_use_trial_division(self):
+        freqs = [SIEVE_LIMIT, 12, SIEVE_LIMIT + 1, 3 * SIEVE_LIMIT + 7]
+        freqs += [2**30 * 16_777_213, 2**62, MAX_FREQUENCY]
+        got = bohr_inverse(DirichletSeries("vector", 1, {n: [1.0] for n in freqs}))
+        assert [dict(alpha.items()) for alpha in got.terms] == [sympy_items(n) for n in freqs]
+        assert list(bohr(got).terms) == freqs
+
+
 class TestTrustedConstruction:
     @given(sparse_indices, sparse_indices)
     @settings(max_examples=300, deadline=None)
@@ -351,7 +443,8 @@ class TestSimplexTable:
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1
-        columns, (table,) = _exponent_rows(keys)
+        held = PowerSeries("vector", 1, dict.fromkeys(keys, [1.0]))
+        columns, table = held._columns, held._keys
         widened = np.zeros_like(rows)
         widened[:, columns] = table
         np.testing.assert_array_equal(rows, widened)

@@ -20,10 +20,16 @@ from polyhardy import (
     MultiIndex,
     PowerSeries,
     TruncationParams,
+    bohr,
+    bohr_inverse,
+    dirichlet_product,
+    epsilon_shift,
     evaluate_power,
     h2_norm,
     op_vec_product,
     radial_dilate,
+    series_from_dict,
+    series_to_dict,
     truncate,
     weighted_degree,
 )
@@ -435,3 +441,105 @@ class TestScalingsShareOneArrayPath:
             1e300 * F
         with pytest.raises(ValueError, match="finite"):
             F * complex(1e300, 1e300)
+
+
+def lazily_built(F):
+    """``F`` rebuilt from its key arrays through the Bohr round trip, so
+    that its ``terms`` are built on first access, not by the constructor."""
+    return bohr_inverse(bohr(F))
+
+
+class TestHeldArrays:
+    """A series holds key arrays and one coefficient stack; ``terms`` is
+    built from them on first access and behaves like the constructor's."""
+
+    @given(series(PowerSeries, small_indices))
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_terms_equal_the_constructor_terms(self, F):
+        G = lazily_built(F)
+        assert G._terms is None
+        assert_same_bits(G, F)
+        assert G._terms is not None  # cached
+        assert G._coeffs is F._coeffs
+        assert all(a is b for a, b in zip(G.terms.values(), F.terms.values()))
+
+    @given(series(PowerSeries, small_indices), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equality_ignores_insertion_order(self, F, random):
+        items = list(F.terms.items())
+        random.shuffle(items)
+        shuffled = PowerSeries(F.kind, F.dim, items)
+        assert shuffled == F and lazily_built(shuffled) == F
+        assert bohr(shuffled) == bohr(F)
+        assert lazily_built(shuffled).support == F.support
+
+    @given(series(PowerSeries, small_indices), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_is_built_like_the_merged_constructor(self, F, data):
+        """Against merging the two term maps one key at a time and building
+        the result through the constructor; overflow raises alike."""
+        drawn = data.draw(terms(small_indices, F.kind, F.dim, values=FINITE))
+        G = PowerSeries(F.kind, F.dim, drawn)
+        merged = dict(F.terms)
+        with np.errstate(over="ignore", invalid="ignore"):  # the constructor reports it
+            for alpha, coeff in G.terms.items():
+                merged[alpha] = merged[alpha] + coeff if alpha in merged else coeff
+        try:
+            want = PowerSeries(F.kind, F.dim, merged)
+        except ValueError:
+            with pytest.raises(ValueError, match="finite"):
+                F + G
+            return
+        assert_same_bits(F + G, want)
+        assert_same_bits(lazily_built(F) + lazily_built(G), want)
+
+    def test_zero_rows_and_unused_columns_are_dropped(self):
+        F = PowerSeries.vector(1, {MultiIndex([1, 0, 2]): [1e-300], MultiIndex([0, 1]): [1.0]})
+        scaled = 1e-300 * F
+        assert list(scaled.terms) == [MultiIndex([0, 1])]
+        assert scaled._columns.tolist() == [1] and scaled._keys.tolist() == [[1]]
+        assert scaled.nvars_used == 2 and scaled.total_degree == 1
+        empty = 0.0 * F
+        assert empty.is_zero and empty._keys.shape == (0, 0) and empty._coeffs.shape == (0, 1)
+        assert dict(empty.terms) == {}
+
+    def test_every_stack_is_read_only(self):
+        rng = np.random.default_rng(3)
+        F = random_power_series(rng, "operator", 2, 3, 3, 6)
+        G = random_power_series(rng, "vector", 2, 3, 3, 6)
+        window = TruncationParams(nvars=2, max_degree=3, dim=2)
+        for S in (F, G, op_vec_product(F, G, window), truncate(G, window), 2.0 * G,
+                  radial_dilate(G, 0.5), bohr(G), lazily_built(G)):
+            assert not S._coeffs.flags.writeable
+            assert not any(c.flags.writeable for c in S.terms.values())
+
+    def test_seriesio_round_trip_of_a_lazy_series(self):
+        F = random_power_series(np.random.default_rng(4), "operator", 2, 3, 3, 6)
+        for S in (lazily_built(F), bohr(F)):
+            assert series_from_dict(series_to_dict(S)) == S
+        assert series_to_dict(lazily_built(F)) == series_to_dict(F)
+
+    def test_array_paths_do_not_build_terms(self):
+        rng = np.random.default_rng(5)
+        F = lazily_built(random_power_series(rng, "operator", 2, 3, 3, 6))
+        G, H = (lazily_built(random_power_series(rng, "vector", 2, 3, 3, 6)) for _ in range(2))
+        window = TruncationParams(nvars=3, max_degree=4, dim=2)
+        product = op_vec_product(F, G, window)
+        D, E = bohr(F), bohr(G)
+        made = [product, D, E, bohr_inverse(E), G + H, G - H, truncate(G, window)]
+        made += [dirichlet_product(D, E, 10**6), epsilon_shift(E, 0.5), radial_dilate(G, 0.5)]
+        assert all(S._terms is None for S in (F, G, H, *made))
+
+    def test_total_degree_beyond_int64_is_rejected(self):
+        with pytest.raises(OverflowError, match="total degree"):
+            PowerSeries.vector(1, {MultiIndex([2**62, 2**62]): [1.0]})
+        with pytest.raises(OverflowError):
+            PowerSeries.vector(1, {MultiIndex([2**63]): [1.0]})
+        F = PowerSeries.vector(1, {MultiIndex([2**62, 2**62 - 1]): [1.0]})
+        assert F.total_degree == 2**63 - 1
+
+    def test_weighted_degrees_are_exact_past_int64(self):
+        alpha = MultiIndex.from_items([(40, 2**60)])
+        F = PowerSeries.vector(1, {alpha: [1.0], MultiIndex([3]): [2.0]})
+        assert F.max_weighted_degree == weighted_degree(alpha) == 41 * 2**60
+        assert list(radial_dilate(F, 0.5).terms) == [MultiIndex([3])]
