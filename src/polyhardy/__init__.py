@@ -19,7 +19,9 @@ systems of multiplier theory for vector-valued Hardy spaces:
 
 Everything is numerically checkable: norm identities that are exact
 theorems for the full spaces become quadrature-exact or
-oracle-tolerance identities here, and the test suite pins each one.
+oracle-tolerance identities here.  The ``polyhardy verify`` suites
+(:mod:`polyhardy.cli`) define each one once, as a check with a stated
+tolerance, and the test suite runs every suite over several seeds.
 """
 
 from .multiindex import (
@@ -41,7 +43,6 @@ from .series import (
 )
 from .dirichlet import (
     DirichletSeries,
-    HalfPlanePoint,
     bohr,
     bohr_inverse,
     dirichlet_product,
@@ -71,7 +72,6 @@ from .multiplier import (
 from .seriesio import (
     SeriesFormatError,
     load_series,
-    parse_series_file,
     save_series,
     series_from_dict,
     series_to_dict,
@@ -82,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CompressionMatrix",
     "DirichletSeries",
-    "HalfPlanePoint",
     "MultiIndex",
     "PowerSeries",
     "SeriesFormatError",
@@ -110,7 +109,6 @@ __all__ = [
     "multiplier_norm_schedule",
     "op_vec_product",
     "operator_norm",
-    "parse_series_file",
     "point_evaluation_bound",
     "pointwise_vs_symbolic",
     "primes",

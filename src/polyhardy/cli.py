@@ -65,11 +65,10 @@ from .series import (
 from .seriesio import (
     SeriesFormatError,
     load_series,
-    parse_series_file,
     series_to_dict,
 )
 
-__all__ = ["Check", "RunReport", "main", "parse_series_file", "run_verify"]
+__all__ = ["Check", "RunReport", "main", "run_verify"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -104,12 +103,6 @@ def check_at_most(name: str, got: float, bound: float) -> Check:
     got = float(got)
     bound = float(bound)
     return Check(name, f"<= {bound}", got, bound, got <= bound)
-
-
-def check_at_least(name: str, got: float, bound: float) -> Check:
-    got = float(got)
-    bound = float(bound)
-    return Check(name, f">= {bound}", got, bound, got >= bound)
 
 
 @dataclass
@@ -169,6 +162,20 @@ def _random_power_series(rng, kind, dim, nvars, degree, num_terms):
     return PowerSeries._from_stack(kind, dim, rows[chosen], coeffs, np.arange(rows.shape[1]))
 
 
+def _coefficient_gap(a, b, relative: bool = False) -> float:
+    """Largest Euclidean distance between the coefficients of two series
+    at any key of either; ``relative`` divides each distance by the norm
+    of ``a``'s coefficient, floored at 1e-30."""
+    worst = 0.0
+    for k in a.terms.keys() | b.terms.keys():
+        x = a.coefficient(k)
+        gap = float(np.linalg.norm(x - b.coefficient(k)))
+        if relative:
+            gap /= max(float(np.linalg.norm(x)), 1e-30)
+        worst = max(worst, gap)
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------------
@@ -205,11 +212,7 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
         if left.frequencies != right.frequencies:
             bad_support += 1
             continue
-        for n in left.frequencies:
-            worst_coeff = max(
-                worst_coeff,
-                float(np.linalg.norm(left.coefficient(n) - right.coefficient(n))),
-            )
+        worst_coeff = max(worst_coeff, _coefficient_gap(left, right))
 
     outputs = {
         "roundtrip_count": limit,
@@ -343,11 +346,9 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
             if set(dilated_product.terms) != set(product_of_dilated.terms):
                 support_mismatches += 1
                 continue
-            for alpha in dilated_product.support:
-                a = dilated_product.coefficient(alpha)
-                b = product_of_dilated.coefficient(alpha)
-                scale = max(float(np.linalg.norm(a)), 1e-30)
-                mult_gap = max(mult_gap, float(np.linalg.norm(a - b)) / scale)
+            mult_gap = max(
+                mult_gap, _coefficient_gap(dilated_product, product_of_dilated, relative=True)
+            )
 
     outputs = {"samples": count, "radii": list(radii)}
     checks = [
@@ -445,15 +446,9 @@ def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
         (b - a for a, b in zip(norms, norms[1:])), default=-np.inf
     )
     identity_exact = 0 if epsilon_shift(E, 0.0) == E else 1
-    semigroup_gap = 0.0
     twice = epsilon_shift(epsilon_shift(E, 0.3), 0.45)
     once = epsilon_shift(E, 0.75)
-    for n in set(twice.frequencies) | set(once.frequencies):
-        a, b = twice.coefficient(n), once.coefficient(n)
-        semigroup_gap = max(
-            semigroup_gap,
-            float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-30),
-        )
+    semigroup_gap = _coefficient_gap(once, twice, relative=True)
 
     outputs = {"samples": count, "epsilon_grid": eps_grid, "epsilon_norms": norms}
     checks = [
@@ -528,14 +523,31 @@ _SUITES = {
 VERIFY_SUITES = tuple(_SUITES)
 
 
+def _suite_value(suite: str, key: str, value, kind: type):
+    """``value`` as the ``kind`` of ``key``'s default, checked as ``run_verify`` states."""
+    if kind is float:
+        return float(value)
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"verify {suite} needs an integer {key}, got {value!r}")
+    if key not in ("seed", "degree") and value < 1:
+        raise ValueError(f"verify {suite} needs {key} >= 1, got {value!r}")
+    return int(value)
+
+
 def run_verify(suite: str, **params) -> RunReport:
     """Run a named verification suite and return its report.
 
     Known suites: bohr, parseval, cole-gamelin, dilation, toeplitz,
     diagonal, dirichlet, recover.  Every suite takes ``seed`` (default
     0); parameters not supplied fall back to the suite's defaults, and a
-    parameter the suite does not read raises ``ValueError``.  The report
-    lists every parameter the suite used.
+    parameter the suite does not read raises ``ValueError``, as does a
+    non-integral value of an integer parameter, or one below 1 other than
+    ``seed`` and ``degree``, since such a run would measure nothing.  The
+    report lists every parameter the suite used.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
@@ -547,7 +559,10 @@ def run_verify(suite: str, **params) -> RunReport:
             f"verify {suite} does not use {', '.join(unused)}; "
             f"it takes {', '.join(defaults)}"
         )
-    used = {key: type(value)(params.get(key, value)) for key, value in defaults.items()}
+    used = {
+        key: _suite_value(suite, key, params.get(key, value), type(value))
+        for key, value in defaults.items()
+    }
     start = time.perf_counter()
     outputs, checks = runner(used)
     return RunReport(
@@ -565,11 +580,25 @@ def run_verify(suite: str, **params) -> RunReport:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _comma_list(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return _comma_list(text, float)
+
+
+def _comma_list(text: str, convert) -> list:
+    values = [convert(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return values
+
+
+def _degree(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _one_value(values: list | None, flag: str, default):
@@ -611,15 +640,6 @@ def _cmd_transform(args) -> RunReport:
         wall_time_s=time.perf_counter() - start,
     )
     return report
-
-
-def _coefficient_gap(a, b) -> float:
-    """Largest Euclidean distance between the coefficients of two series."""
-    gaps = (
-        float(np.linalg.norm(a.coefficient(k) - b.coefficient(k)))
-        for k in a.terms.keys() | b.terms.keys()
-    )
-    return max(gaps, default=0.0)
 
 
 def _cmd_product(args) -> RunReport:
@@ -797,7 +817,7 @@ def _cmd_verify(args) -> RunReport:
 #: command reads, so argparse rejects the rest.
 _SHARED_OPTIONS = {
     "nvars": {"type": int, "help": "number of variables"},
-    "degree": {"type": int, "help": "total-degree bound"},
+    "degree": {"type": _degree, "help": "total-degree bound"},
     "dim": {"type": int, "help": "coefficient dimension"},
     "p": {"type": float, "default": 2.0, "help": "norm exponent (default 2)"},
     "grid": {"type": _int_list, "help": "grid points per variable (comma list for schedules)"},

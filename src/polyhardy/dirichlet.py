@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .series import (
 
 __all__ = [
     "DirichletSeries",
-    "HalfPlanePoint",
     "bohr",
     "bohr_inverse",
     "dirichlet_product",
@@ -56,18 +54,6 @@ __all__ = [
 
 #: Most cosines ``recover_coefficient`` holds at once (8 MB).
 _LINE_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Point ``s = sigma + i t`` of the complex plane, named by its
-    horizontal position since everything here lives on half-planes."""
-
-    sigma: float
-    t: float = 0.0
-
-    def __complex__(self) -> complex:
-        return complex(self.sigma, self.t)
 
 
 class DirichletSeries(_SparseSeries):
@@ -149,9 +135,7 @@ def dirichlet_product(
     return DirichletSeries._from_stack("vector", D.dim, keys, sums)
 
 
-def evaluate_dirichlet(
-    D: DirichletSeries, s: HalfPlanePoint | complex
-) -> np.ndarray:
+def evaluate_dirichlet(D: DirichletSeries, s: complex) -> np.ndarray:
     """Finite sum ``sum a_n n^(-s)`` with ``n^(-s) = exp(-s ln n)``.
 
     Converges everywhere since the series is finitely supported; the real

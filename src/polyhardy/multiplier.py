@@ -70,11 +70,6 @@ def assemble_compression(
         raise ValueError("compression requires an operator-valued symbol")
     if F.dim != trunc.dim:
         raise ValueError(f"dimension mismatch: symbol {F.dim} vs window {trunc.dim}")
-    if trunc.exponent != 2:
-        raise ValueError(
-            "compression matrices realize the p = 2 coefficient inner product; "
-            "use hp_rayleigh_lower_bound for other exponents"
-        )
     basis, rows = _simplex_table(*_simplex_shape(trunc.nvars, trunc.max_degree))
     columns = np.array(sorted({*range(trunc.nvars), *F._columns.tolist()}), dtype=np.int64)
     symbol = _widen(F, columns)

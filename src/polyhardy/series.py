@@ -59,13 +59,11 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @dataclass(frozen=True)
 class TruncationParams:
     """Finite computation window: first ``nvars`` variables, total degree
-    at most ``max_degree``, coefficient dimension ``dim``, norm exponent
-    ``exponent`` (p in [1, inf])."""
+    at most ``max_degree``, coefficient dimension ``dim``."""
 
     nvars: int
     max_degree: int
     dim: int
-    exponent: float = 2.0
 
     def __post_init__(self) -> None:
         if self.nvars < 1:
@@ -74,8 +72,6 @@ class TruncationParams:
             raise ValueError("max_degree must be non-negative")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if not self.exponent >= 1:
-            raise ValueError("exponent must satisfy p >= 1")
 
 
 def _coefficient_shape(kind: Kind, dim: int) -> tuple[int, ...]:

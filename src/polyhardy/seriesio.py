@@ -26,7 +26,6 @@ __all__ = [
     "SeriesFormatError",
     "dump_series",
     "load_series",
-    "parse_series_file",
     "save_series",
     "series_from_dict",
     "series_to_dict",
@@ -154,7 +153,3 @@ def load_series(path: str | Path) -> AnySeries:
     except json.JSONDecodeError as exc:
         raise SeriesFormatError(f"malformed JSON in {path}: {exc}") from exc
     return series_from_dict(doc)
-
-
-#: Alias matching the command-line vocabulary.
-parse_series_file = load_series

@@ -1,7 +1,10 @@
 """Shared test helpers.
 
-``random_power_series`` is the generator the ``verify`` suites use, so
-tests and suites draw their random inputs from one definition.
+The paper's identities are defined once, as the checks of the
+``polyhardy verify`` suites, and ``test_cli.py`` runs every suite over
+several seeds; the other tests add oracles, bit-for-bit comparisons and
+error paths.  ``random_power_series`` is the generator the suites use,
+so tests and suites draw their random inputs from one definition.
 """
 
 import numpy as np

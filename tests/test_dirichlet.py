@@ -20,18 +20,13 @@ from conftest import (
 )
 from polyhardy import (
     DirichletSeries,
-    HalfPlanePoint,
     MultiIndex,
     PowerSeries,
-    TruncationParams,
     bohr,
     bohr_inverse,
     dirichlet_product,
     epsilon_shift,
     evaluate_dirichlet,
-    h2_norm,
-    max_frequency_for_simplex,
-    op_vec_product,
     recover_coefficient,
 )
 from polyhardy.multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
@@ -222,60 +217,16 @@ class TestDirichletProductAgainstOracle:
             dirichlet_product(D, E, 4)
 
 
-class TestIntertwining:
-    def test_bohr_intertwines_products(self):
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            nvars = int(rng.integers(1, 4))
-            dim = int(rng.integers(1, 4))
-            F = random_power_series(rng, "operator", dim, nvars, 3, 4)
-            G = random_power_series(rng, "vector", dim, nvars, 3, 4)
-            window = TruncationParams(
-                nvars=nvars, max_degree=F.total_degree + G.total_degree, dim=dim
-            )
-            left = bohr(op_vec_product(F, G, window))
-            right = dirichlet_product(
-                bohr(F),
-                bohr(G),
-                max_frequency_for_simplex(nvars, window.max_degree),
-            )
-            assert left.frequencies == right.frequencies
-            for n in left.frequencies:
-                np.testing.assert_allclose(
-                    left.coefficient(n), right.coefficient(n), atol=1e-12
-                )
-
-
 class TestEvaluate:
     def test_frequency_one_is_constant(self):
         x = np.array([1.0, -1.0])
         D = DirichletSeries.vector(2, {1: x})
-        for s in (0.0, 2.0, HalfPlanePoint(3.0, -5.0)):
+        for s in (0.0, 2.0, 3.0 - 5.0j):
             np.testing.assert_allclose(evaluate_dirichlet(D, s), x)
 
     def test_frequency_two_at_one(self):
         D = DirichletSeries.vector(1, {2: [1.0]})
         np.testing.assert_allclose(evaluate_dirichlet(D, 1.0), [0.5])
-
-    def test_halfplane_point_equals_complex(self):
-        rng = np.random.default_rng(5)
-        D = bohr(random_power_series(rng, "vector", 2, 2, 3, 5))
-        np.testing.assert_allclose(
-            evaluate_dirichlet(D, HalfPlanePoint(1.5, 2.0)),
-            evaluate_dirichlet(D, 1.5 + 2.0j),
-        )
-
-    def test_product_evaluation_factorizes(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            dim = int(rng.integers(1, 4))
-            D = bohr(random_power_series(rng, "operator", dim, 2, 2, 4))
-            E = bohr(random_power_series(rng, "vector", dim, 2, 2, 4))
-            P = dirichlet_product(D, E, max_frequency_for_simplex(2, 4))
-            s = 2.0
-            lhs = evaluate_dirichlet(P, s)
-            rhs = evaluate_dirichlet(D, s) @ evaluate_dirichlet(E, s)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
@@ -288,11 +239,6 @@ class TestEvaluate:
 
 
 class TestEpsilonShift:
-    def test_zero_is_identity(self):
-        rng = np.random.default_rng(8)
-        D = bohr(random_power_series(rng, "vector", 2, 2, 3, 5))
-        assert epsilon_shift(D, 0.0) == D
-
     def test_explicit_scaling(self):
         D = DirichletSeries.vector(1, {4: [3.0]})
         np.testing.assert_allclose(
@@ -302,13 +248,6 @@ class TestEpsilonShift:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             epsilon_shift(DirichletSeries.vector(1), -0.1)
-
-    def test_norm_nonincreasing_in_eps(self):
-        rng = np.random.default_rng(9)
-        D = bohr(random_power_series(rng, "vector", 2, 3, 3, 8))
-        norms = [h2_norm(epsilon_shift(D, 0.1 * k)) for k in range(11)]
-        for a, b in zip(norms, norms[1:]):
-            assert b <= a + 1e-15
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(10)

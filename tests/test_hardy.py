@@ -35,16 +35,6 @@ from polyhardy import (
 )
 
 
-def geometric_tail_bound(t, nvars, degree):
-    """Tail of sum over |alpha| > degree of t^|alpha| with multiplicities:
-    at most C(m + N - 1, N - 1) indices of degree m, so 1 (N=1) or m+1 (N=2)."""
-    K = degree
-    if nvars == 1:
-        return t ** (K + 1) / (1 - t)
-    assert nvars == 2
-    return t ** (K + 1) * ((K + 2) - (K + 1) * t) / (1 - t) ** 2
-
-
 class TestTorusGrid:
     def test_node_layout(self):
         grid = TorusGrid(nvars=2, points_per_var=4, radius=0.5)
@@ -135,13 +125,6 @@ class TestHpNorm:
         F = PowerSeries.vector(1, {MultiIndex([1]): [1.0]})
         grid = TorusGrid(nvars=1, points_per_var=8, radius=1.0)
         assert hp_norm(F, 4.0, grid) == pytest.approx(1.0)
-
-    def test_matches_parseval_at_exact_resolution(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            F = random_power_series(rng, "vector", 2, 3, 4, 8)
-            grid = TorusGrid(nvars=3, points_per_var=9, radius=1.0)
-            assert hp_norm(F, 2.0, grid) == pytest.approx(h2_norm(F), rel=1e-10)
 
     def test_p_below_one_rejected(self):
         F = PowerSeries.vector(1, {MultiIndex(): [1.0]})
@@ -455,22 +438,6 @@ class TestColeGamelinKernel:
                 kernel.coefficient(MultiIndex([k])), [2.0 * amp * 0.5**k]
             )
 
-    def test_norm_approaches_target_within_tail_bound(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            nvars = int(rng.integers(1, 3))
-            x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            z = 0.7 * rng.random(nvars) * np.exp(2j * np.pi * rng.random(nvars))
-            degree = 40
-            kernel = cole_gamelin_kernel(x, z, degree)
-            target = float(np.linalg.norm(x))
-            bound = (
-                target
-                * float(np.prod(1 - np.abs(z) ** 2))
-                * geometric_tail_bound(float(np.max(np.abs(z) ** 2)), nvars, degree)
-            )
-            assert abs(h2_norm(kernel) - target) <= bound + 1e-12
-
     def test_value_at_base_point(self):
         x = np.array([1.0 + 0j])
         z = np.array([0.5, 0.3])
@@ -550,16 +517,6 @@ class TestColeGamelinKernel:
         assert kernel.support == tuple(MultiIndex([k]) for k in range(4))
         for c in kernel.terms.values():
             assert not c.flags.writeable
-
-    def test_point_evaluation_inequality(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            nvars = int(rng.integers(1, 4))
-            G = random_power_series(rng, "vector", 2, nvars, 4, 6)
-            z = 0.9 * rng.random(nvars) * np.exp(2j * np.pi * rng.random(nvars))
-            lhs = float(np.linalg.norm(evaluate_power(G, z)))
-            rhs = h2_norm(G) * point_evaluation_bound(z, 2.0)
-            assert lhs <= rhs + 1e-10
 
     @pytest.mark.parametrize("point", [[np.nan], [0.5, complex(np.nan, 0.1)], [0.1, complex(0, np.nan)]])
     def test_non_finite_points_rejected(self, point):

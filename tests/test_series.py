@@ -371,15 +371,11 @@ class TestTruncationParams:
             {"nvars": 0, "max_degree": 1, "dim": 1},
             {"nvars": 1, "max_degree": -1, "dim": 1},
             {"nvars": 1, "max_degree": 1, "dim": 0},
-            {"nvars": 1, "max_degree": 1, "dim": 1, "exponent": 0.5},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TruncationParams(**kwargs)
-
-    def test_infinite_exponent_allowed(self):
-        assert TruncationParams(1, 1, 1, exponent=np.inf).exponent == np.inf
 
 
 def assert_matches_term_by_term(op, F, mapping):
