@@ -52,10 +52,6 @@ __all__ = [
     "recover_coefficient",
 ]
 
-#: Most cosines ``recover_coefficient`` holds at once (8 MB).
-_LINE_BLOCK = 1 << 20
-
-
 class DirichletSeries(_SparseSeries):
     """Immutable sparse series ``sum a_n n^(-s)``; frequencies are
     positive and stay within 64-bit range."""
@@ -172,24 +168,50 @@ def recover_coefficient(
     """Vertical-line average ``(1/2R) * integral_{-R}^{R} D(sigma+it) n^(sigma+it) dt``.
 
     The integrand is ``sum_m a_m (n/m)^(sigma+it)``, so the average is
-    ``sum_m w_m a_m`` with one real weight per term: the trapezoid rule on
-    ``grid_points`` uniform nodes of step ``h = 2R / (grid_points - 1)``,
-    symmetric about t = 0, applied to ``exp((sigma + i t) L)`` with
-    ``L = log(n/m)``.  On symmetric nodes the sines of +t and -t cancel,
-    so ``w_m`` is ``(n/m)^sigma`` times the rule folded onto ``t >= 0``
-    and applied to ``cos(t L)``: one cosine per term and pair of nodes.
-    The weights come from one matrix-vector product per block of terms
-    (at most ``_LINE_BLOCK`` cosines at once) and are contracted with the
-    stacked coefficients; no per-node coefficient array is formed.
+    ``sum_m (n/m)^sigma w_m a_m`` with one real weight per term: the
+    trapezoid rule on P = ``grid_points`` uniform nodes
+    ``t_k = h (k - (P-1)/2)`` of step ``h = 2R / (P-1)``, divided by 2R,
+    applied to ``exp(i t L)`` with ``L = log(n/m)``.  With
+    ``theta = h L`` the node sum is a Dirichlet kernel,
+    ``sum_k exp(i theta (k - (P-1)/2)) = D_P(theta) = sin(P theta/2) / sin(theta/2)``
+    (``D_P(0) = P``), and the two end nodes t = +-R carry half weight, so
 
-    For a finite series the term at frequency n is reproduced exactly in
-    the limit.  On a grid of step h every other frequency m contributes
-    exactly ``a_m (n/m)^sigma sin(R L) / (R L) * x cot x`` with
-    ``L = log(n/m)`` and ``x = h L / 2``, so the error decays like O(1/R)
-    modulated by the oscillating sine.  ``sigma`` should be moderately
-    large (2 is comfortable) so the integrand is well scaled.  ``n`` must
-    be a frequency; ``sigma`` and ``R`` must be finite, and a ``(n/m)^sigma``
-    beyond the float range raises ``ValueError``.
+        ``w = (D_P(theta) - cos((P-1) theta / 2)) / (P-1)``,
+
+    the exact trapezoid value in O(1) per term: the cost is O(T) for T
+    terms whatever ``grid_points`` is, and no node array is formed.  Both
+    D_P and the cosine change only by the sign ``(-1)^(j (P-1))`` when
+    theta moves by ``2 pi j``, so theta is reduced first: in turns,
+    ``c = theta / (2 pi)`` splits into the nearest integer j and
+    ``x = c - j`` in [-1/2, 1/2], a subtraction that is exact in floating
+    point, and the kernel is evaluated as ``P sinc(P x) / sinc(x)``, which
+    has no 0/0 at theta = 2 pi j.  This is the classical
+    ``sin(R L) / (R L) * y cot y`` with ``y = h L / 2`` for the terms
+    m != n, so every other frequency leaves an error that decays like
+    O(1/R), modulated by the oscillating sine; the term m = n gets weight
+    exactly 1.
+
+    *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u), the turns
+    c carry a relative error of at most gamma_7 (the step, pi, the
+    logarithm to within one ulp, two products) plus an absolute one of
+    ``u R / (pi (P-1))`` from rounding n/m.  Since w is a weighted
+    average of ``cos(2 pi c (k - (P-1)/2))``, ``|dw/dc| <= pi (P-1)``, so
+    these move w by at most ``gamma_7 R |L| + gamma_1 R``.  Evaluating the
+    kernel at x adds at most gamma_50 when sin and cos are within one
+    ulp: the arguments carry relative errors of gamma_3, which move
+    ``P sinc(P x)`` by at most ``2 P gamma_3`` (as ``|z S'(z)| <= 2`` for
+    ``S(z) = sin(z)/z``) and ``sinc(x)``, which is at least 2/pi, by a
+    relative gamma_2 (as ``|z S'(z) / S(z)| <= 1`` for ``|z| <= pi/2``).
+    The scale ``(n/m)^sigma = exp(sigma L)`` is within
+    ``|sigma| (gamma_3 |L| + gamma_1) + gamma_2`` relatively, and the
+    product and the contraction of T terms add gamma_{T+1}.  So the
+    result is within
+    ``sum_m |a_m| (n/m)^sigma (gamma_8 (R + |sigma|) (1 + |L_m|) + gamma_{T+53})``
+    of the exact average of the trapezoid rule.  ``sigma`` should be
+    moderately large (2 is comfortable) so that the integrand is well
+    scaled.  ``n`` must be a frequency; ``sigma`` and ``R`` must be
+    finite, and a ``(n/m)^sigma`` beyond the float range raises
+    ``ValueError``.
     """
     n = operator.index(n)
     if n < 1:
@@ -202,28 +224,21 @@ def recover_coefficient(
     R = float(R)
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"R must be finite and positive, got {R}")
-    grid_points = operator.index(grid_points)
-    if grid_points < 2:
+    P = operator.index(grid_points)
+    if P < 2:
         raise ValueError("grid_points must be at least 2")
 
-    # Nodes t_k = h (k - (P - 1) / 2) are symmetric about 0, so the sines
-    # of +-t cancel: only t >= 0 is kept, each t > 0 standing for +-t.
-    h = 2.0 * R / (grid_points - 1)
-    t = h * (np.arange(grid_points // 2, grid_points) - (grid_points - 1) / 2)
-    fold = np.full(len(t), 2.0 / (grid_points - 1))  # trapezoid weights / 2R, folded
-    fold[-1] /= 2
-    if grid_points % 2:
-        fold[0] /= 2  # the node t = 0 has no mirror
     logs = np.array([math.log(n / m) for m in D._keys.tolist()])
     with np.errstate(over="ignore"):  # reported below
         scales = np.exp(sigma * logs)
     if not np.isfinite(scales).all():
         m = D._keys[np.argmax(scales)]  # the first inf
         raise ValueError(f"(n/m)^sigma overflows at sigma={sigma} for n/m = {n}/{m}")
-    weights = np.empty(len(logs))
-    rows = max(1, _LINE_BLOCK // len(t))
-    for start in range(0, len(logs), rows):
-        block = logs[start : start + rows]
-        weights[start : start + rows] = np.cos(np.multiply.outer(block, t)) @ fold
+    turns = logs * (R / (math.pi * (P - 1)))  # h L / 2 pi
+    j = np.rint(turns)
+    x = turns - j
+    weights = (P * np.sinc(P * x) / np.sinc(x) - np.cos(math.pi * (P - 1) * x)) / (P - 1)
+    if P % 2 == 0:
+        weights[np.fmod(j, 2) != 0] *= -1.0  # (-1)^(j (P-1))
     weights *= scales
     return np.tensordot(weights, D._coeffs, axes=1)

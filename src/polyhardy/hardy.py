@@ -6,9 +6,13 @@ Grid values are one inverse DFT of the folded coefficients, exact for
 every grid size; Fourier coefficients are one forward DFT of the values.
 Folding and extraction go by one index array: the flat cell ``alpha mod
 M`` of every term, from its exponent row, so the fold is one in-order
-``np.add.at`` and the extraction one fancy index.  The grid tensor is
-laid out coefficient axes first and node axes last, so the transform
-runs over the trailing axes and per-node arithmetic broadcasts over
+``np.add.at`` and the extraction one fancy index.  The fold fills only
+the box of cells the exponents reach, ``min(e + 1, M)`` along a variable
+whose largest exponent is e, and the inverse DFT zero-pads each axis to
+M as it transforms it, so a grid much finer than the degree runs 1-D
+passes only over lines that can be nonzero.  The grid tensor is laid
+out coefficient axes first and node axes last, so the transform runs
+over the trailing axes and per-node arithmetic broadcasts over
 contiguous rows of node values.
 Quadrature exactness, not evaluation, is what needs enough points per
 variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
@@ -103,13 +107,17 @@ def h2_norm(F) -> float:
     return float(np.linalg.norm(F._coeffs))
 
 
-def _cells(columns: np.ndarray, rows: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Row of cell ``alpha mod M`` in a flattened ``M^N`` grid tensor, and
-    the total degree, of each exponent row over the increasing positions
-    ``columns``, all below ``grid.nvars``: the rows a series holds, read
-    as they are."""
+def _cells(
+    columns: np.ndarray, rows: np.ndarray, grid: TorusGrid, box: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row of cell ``alpha mod M`` in a flattened grid tensor of shape
+    ``box`` (by default the full ``M^N``), and the total degree, of each
+    exponent row over the increasing positions ``columns``, all below
+    ``grid.nvars``: the rows a series holds, read as they are."""
     M = grid.points_per_var
-    return (rows % M) @ M ** (grid.nvars - 1 - columns), rows.sum(axis=1)
+    box = box or (M,) * grid.nvars
+    strides = np.cumprod((1, *box[:0:-1]))[::-1]  # C order
+    return (rows % M) @ strides[columns], rows.sum(axis=1)
 
 
 def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
@@ -121,28 +129,42 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     fold is one in-order ``np.add.at`` over the cell of each term, so terms
     that share a cell are summed in ``terms`` order.
 
-    The tensor is laid out coefficient axes first, ``(*shape, M, ..., M)``,
+    Only the box ``b_1 x ... x b_N`` of cells that can be nonzero is
+    formed, with ``b_k = min(largest exponent of variable k + 1, M)`` and
+    ``b_k = 1`` for a variable the series does not use; ``np.fft.ifftn``
+    with ``s = (M,) * N`` zero-pads each axis only as it transforms that
+    axis, so each 1-D pass runs only over lines that can be nonzero.  The
+    lines it does transform hold the numbers of the full tensor's, so the
+    values are its bytes wherever the transform of a zero line is +0,
+    which holds for every M below 89 (for some prime M from 89 up,
+    numpy's Bluestein path returns -0 there, so only the sign of an exact
+    zero may differ).
+
+    The tensor is laid out coefficient axes first, ``(*shape, b_1, ..., b_N)``,
     and transformed over its trailing grid axes, so each coefficient entry
     is one contiguous block of node values; every 1-D transform sees the
-    same numbers as on a node-first tensor, so the values are the same
-    bytes.  The result is a node-first view of that node-last tensor: its
-    ``np.moveaxis(values, 0, -1)`` is the contiguous ``(*shape, num_nodes)``
-    array.
+    same numbers as on a node-first tensor.  The result is a node-first
+    view of that node-last tensor: its ``np.moveaxis(values, 0, -1)`` is
+    the contiguous ``(*shape, num_nodes)`` array.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
             f"grid covers {grid.nvars} variables but the series uses {F.nvars_used}"
         )
     shape = _coefficient_shape(F.kind, F.dim)
-    cells, degrees = _cells(F._columns, F._keys, grid)
+    M = grid.points_per_var
+    box = np.ones(grid.nvars, dtype=np.int64)
+    box[F._columns] = np.minimum(F._keys.max(axis=0, initial=0) + 1, M)
+    box = tuple(box.tolist())
+    cells, degrees = _cells(F._columns, F._keys, grid, box)
     # Python float powers, one per degree: the ``r ** |alpha|`` each term took
     powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
     rank = len(shape)
     node_first = (rank, *range(rank))  # axes of a (*shape, num_nodes) array, node axis first
-    folded = np.zeros(shape + (grid.points_per_var,) * grid.nvars, dtype=np.complex128)
+    folded = np.zeros(shape + box, dtype=np.complex128)
     scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coeffs
-    np.add.at(folded.reshape(*shape, grid.num_nodes).transpose(node_first), cells, scaled)
-    values = np.fft.ifftn(folded, axes=range(rank, folded.ndim))
+    np.add.at(folded.reshape(*shape, -1).transpose(node_first), cells, scaled)
+    values = np.fft.ifftn(folded, s=(M,) * grid.nvars, axes=range(rank, folded.ndim))
     values *= grid.num_nodes
     return values.reshape(*shape, grid.num_nodes).transpose(node_first)
 

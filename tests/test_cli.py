@@ -7,9 +7,11 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyhardy
-from conftest import assert_same_bits, random_power_series
+from conftest import assert_same_bits, random_power_series, terms
 from polyhardy import (
     DirichletSeries,
     MultiIndex,
@@ -23,7 +25,7 @@ from polyhardy import (
     series_from_dict,
     simplex,
 )
-from polyhardy.cli import main, run_verify
+from polyhardy.cli import _coefficient_gap, main, run_verify
 
 
 def run(argv, capsys):
@@ -320,6 +322,13 @@ class TestVerify:
         assert envelopes == sorted(envelopes, reverse=True)
         assert envelopes[-1] < 1e-3
 
+    def test_recover_draws_its_series_from_the_seed(self):
+        drawn = {
+            (tuple(r.outputs["frequencies"]), r.outputs["frequency"], tuple(r.outputs["errors"]))
+            for r in (run_verify("recover", seed=seed) for seed in range(5))
+        }
+        assert len(drawn) == 5
+
     def test_toeplitz_endpoint_is_the_closed_form(self):
         report = run_verify("toeplitz", count=5)
         check = report.checks[0]
@@ -360,6 +369,38 @@ def test_random_series_same_bits_as_constructor(kind, seed):
     for _ in range(3):  # later draws see the same stream
         assert_same_bits(random_power_series(rng, *args), random_series_by_constructor(reference, *args))
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def coefficient_gap_by_key(a, b, relative):
+    """The per-key loop ``_coefficient_gap`` replaces."""
+    worst = 0.0
+    for k in a.terms.keys() | b.terms.keys():
+        gap = float(np.linalg.norm(a.coefficient(k) - b.coefficient(k)))
+        if relative:
+            gap /= max(float(np.linalg.norm(a.coefficient(k))), 1e-30)
+        worst = max(worst, gap)
+    return worst
+
+
+class TestCoefficientGap:
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @given(data=st.data(), relative=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_same_bits_as_the_per_key_norms(self, kind, dim, data, relative):
+        a, b = (
+            DirichletSeries(kind, dim, data.draw(terms(st.integers(1, 12), kind, dim)))
+            for _ in range(2)
+        )
+        assert _coefficient_gap(a, b, relative) == coefficient_gap_by_key(a, b, relative)
+
+    def test_non_finite_gap_is_returned(self):
+        # 2e200 squared overflows, so the gap at frequency 1 is inf, and
+        # inf / inf is NaN once it is divided by the norm of a's 1e200
+        a = DirichletSeries.vector(1, {1: [1e200], 2: [1.0]})
+        b = DirichletSeries.vector(1, {1: [-1e200], 2: [1.0]})
+        assert _coefficient_gap(a, b) == math.inf
+        assert math.isnan(_coefficient_gap(a, b, relative=True))
 
 
 @pytest.mark.parametrize(

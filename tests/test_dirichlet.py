@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,3 +426,87 @@ class TestRecoverAgainstClosedForm:
         # overflow is reported, not warned about.
         with pytest.raises(ValueError, match=rf"sigma={re.escape(str(sigma))}.*n/m = {ratio}"):
             recover_coefficient(DirichletSeries.vector(1, terms), n, sigma, 10.0, 11)
+
+
+def recovery_bound(D, n, sigma, R):
+    """``recover_coefficient``'s rounding bound from its docstring:
+    ``sum_m |a_m| (n/m)^sigma (gamma_8 (R + |sigma|) (1 + |L_m|) + gamma_{T+53})``."""
+    return sum(
+        float(np.linalg.norm(a))
+        * (n / m) ** sigma
+        * (gamma(8) * (R + abs(sigma)) * (1 + abs(math.log(n / m))) + gamma(D.num_terms + 53))
+        for m, a in D.terms.items()
+    )
+
+
+def distance(got, want) -> float:
+    """Euclidean distance, in 40-digit arithmetic, between a float array
+    and a list of mpmath values of its flattened entries."""
+    with mpmath.workdps(40):
+        squares = (abs(mpmath.mpc(g) - w) ** 2 for g, w in zip(got.ravel(), want))
+        return float(mpmath.sqrt(mpmath.fsum(squares)))
+
+
+def trapezoid_by_direct_sum(D, n, sigma, R, grid_points):
+    """The trapezoid rule's window average node by node in 40-digit
+    arithmetic, from the exact step and logarithms: ``sum_m a_m (n/m)^sigma
+    sum_k c_k cos(t_k L) / (P - 1)`` with ``c_k = 1/2`` at the two ends,
+    one entry per flattened coefficient entry."""
+    P = grid_points
+    with mpmath.workdps(40):
+        h = 2 * mpmath.mpf(R) / (P - 1)
+        ends = {0, P - 1}
+        total = [mpmath.mpc(0)] * int(np.prod(D.coefficient(n).shape))
+        for m, a in D.terms.items():
+            L = mpmath.log(mpmath.mpf(n) / m)
+            average = mpmath.fsum(
+                mpmath.cos(h * (k - mpmath.mpf(P - 1) / 2) * L) / (2 if k in ends else 1)
+                for k in range(P)
+            ) / (P - 1)
+            weight = (mpmath.mpf(n) / m) ** sigma * average
+            total = [t + weight * mpmath.mpc(c) for t, c in zip(total, a.ravel())]
+        return total
+
+
+class TestRecoverAgainstDirectSum:
+    """``recover_coefficient``'s Dirichlet-kernel form equals the node-by-node
+    trapezoid sum in 40 digits within the rounding bound its docstring
+    derives, on windows that wrap ``h L`` past 2 pi and on windows with
+    ``h L`` within 1e-9 of ``2 pi j``, where ``y cot y`` is 0 times infinity."""
+
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    @pytest.mark.parametrize(
+        "sigma, R, grid_points", [(2.0, 5.0, 2), (1.0, 5.0, 3), (0.5, 3.0, 11), (2.0, 40.0, 8001)]
+    )
+    def test_random_series(self, kind, sigma, R, grid_points):
+        rng = np.random.default_rng(5)
+        D = bohr(random_power_series(rng, kind, 2, 2, 3, 4))
+        for n in [D.frequencies[0], 10]:
+            got = recover_coefficient(D, n, sigma, R, grid_points)
+            want = trapezoid_by_direct_sum(D, n, sigma, R, grid_points)
+            assert distance(got, want) <= recovery_bound(D, n, sigma, R)
+
+    @pytest.mark.parametrize("grid_points", [11, 12])
+    @pytest.mark.parametrize("turns", [1, 3])
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    def test_near_whole_turns(self, grid_points, turns, offset):
+        # h L = 2 pi turns + offset with h = 2R / (P - 1); for even P the
+        # kernel's sign is (-1)^turns
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0 - 1.0j]})
+        R = (2 * math.pi * turns + offset) * (grid_points - 1) / (2 * abs(math.log(2 / 3)))
+        got = recover_coefficient(D, 2, 2.0, R, grid_points)
+        want = trapezoid_by_direct_sum(D, 2, 2.0, R, grid_points)
+        assert distance(got, want) <= recovery_bound(D, 2, 2.0, R)
+
+    def test_cost_does_not_grow_with_the_grid(self):
+        # a node array would hold 2^39 cosines; the closed form
+        # sin(R L) / (R L) y cot y, y = h L / 2, needs none
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        P, R = 2**40, 50.0
+        with mpmath.workdps(40):
+            L = mpmath.log(mpmath.mpf(2) / 3)
+            y = R / (P - 1) * L
+            cross = (mpmath.mpf(2) / 3) ** 2 * mpmath.sin(R * L) / (R * L) * y / mpmath.tan(y)
+            want = [3 + 5 * cross]
+        got = recover_coefficient(D, 2, 2.0, R, P)
+        assert distance(got, want) <= recovery_bound(D, 2, 2.0, R)

@@ -586,15 +586,16 @@ _PARTS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 @st.composite
 def folded_series(draw):
     """A vector or operator series on 1-3 variables with exponents up to 9,
-    and a grid of 1-6 points per variable (so cells often collide) at a
-    radius in (0, 1]."""
+    and a grid of 1-24 points per variable (cells often collide below 10
+    points, and above the largest exponent the fold fills only a box of
+    the grid) at a radius in (0, 1]."""
     kind = draw(st.sampled_from(["vector", "operator"]))
     dim = draw(st.integers(min_value=1, max_value=3))
     nvars = draw(st.integers(min_value=1, max_value=3))
     keys = st.lists(st.integers(0, 9), max_size=nvars).map(MultiIndex)
     F = PowerSeries(kind, dim, draw(terms(keys, kind, dim, max_size=8, values=_PARTS)))
     radius = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]) | st.floats(min_value=1e-3, max_value=1.0))
-    return F, TorusGrid(nvars, draw(st.integers(min_value=1, max_value=6)), radius)
+    return F, TorusGrid(nvars, draw(st.integers(min_value=1, max_value=24)), radius)
 
 
 class TestGridFoldBits:
