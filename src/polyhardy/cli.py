@@ -58,6 +58,7 @@ from .multiplier import (
 from .series import (
     PowerSeries,
     TruncationParams,
+    _aligned,
     evaluate_power,
     op_vec_product,
     radial_dilate,
@@ -167,14 +168,10 @@ def _coefficient_gap(a, b, relative: bool = False) -> float:
     """Largest Euclidean distance between the coefficients of two series
     at any key of either; ``relative`` divides each distance by the norm
     of ``a``'s coefficient, floored at 1e-30.  Both coefficient stacks are
-    aligned once on the union of keys and their row norms taken together
-    (each the bits of ``np.linalg.norm``); a non-finite gap is returned,
-    not passed over."""
-    slots = {k: i for i, k in enumerate({**a.terms, **b.terms})}
-    width = math.prod(a._coeffs.shape[1:])
-    x, y = (np.zeros((len(slots), width), dtype=np.complex128) for _ in range(2))
-    x[[slots[k] for k in a.terms]] = a._coeffs.reshape(-1, width)
-    y[[slots[k] for k in b.terms]] = b._coeffs.reshape(-1, width)
+    aligned once on the union of keys (``series._aligned``) and their row
+    norms taken together (each the bits of ``np.linalg.norm``); a
+    non-finite gap is returned, not passed over."""
+    x, y = (s.reshape(-1, math.prod(s.shape[1:])) for s in _aligned(a, b))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gap is the result
         gaps = _row_norms(x - y)
         if relative:

@@ -211,7 +211,8 @@ def recover_coefficient(
     moderately large (2 is comfortable) so that the integrand is well
     scaled.  ``n`` must be a frequency; ``sigma`` and ``R`` must be
     finite, and a ``(n/m)^sigma`` beyond the float range raises
-    ``ValueError``.
+    ``ValueError``, as does a step ``h |L|`` of 2^52 turns or more, where
+    the turns c keep no fractional bit and the bound above says nothing.
     """
     n = operator.index(n)
     if n < 1:
@@ -231,10 +232,13 @@ def recover_coefficient(
     logs = np.array([math.log(n / m) for m in D._keys.tolist()])
     with np.errstate(over="ignore"):  # reported below
         scales = np.exp(sigma * logs)
+        turns = logs * (R / (math.pi * (P - 1)))  # h L / 2 pi
     if not np.isfinite(scales).all():
         m = D._keys[np.argmax(scales)]  # the first inf
         raise ValueError(f"(n/m)^sigma overflows at sigma={sigma} for n/m = {n}/{m}")
-    turns = logs * (R / (math.pi * (P - 1)))  # h L / 2 pi
+    most = np.abs(turns).max(initial=0.0)
+    if most >= 2.0**52:  # x = turns - j would keep no bit of the phase
+        raise ValueError(f"one grid step spans {most:.4g} turns of h log(n/m), 2^52 or more")
     j = np.rint(turns)
     x = turns - j
     weights = (P * np.sinc(P * x) / np.sinc(x) - np.cos(math.pi * (P - 1) * x)) / (P - 1)

@@ -26,6 +26,9 @@ from .series import (
     PowerSeries,
     TruncationParams,
     _check_op_vec,
+    _check_window,
+    _group,
+    _union,
     _widen,
     _window_pairs,
     op_vec_product,
@@ -68,10 +71,9 @@ def assemble_compression(
     """
     if F.kind != "operator":
         raise ValueError("compression requires an operator-valued symbol")
-    if F.dim != trunc.dim:
-        raise ValueError(f"dimension mismatch: symbol {F.dim} vs window {trunc.dim}")
+    _check_window(F, trunc)
     basis, rows = _simplex_table(*_simplex_shape(trunc.nvars, trunc.max_degree))
-    columns = np.array(sorted({*range(trunc.nvars), *F._columns.tolist()}), dtype=np.int64)
+    columns = _union(np.arange(trunc.nvars), F._columns)
     symbol = _widen(F, columns)
     rows = np.pad(rows, ((0, 0), (0, len(columns) - trunc.nvars)))  # columns start 0..nvars-1
     i, j = _window_pairs(columns, symbol, rows, trunc)
@@ -87,17 +89,15 @@ def assemble_compression(
 def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index in ``table`` (distinct rows) of each row of ``rows``, all of which occur in it.
 
-    One stable sort of both, table rows before equal query rows, so each
-    query row's match is the last table row before it.
+    One ``series._group`` of ``table`` stacked above ``rows``: the sort is
+    stable, so each run of equal rows starts with its one table row, and
+    every member of the run is matched to that row exactly.
     """
-    stacked = np.concatenate([table, rows])
-    is_query = np.arange(len(stacked)) >= len(table)
-    order = np.lexsort((is_query, *stacked.T[::-1]))
-    query = is_query[order]
-    last_table = np.maximum.accumulate(np.where(query, 0, np.arange(len(order))))
-    positions = np.empty(len(rows), dtype=np.intp)
-    positions[order[query] - len(table)] = order[last_table[query]]
-    return positions
+    order, starts = _group(np.concatenate([table, rows]))
+    run = np.searchsorted(starts, np.arange(len(order)), side="right") - 1
+    match = np.empty(len(order), dtype=np.intp)
+    match[order] = order[starts[run]]
+    return match[len(table) :]
 
 
 def multiplier_norm_schedule(

@@ -18,13 +18,22 @@ Bohr transports read the arrays and never build it.  Exponents, positions
 and total degrees of power-series keys must fit in int64, so degree sums
 of the rows never wrap.
 
-A product lists the key pairs its window keeps, forms every kept
-coefficient product in one stacked matmul, and sums the pairs of each
-product key after one stable sort.  Rescaling each term by its own
-factor (scalar multiples, dilations, epsilon-shifts) is one array product
-over the stacked coefficients, wrapped without re-checking each one.  All
-arithmetic is exact sparse bookkeeping in complex double precision;
-truncation windows are carried explicitly via :class:`TruncationParams`.
+Every merge of keys goes through one grouping, ``_group``: a stable sort
+of the key array (frequencies, or exponent rows compared column by
+column) and the start of each run of equal keys.  The constructor and
+sums add the coefficients of each run and keep the keys in order of
+first appearance; a product lists the key pairs its window keeps, forms
+every kept coefficient product in one stacked matmul, and adds them per
+product key in sorted order; comparisons align two coefficient stacks
+on the union of their keys.  Integer keys compare exactly, and a stable
+sort lists the members of a run in the order they were given, so each
+sum is formed in a fixed order, the same on every call.
+
+Rescaling each term by its own factor (scalar multiples, dilations,
+epsilon-shifts) is one array product over the stacked coefficients,
+wrapped without re-checking each one.  All arithmetic is exact sparse
+bookkeeping in complex double precision; truncation windows are carried
+explicitly via :class:`TruncationParams`.
 """
 
 from __future__ import annotations
@@ -79,14 +88,12 @@ def _coefficient_shape(kind: Kind, dim: int) -> tuple[int, ...]:
 
 
 def _as_coefficient(value, kind: Kind, dim: int) -> np.ndarray:
-    arr = np.array(value, dtype=np.complex128, copy=True)
+    arr = np.asarray(value, dtype=np.complex128)
     expected = _coefficient_shape(kind, dim)
     if arr.shape != expected:
         raise ValueError(
             f"{kind} coefficient must have shape {expected}, got {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("coefficients must be finite (no NaN/Inf)")
     return arr
 
 
@@ -104,6 +111,16 @@ class _SparseSeries:
     type through ``_key``, which normalizes and validates one key, and
     through ``_encode``/``_decode``, which turn a list of keys into key
     arrays and back.
+
+    The constructor encodes every given key, stacks the coefficients and
+    merges equal keys through ``_group``, the one grouping of every key
+    merge: the coefficients of equal keys are added in the order they
+    were given, and the keys keep the order of their first appearance.
+    It then ends in the checks of every array path (``_from_stack``): a
+    sum that is not finite raises ``ValueError``, zero sums are dropped,
+    and columns that no key uses are trimmed.  Every given key is encoded,
+    so a key beyond the int64 range raises even when its coefficients
+    are zero.
     """
 
     __slots__ = ("_kind", "_dim", "_keys", "_columns", "_coeffs", "_values", "_terms")
@@ -119,36 +136,15 @@ class _SparseSeries:
         dim = operator.index(dim)
         if dim < 1:
             raise ValueError("dim must be at least 1")
-        accum: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, value in items:
-            key = self._key(key)
-            coeff = _as_coefficient(value, kind, dim)
-            if key in accum:
-                accum[key] = accum[key] + coeff
-            else:
-                accum[key] = coeff
-        clean = {k: c for k, c in accum.items() if c.any()}
-        shape = _coefficient_shape(kind, dim)
-        coeffs = np.array(list(clean.values()), np.complex128).reshape(-1, *shape)
-        coeffs.setflags(write=False)
-        values = list(coeffs)  # read-only views, handed out by ``terms``
-        terms = MappingProxyType(dict(zip(clean, values)))
-        self._init(kind, dim, *self._encode(list(clean)), coeffs, values, terms)
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        keys, columns = self._encode([self._key(key) for key, _ in items])
+        stack = np.array([_as_coefficient(value, kind, dim) for _, value in items], np.complex128)
+        stack = stack.reshape(-1, *_coefficient_shape(kind, dim))
+        keys, stack = _nonzero(*_merge(keys, stack))
+        self._init(kind, dim, keys, stack, columns, list(stack))
 
-    def _init(self, kind, dim, keys, columns, coeffs, values=None, terms=None):
-        self._kind = kind
-        self._dim = dim
-        self._keys = keys
-        self._columns = columns
-        self._coeffs = coeffs
-        self._values = values
-        self._terms = terms
-        return self
-
-    @classmethod
-    def _wrap(cls, kind: Kind, dim: int, keys, coeffs, columns=None, values=None):
-        """Wrap distinct key arrays and a read-only stack of nonzero, finite
+    def _init(self, kind, dim, keys, coeffs, columns=None, values=None):
+        """Hold distinct key arrays and a read-only stack of nonzero, finite
         coefficients in the same order; exponent-row columns that no key
         uses are dropped.  ``values``, when given, are the per-term arrays
         ``terms`` hands out (equal to the rows of ``coeffs``), so that
@@ -157,7 +153,13 @@ class _SparseSeries:
             used = keys.any(axis=0)
             if not used.all():
                 columns, keys = columns[used], keys[:, used]
-        return cls.__new__(cls)._init(kind, dim, keys, columns, coeffs, values)
+        self._kind, self._dim, self._keys, self._columns = kind, dim, keys, columns
+        self._coeffs, self._values, self._terms = coeffs, values, None
+        return self
+
+    @classmethod
+    def _wrap(cls, kind: Kind, dim: int, keys, coeffs, columns=None, values=None):
+        return cls.__new__(cls)._init(kind, dim, keys, coeffs, columns, values)
 
     @classmethod
     def _from_stack(cls, kind: Kind, dim: int, keys: np.ndarray, stack: np.ndarray, columns=None):
@@ -165,13 +167,7 @@ class _SparseSeries:
 
         A stack that is not finite raises the constructor's ``ValueError``.
         """
-        if not np.isfinite(stack).all():
-            raise ValueError("coefficients must be finite (no NaN/Inf)")
-        nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
-        if not nonzero.all():
-            keys, stack = keys[nonzero], stack[nonzero]
-        stack.setflags(write=False)
-        return cls._wrap(kind, dim, keys, stack, columns)
+        return cls._wrap(kind, dim, *_nonzero(keys, stack), columns)
 
     @classmethod
     def vector(cls, dim: int, terms=()):
@@ -214,26 +210,17 @@ class _SparseSeries:
             return found
         return np.zeros(_coefficient_shape(self._kind, self._dim), dtype=np.complex128)
 
+    def _same_space(self, other) -> bool:
+        return type(self) is type(other) and self._kind == other._kind and self._dim == other._dim
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _SparseSeries):
             return NotImplemented
-        if type(self) is not type(other) or self._kind != other._kind or self._dim != other._dim:
-            return False
-        mine, theirs = self.terms, other.terms
-        return mine.keys() == theirs.keys() and all(
-            np.array_equal(c, theirs[k]) for k, c in mine.items()
-        )
+        return self._same_space(other) and np.array_equal(*_aligned(self, other))
 
     def allclose(self, other: "_SparseSeries", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         """Same type, kind and dim, and coefficientwise agreement within tolerances."""
-        if type(self) is not type(other) or self._kind != other._kind or self._dim != other._dim:
-            return False
-        for key in set(self.terms) | set(other.terms):
-            if not np.allclose(
-                self.coefficient(key), other.coefficient(key), rtol=rtol, atol=atol
-            ):
-                return False
-        return True
+        return self._same_space(other) and np.allclose(*_aligned(self, other), rtol=rtol, atol=atol)
 
     def __repr__(self) -> str:
         return (
@@ -300,16 +287,8 @@ class PowerSeries(_SparseSeries):
             raise ValueError(f"kind mismatch: {self._kind} vs {other._kind}")
         if self._dim != other._dim:
             raise ValueError(f"dimension mismatch: {self._dim} vs {other._dim}")
-        positions = {*self._columns.tolist(), *other._columns.tolist()}
-        columns = np.array(sorted(positions), dtype=np.int64)
-        keys = np.concatenate([_widen(self, columns), _widen(other, columns)])
-        stack = np.concatenate([self._coeffs, other._coeffs])
-        order = np.lexsort(keys.T[::-1]) if len(columns) else np.arange(len(keys))
-        shared = np.flatnonzero((np.diff(keys[order], axis=0) == 0).all(axis=1))
-        first, second = order[shared], order[shared + 1]  # a stable sort puts self's row first
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by _from_stack
-            stack[first] = stack[first] + stack[second]
-        stack[second] = 0  # so that _from_stack drops the merged rows
+        keys, columns = _joined(self, other)
+        keys, stack = _merge(keys, np.concatenate([self._coeffs, other._coeffs]))
         return PowerSeries._from_stack(self._kind, self._dim, keys, stack, columns)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
@@ -323,6 +302,80 @@ class PowerSeries(_SparseSeries):
         return _scaled(self, scalar)
 
     __rmul__ = __mul__
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one grouping of every key merge: the stable sorting permutation
+    ``order`` of ``keys`` and the positions ``starts`` in ``keys[order]``
+    where each run of equal keys begins.
+
+    ``keys`` is a 1-d int array (frequencies) or 2-d int exponent rows,
+    compared column by column, possibly with no column (every row is the
+    empty multi-index).  Integer keys compare exactly, and the sort is
+    stable, so each run lists its members in the order they were given.
+    """
+    if keys.ndim == 1:
+        order = np.argsort(keys, kind="stable")
+    else:  # lexsort's last key is the primary one
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys.take(order, axis=0)
+    changed = ordered[1:] != ordered[:-1]
+    if keys.ndim == 2:  # some column differs; on short rows a bool matmul beats any(axis=1)
+        changed = changed @ np.ones(keys.shape[1], dtype=bool)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = changed
+    return order, np.flatnonzero(first)
+
+
+def _merge(keys: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in order of first appearance, each with the sum of its
+    rows of ``stack`` in the order they were given (a single row is kept
+    as it is); sums that are not finite are left to ``_nonzero``."""
+    order, starts = _group(keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduceat(stack[order], starts, axis=0)
+    back = np.argsort(order[starts])
+    return keys[order[starts[back]]], sums[back]
+
+
+def _nonzero(keys: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of a fresh coefficient stack, made read-only, and
+    their keys; a stack that is not finite raises ``ValueError``."""
+    if not np.isfinite(stack).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
+    if not nonzero.all():
+        keys, stack = keys[nonzero], stack[nonzero]
+    stack.setflags(write=False)
+    return keys, stack
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Increasing positions that occur in ``a`` or ``b``, as int64."""
+    return np.array(sorted({*a.tolist(), *b.tolist()}), dtype=np.int64)
+
+
+def _joined(F: _SparseSeries, G: _SparseSeries) -> tuple[np.ndarray, np.ndarray | None]:
+    """The keys of ``F`` and then of ``G`` as one array, and the columns
+    of its exponent rows, the union of theirs (``None`` for frequencies)."""
+    if F._columns is None:
+        return np.concatenate([F._keys, G._keys]), None
+    columns = _union(F._columns, G._columns)
+    return np.concatenate([_widen(F, columns), _widen(G, columns)]), columns
+
+
+def _aligned(F: _SparseSeries, G: _SparseSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient stacks of ``F`` and ``G`` (same kind and dim) on the
+    union of their keys, zero where a series has no term; one ``_group``
+    of both key arrays, whose runs are the keys of the union."""
+    keys, _ = _joined(F, G)
+    order, starts = _group(keys)
+    run = np.empty(len(keys), dtype=np.intp)
+    run[order] = np.searchsorted(starts, np.arange(len(keys)), side="right") - 1
+    x, y = (np.zeros((len(starts), *F._coeffs.shape[1:]), np.complex128) for _ in range(2))
+    x[run[: F.num_terms]] = F._coeffs
+    y[run[F.num_terms :]] = G._coeffs
+    return x, y
 
 
 def _weighted_degrees(F: PowerSeries) -> list[int]:
@@ -360,6 +413,12 @@ def _check_op_vec(F: _SparseSeries, G: _SparseSeries) -> None:
         )
     if F.dim != G.dim:
         raise ValueError(f"dimension mismatch: {F.dim} vs {G.dim}")
+
+
+def _check_window(F: _SparseSeries, trunc: TruncationParams) -> None:
+    """Raise unless the window's coefficient dimension is that of ``F``."""
+    if F.dim != trunc.dim:
+        raise ValueError(f"dimension mismatch: series {F.dim} vs window {trunc.dim}")
 
 
 def _kept_pairs(thresholds: np.ndarray, scalars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,28 +467,18 @@ def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys) -> tuple[np.ndarra
 
     ``i`` and ``j`` index the terms of ``F`` and ``G`` in ``terms``
     order, and ``keys[k]`` is the product key of pair k in array form
-    (an int, or an exponent row).  Pairs are grouped by one stable sort
-    of ``keys``; the coefficient at each distinct key is the sum of
+    (an int, or an exponent row).  Pairs are grouped by ``_group`` of
+    ``keys``; the coefficient at each distinct key is the sum of
     ``a_i @ b_j`` over its pairs, in pair order.  Returns the distinct
     keys in sorted order and their sums, for ``_from_stack``, which
     raises on sums that are not finite and drops zero sums.  Extra memory
     is O(kept pairs * (columns + d^2)).  Bilinear in (F, G).
     """
-    if keys.ndim == 1:
-        order = np.argsort(keys, kind="stable")
-    elif keys.shape[1]:
-        order = np.lexsort(keys.T[::-1])
-    else:  # every key is the empty multi-index
-        order = np.arange(len(keys))
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    changed = keys[1:] != keys[:-1]
-    first[1:] = changed if keys.ndim == 1 else changed.any(axis=1)
-    starts = np.flatnonzero(first)
+    order, starts = _group(keys)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _from_stack
         blocks = np.matmul(F._coeffs[i[order]], G._coeffs[j[order], :, None])[..., 0]
         sums = np.add.reduceat(blocks, starts, axis=0)
-    return keys[starts], sums
+    return keys[order[starts]], sums
 
 
 def op_vec_product(
@@ -440,10 +489,13 @@ def op_vec_product(
     The coefficient at alpha is ``sum over beta + gamma = alpha of
     a_beta @ b_gamma``; pairs whose sum exceeds total degree
     ``trunc.max_degree`` (or uses variables beyond ``trunc.nvars``) are
-    never formed, matching the compression window.  Bilinear in (F, G).
+    never formed, matching the compression window.  A window whose
+    ``dim`` is not that of the series raises ``ValueError``.  Bilinear in
+    (F, G).
     """
     _check_op_vec(F, G)
-    columns = np.array(sorted({*F._columns.tolist(), *G._columns.tolist()}), dtype=np.int64)
+    _check_window(F, trunc)
+    columns = _union(F._columns, G._columns)
     left, right = _widen(F, columns), _widen(G, columns)
     i, j = _window_pairs(columns, left, right, trunc)
     keys, sums = _convolve(F, G, i, j, left[i] + right[j])
@@ -493,12 +545,14 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
 
 
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:
-    """Drop terms beyond the window; idempotent.
+    """Drop terms beyond the window; idempotent.  A window whose ``dim`` is
+    not that of ``F`` raises ``ValueError``.
 
     The kept coefficients are shared with ``F``, not copied one by one:
     they are already finite, nonzero and read-only, and the arrays
     ``F.terms`` hands out, if it has built them, are handed out again.
     """
+    _check_window(F, trunc)
     rows = F._keys
     outside = rows[:, F._columns >= trunc.nvars].any(axis=1)
     keep = ~outside & (rows.sum(axis=1) <= min(trunc.max_degree, _INT64_MAX))

@@ -295,6 +295,14 @@ class TestRecoverCoefficient:
         assert got_large < got_small
         assert got_large < 5e-3
 
+    @pytest.mark.parametrize("R, grid_points", [(1e308, 2), (1e20, 3)])
+    def test_step_without_phase_bits_is_rejected(self, R, grid_points):
+        # one step spans over 2^52 turns of h log(2/3), so the reduced
+        # phase keeps no bit and every weight would come out as +-1
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        with pytest.raises(ValueError, match="turns"):
+            recover_coefficient(D, 2, 2.0, R, grid_points)
+
     def test_parameter_validation(self):
         D = DirichletSeries.vector(1, {2: [1.0]})
         with pytest.raises(ValueError):

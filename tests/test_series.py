@@ -1,5 +1,7 @@
 """Power-series construction, convolution, dilation, evaluation, truncation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from conftest import (
     terms,
 )
 from polyhardy import (
+    DirichletSeries,
     MultiIndex,
     PowerSeries,
     TruncationParams,
@@ -78,6 +81,14 @@ class TestConstruction:
             PowerSeries.vector(1, {MultiIndex(): [np.nan]})
         with pytest.raises(ValueError):
             PowerSeries.vector(1, {MultiIndex(): [np.inf + 0j]})
+
+    @pytest.mark.parametrize("cls, key", [(PowerSeries, (0,)), (DirichletSeries, 1)])
+    def test_duplicate_terms_that_overflow_are_rejected(self, cls, key):
+        # each 1e308 is finite; their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                cls.vector(1, [(key, [1e308]), (key, [1e308])])
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -171,6 +182,12 @@ class TestOpVecProduct:
             op_vec_product(PowerSeries.vector(2), PowerSeries.vector(2), window)
         with pytest.raises(ValueError, match="dimension"):
             op_vec_product(PowerSeries.operator(3), PowerSeries.vector(2), window)
+
+    def test_window_of_another_dim_is_rejected(self):
+        F = PowerSeries.operator(2, {MultiIndex([1]): np.eye(2)})
+        G = PowerSeries.vector(2, {MultiIndex(): [1.0, 2.0]})
+        with pytest.raises(ValueError, match="series 2 vs window 7"):
+            op_vec_product(F, G, TruncationParams(1, 3, dim=7))
 
     def test_degree_truncation_during_accumulation(self):
         F = PowerSeries.operator(1, {MultiIndex([2]): [[1.0]]})
@@ -355,6 +372,11 @@ class TestTruncate:
         )
         window = TruncationParams(nvars=1, max_degree=2, dim=1)
         assert truncate(F, window).support == (MultiIndex(),)
+
+    def test_window_of_another_dim_is_rejected(self):
+        F = PowerSeries.vector(2, {MultiIndex([1]): [1.0, 2.0]})
+        with pytest.raises(ValueError, match="series 2 vs window 1"):
+            truncate(F, TruncationParams(nvars=1, max_degree=3, dim=1))
 
     def test_idempotent(self):
         rng = np.random.default_rng(9)
