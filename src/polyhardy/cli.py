@@ -59,6 +59,8 @@ from .series import (
     PowerSeries,
     TruncationParams,
     _aligned,
+    _group,
+    _joined,
     evaluate_power,
     op_vec_product,
     radial_dilate,
@@ -346,7 +348,9 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
             product_of_dilated = op_vec_product(
                 radial_dilate(F, r), Gr, window
             )
-            if set(dilated_product.terms) != set(product_of_dilated.terms):
+            # keys are distinct within a series: equal supports iff the union is no larger
+            runs = _group(_joined(dilated_product, product_of_dilated)[0])[1]
+            if not len(runs) == dilated_product.num_terms == product_of_dilated.num_terms:
                 support_mismatches += 1
                 continue
             mult_gap = max(

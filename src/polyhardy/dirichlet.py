@@ -11,17 +11,21 @@ convolution, radial structure becomes the epsilon-shift ``a_n / n^eps``,
 and coefficients can be recovered from vertical-line averages of the
 evaluated series.
 
-The transports and the shift work on the arrays a series already holds
-and never build its ``terms`` mapping.  :func:`bohr` turns the exponent
-rows into frequencies with one product of prime powers, and
-:func:`bohr_inverse` factors the frequency array with table gathers
-(frequencies from ``SIEVE_LIMIT`` up keep scalar trial division); both
-share the coefficient stack, which is finite, nonzero and read-only.
+The transports, the shift and evaluation work on the arrays a series
+already holds and never build its ``terms`` mapping.  :func:`bohr`
+turns the exponent rows into frequencies with one product of prime
+powers, and :func:`bohr_inverse` factors the frequency array with table
+gathers (frequencies from ``SIEVE_LIMIT`` up keep scalar trial
+division); both share the coefficient stack, which is finite, nonzero
+and read-only.
 int64 products wrap silently, so the size of every frequency is bounded
 in floating point before any product is formed, and the rows near 2^63
 take the exact scalar map, which raises its ``OverflowError``.
 :func:`epsilon_shift` scales the stacked coefficients in one array
 operation; none of them copies or re-checks a coefficient one by one.
+:func:`evaluate_dirichlet` forms every ``exp(-s log n)`` from the
+frequency array in one array expression, the monomial table power
+series also use, and contracts it with the coefficient stack.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from .multiindex import MAX_FREQUENCY, _factor, _frequencies
 from .series import (
     PowerSeries,
     _check_op_vec,
-    _coefficient_shape,
     _convolve,
     _kept_pairs,
     _scaled,
     _SparseSeries,
+    _values_at,
 )
 
 __all__ = [
@@ -132,16 +136,29 @@ def dirichlet_product(
 
 
 def evaluate_dirichlet(D: DirichletSeries, s: complex) -> np.ndarray:
-    """Finite sum ``sum a_n n^(-s)`` with ``n^(-s) = exp(-s ln n)``.
+    """Finite sum ``sum a_n n^(-s)`` with ``n^(-s) = exp(-s log n)``.
 
     Converges everywhere since the series is finitely supported; the real
-    logarithm of ``n > 0`` avoids any branch ambiguity.
+    logarithm of ``n > 0`` avoids any branch ambiguity.  ``s`` must be
+    finite, and an ``n^(-s)`` that is not finite raises ``ValueError``
+    naming s.
+
+    *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u), and with
+    log, exp, cos and sin within one ulp: the exponent ``-s log n``
+    carries an absolute error of at most ``gamma_3 |s| log n``, which exp
+    turns into a relative one of at most ``2 gamma_3 |s| log n`` while
+    that is at most 1/2, and exp itself adds gamma_4.  Each entry of the
+    value is a complex inner product of T terms, within ``gamma_{3T}`` of
+    the sum of the moduli of its products.  So, while no product
+    underflows, the value is within
+    ``sum_n ||a_n|| n^(-Re s) (gamma_{3T+4} + 2 gamma_3 |s| log n)`` of
+    the exact sum (Frobenius norms for operators).  The terms are summed
+    in BLAS order, so another order can differ in the last bits.
     """
-    sc = complex(s)
-    out = np.zeros(_coefficient_shape(D.kind, D.dim), dtype=np.complex128)
-    for n, coeff in zip(D._keys.tolist(), D._coeffs):
-        out += coeff * np.exp(-sc * math.log(n))
-    return out
+    s = complex(s)
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    return _values_at(D, np.array([s]))[0]
 
 
 def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
@@ -155,6 +172,7 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
         raise ValueError(f"epsilon must be finite and non-negative, got {eps}")
     if eps == 0.0:
         return D
+    # Python's pow, not np.power: with numpy 2.4 on AVX-512 about 5% of n ** -eps round differently
     return _scaled(D, [n ** (-eps) for n in D._keys.tolist()])
 
 

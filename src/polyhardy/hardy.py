@@ -40,7 +40,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .multiindex import MultiIndex, _rows_of_keys, _simplex_table
-from .series import PowerSeries, _coefficient_shape, _scaled
+from .series import PowerSeries, _coefficient_shape, _monomials, _scaled
 
 __all__ = [
     "TorusGrid",
@@ -345,7 +345,8 @@ def cole_gamelin_kernel(
     conj(z)^alpha`` at ``w^alpha``.  Untruncated it has H_2 norm exactly
     ``||x||`` and attains the point-evaluation bound at ``w = z``.
 
-    Every monomial of the degree simplex comes from one array expression,
+    The series is ``x`` at every key of the degree simplex, scaled by the
+    amplitude times the monomial table of series evaluation at conj(z):
     ``conj(z_j) ** alpha_j`` multiplied along the variables in increasing
     order.  ``x`` and ``z`` must be finite and one-dimensional.
     """
@@ -363,10 +364,9 @@ def cole_gamelin_kernel(
         raise ValueError("degree must be non-negative")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
     _, exponents = _simplex_table(z.size, operator.index(degree))
-    monomials = np.prod(np.conj(z) ** exponents, axis=1)
     x_everywhere = np.broadcast_to(x, (len(exponents), x.size))
     constant = PowerSeries._wrap("vector", x.size, exponents, x_everywhere, np.arange(z.size))
-    return _scaled(constant, amplitude * monomials)
+    return _scaled(constant, amplitude * _monomials(constant, np.conj(z)[None])[0])
 
 
 def cole_gamelin_kernel_value(

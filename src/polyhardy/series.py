@@ -13,10 +13,10 @@ exponent rows over the increasing positions that some key uses;
 :class:`~polyhardy.dirichlet.DirichletSeries` keys are frequencies that
 multiply, held as one frequency array.  The public ``terms`` mapping,
 with :class:`MultiIndex` or int keys, is built from the arrays on first
-access and cached; products, sums, truncation, rescaling, grids and the
-Bohr transports read the arrays and never build it.  Exponents, positions
-and total degrees of power-series keys must fit in int64, so degree sums
-of the rows never wrap.
+access and cached; products, sums, truncation, rescaling, evaluation,
+grids and the Bohr transports read the arrays and never build it.
+Exponents, positions and total degrees of power-series keys must fit in
+int64, so degree sums of the rows never wrap.
 
 Every merge of keys goes through one grouping, ``_group``: a stable sort
 of the key array (frequencies, or exponent rows compared column by
@@ -31,9 +31,12 @@ sum is formed in a fixed order, the same on every call.
 
 Rescaling each term by its own factor (scalar multiples, dilations,
 epsilon-shifts) is one array product over the stacked coefficients,
-wrapped without re-checking each one.  All arithmetic is exact sparse
-bookkeeping in complex double precision; truncation windows are carried
-explicitly via :class:`TruncationParams`.
+wrapped without re-checking each one.  Evaluation reads the arrays
+too: one table of the monomial of every key at every point
+(``_monomials``), contracted with the coefficient stack, serves power
+series, Dirichlet series and the Cole-Gamelin kernel.  All arithmetic
+is exact sparse bookkeeping in complex double precision; truncation
+windows are carried explicitly via :class:`TruncationParams`.
 """
 
 from __future__ import annotations
@@ -513,21 +516,39 @@ def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
         raise ValueError("dilation radius must lie in (0, 1]")
     if r == 1.0:
         return F
+    # Python's pow, not np.power: with numpy 2.4 on AVX-512 about 5% of r ** w round differently
     return _scaled(F, [r**w for w in _weighted_degrees(F)])
 
 
-def _evaluate_at(F: PowerSeries, point: np.ndarray) -> np.ndarray:
-    """Finite sum sum(c_alpha * z^alpha); no domain check (internal)."""
-    out = np.zeros(_coefficient_shape(F.kind, F.dim), dtype=np.complex128)
-    npoint = len(point)
-    for alpha, coeff in F.terms.items():
-        if len(alpha) > npoint:
-            continue  # variables beyond the point are zero, killing the term
-        mono = 1.0 + 0.0j
-        for pos, e in alpha.items():
-            mono *= point[pos] ** e
-        out += coeff * mono
-    return out
+def _monomials(F: _SparseSeries, points: np.ndarray) -> np.ndarray:
+    """The ``(len(points), T)`` table of the monomial of each key of ``F``,
+    in ``terms`` order, at each point, read from the key arrays.
+
+    A power-series point is a row of coordinates; the monomial of an
+    exponent row is ``prod z_j ** e_j`` over its columns, multiplied in
+    increasing column order, and coordinates the point does not list
+    count as zero.  A Dirichlet point is a complex s; the monomial of n
+    is ``exp(-s log n)``, and one that is not finite raises ``ValueError``
+    naming s.
+    """
+    if F._columns is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            table = np.exp(np.multiply.outer(-points, np.log(F._keys)))
+        if not np.isfinite(table).all():
+            p, t = np.argwhere(~np.isfinite(table))[0]
+            raise ValueError(f"n^(-s) is not finite at s={points[p]} for n = {F._keys[t]}")
+        return table
+    # coordinates the point does not list are zero
+    padded = np.concatenate([points, np.zeros((len(points), F.nvars_used))], axis=1)
+    return np.prod(padded[:, None, F._columns] ** F._keys, axis=2)
+
+
+def _values_at(F: _SparseSeries, points: np.ndarray) -> np.ndarray:
+    """The value of ``F`` at each point: its monomial table contracted with
+    the coefficient stack, shape ``(len(points), *coefficient shape)``."""
+    # an explicit width: -1 is ambiguous for a series with no terms
+    stack = F._coeffs.reshape(F.num_terms, F.dim ** (F._coeffs.ndim - 1))
+    return (_monomials(F, points) @ stack).reshape(len(points), *F._coeffs.shape[1:])
 
 
 def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
@@ -535,13 +556,27 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
 
     The point may list fewer variables than the series uses; missing
     coordinates are zero.  Finite sum, so no convergence questions.
+
+    *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u): numpy
+    raises a complex number to an integer power below 100 by binary
+    powering, at most e - 1 complex products for ``z^e``, so a monomial
+    of total degree |alpha| takes at most |alpha| inexact products, each
+    within ``sqrt(2) gamma_2 <= gamma_3``.  Each entry of the value is a
+    complex inner product of T terms, within ``gamma_{3T}`` of the sum of
+    the moduli of its products.  So, for exponents below 100 and while no
+    product underflows, the value is within
+    ``gamma_{3(D + T)} sum_alpha ||a_alpha|| |z^alpha|`` of the exact sum
+    (Frobenius norms for operators), where D is the largest total degree.
+    The terms are summed in BLAS order, so another order can differ in
+    the last bits.  From exponent 100 up numpy takes the power as
+    ``exp(e log z_j)``, whose error grows with ``e |log z_j|``.
     """
     point = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if point.ndim != 1:
         raise ValueError("evaluation point must be one-dimensional")
-    if np.any(np.abs(point) >= 1.0):
-        raise ValueError("evaluation domain is the open polydisk: need |z_j| < 1")
-    return _evaluate_at(F, point)
+    if not (np.abs(point) < 1.0).all():  # also false for NaN
+        raise ValueError(f"point must be finite and lie in the open polydisk, got {point}")
+    return _values_at(F, point[None])[0]
 
 
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:

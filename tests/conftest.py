@@ -7,6 +7,7 @@ error paths.  ``random_power_series`` is the generator the suites use,
 so tests and suites draw their random inputs from one definition.
 """
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from polyhardy.cli import _random_power_series as random_power_series  # noqa: F
 U = 2.0**-53
 
 #: Non-dyadic values, so products round, and none so small that they underflow.
-_VALUES = st.integers(min_value=-1000, max_value=1000).map(lambda n: n / 37)
+NON_DYADIC = st.integers(min_value=-1000, max_value=1000).map(lambda n: n / 37)
 
 #: Every finite double: signed zeros, subnormals and values whose products overflow.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -33,7 +34,29 @@ def summed_norms(series) -> float:
     return sum(float(np.linalg.norm(c)) for c in series.terms.values())
 
 
-def terms(keys, kind: str, dim: int, max_size: int = 6, values=_VALUES):
+def distance(got, want) -> float:
+    """Euclidean distance, in 40-digit arithmetic, between a float array
+    and a list of mpmath values of its flattened entries."""
+    with mpmath.workdps(40):
+        squares = (abs(mpmath.mpc(g) - w) ** 2 for g, w in zip(got.ravel(), want))
+        return float(mpmath.sqrt(mpmath.fsum(squares)))
+
+
+def contracted_by_mpmath(F, monomial):
+    """``sum_k a_k m_k`` in 40-digit arithmetic, one mpmath value per
+    flattened coefficient entry, and ``sum_k ||a_k|| |m_k|`` as a float;
+    ``monomial`` maps a key of ``F`` to its mpmath monomial ``m_k``."""
+    with mpmath.workdps(40):
+        total = [mpmath.mpc(0)] * (F.dim if F.kind == "vector" else F.dim**2)
+        weight = mpmath.mpf(0)
+        for key, a in F.terms.items():
+            m = monomial(key)
+            total = [t + m * mpmath.mpc(c) for t, c in zip(total, a.ravel())]
+            weight += abs(m) * mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(c)) ** 2 for c in a.ravel()))
+        return total, float(weight)
+
+
+def terms(keys, kind: str, dim: int, max_size: int = 6, values=NON_DYADIC):
     """Strategy: a dict from drawn keys to complex coefficients of one kind and dim."""
     shape = (dim,) if kind == "vector" else (dim, dim)
     size = int(np.prod(shape))

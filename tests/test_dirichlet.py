@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NON_DYADIC,
     assert_same_bits,
     built_term_by_term,
+    contracted_by_mpmath,
+    distance,
     gamma,
     random_power_series,
     series,
@@ -238,6 +241,40 @@ class TestEvaluate:
             2.5j * evaluate_dirichlet(D, 1.3),
         )
 
+    @pytest.mark.parametrize("s", [math.nan, complex(0.5, math.nan), complex(math.inf, 0.0), -math.inf])
+    def test_non_finite_s_rejected(self, s):
+        D = DirichletSeries.vector(1, {2: [1.0]})
+        with pytest.raises(ValueError, match="s must be finite"):
+            evaluate_dirichlet(D, s)
+
+    @pytest.mark.parametrize("s", [-2000.0, complex(1.0, 1.7e308)])
+    def test_monomial_beyond_the_float_range_names_s(self, s):
+        # Warnings are errors in this suite, so no overflow warning escapes either.
+        D = DirichletSeries.vector(1, {2: [1.0], 3: [1.0]})
+        with pytest.raises(ValueError, match=re.escape(f"s={complex(s)}")):
+            evaluate_dirichlet(D, s)
+
+    @given(
+        series(DirichletSeries, st.integers(min_value=1, max_value=10**6), values=NON_DYADIC),
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-1e8, max_value=1e8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_within_the_rounding_bound_of_a_40_digit_sum(self, D, sigma, t):
+        """Against ``sum a_n exp(-s log n)`` in 40-digit arithmetic, within
+        ``evaluate_dirichlet``'s bound ``sum ||a_n|| n^-sigma (gamma_{3T+4}
+        + 2 gamma_3 |s| log n)``.  With |sigma| <= 20 and n <= 10^6 no
+        ``n^(-s)`` leaves the normal range."""
+        s = complex(sigma, t)
+        want, _ = contracted_by_mpmath(D, lambda n: mpmath.exp(-mpmath.mpc(s) * mpmath.log(n)))
+        bound = sum(
+            float(np.linalg.norm(a))
+            * n**-sigma
+            * (gamma(3 * D.num_terms + 4) + 2 * gamma(3) * abs(s) * math.log(n))
+            for n, a in D.terms.items()
+        )
+        assert distance(evaluate_dirichlet(D, s), want) <= bound
+
 
 class TestEpsilonShift:
     def test_explicit_scaling(self):
@@ -445,14 +482,6 @@ def recovery_bound(D, n, sigma, R):
         * (gamma(8) * (R + abs(sigma)) * (1 + abs(math.log(n / m))) + gamma(D.num_terms + 53))
         for m, a in D.terms.items()
     )
-
-
-def distance(got, want) -> float:
-    """Euclidean distance, in 40-digit arithmetic, between a float array
-    and a list of mpmath values of its flattened entries."""
-    with mpmath.workdps(40):
-        squares = (abs(mpmath.mpc(g) - w) ** 2 for g, w in zip(got.ravel(), want))
-        return float(mpmath.sqrt(mpmath.fsum(squares)))
 
 
 def trapezoid_by_direct_sum(D, n, sigma, R, grid_points):

@@ -1,7 +1,10 @@
 """Power-series construction, convolution, dilation, evaluation, truncation."""
 
+import cmath
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     FINITE,
+    NON_DYADIC,
     assert_same_bits,
     built_term_by_term,
+    contracted_by_mpmath,
+    distance,
     gamma,
     random_power_series,
     series,
@@ -338,6 +344,33 @@ class TestEvaluate:
             evaluate_power(F, [1.0])
         with pytest.raises(ValueError):
             evaluate_power(F, [0.5, 1.2])
+
+    @pytest.mark.parametrize("point", [[math.nan], [0.1, math.nan], [complex(0.2, math.inf)]])
+    def test_non_finite_point_rejected(self, point):
+        F = PowerSeries.vector(1, {MultiIndex([1]): [1.0]})
+        with pytest.raises(ValueError, match=r"finite .*got \[.*(nan|inf)"):
+            evaluate_power(F, point)
+
+    @given(
+        series(PowerSeries, st.lists(st.integers(0, 99), max_size=3).map(MultiIndex), NON_DYADIC),
+        st.lists(
+            st.just(0j) | st.builds(cmath.rect, st.floats(0.25, 0.999), st.floats(-math.pi, math.pi)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_within_the_rounding_bound_of_a_40_digit_sum(self, F, z):
+        """Against ``sum a_alpha z^alpha`` in 40-digit arithmetic, within
+        ``evaluate_power``'s bound ``gamma_{3(D + T)} sum ||a_alpha|| |z^alpha|``.
+        Exponents stay below 100, and the point may list fewer or more
+        coordinates than the series uses; nonzero coordinates have modulus
+        at least 1/4, so no product underflows."""
+        want, weight = contracted_by_mpmath(
+            F,
+            lambda alpha: mpmath.fprod(mpmath.mpc(z[j]) ** e if j < len(z) else 0 for j, e in alpha.items()),
+        )
+        bound = gamma(3 * (F.total_degree + F.num_terms)) * weight
+        assert distance(evaluate_power(F, z), want) <= bound
 
     def test_evaluation_homomorphism(self):
         rng = np.random.default_rng(8)
