@@ -35,7 +35,7 @@ import operator
 
 import numpy as np
 
-from .multiindex import MAX_FREQUENCY, _factor, _frequencies
+from .multiindex import MAX_FREQUENCY, _factor, _frequencies, _index
 from .series import (
     PowerSeries,
     _check_op_vec,
@@ -232,20 +232,14 @@ def recover_coefficient(
     ``ValueError``, as does a step ``h |L|`` of 2^52 turns or more, where
     the turns c keep no fractional bit and the bound above says nothing.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("target frequency must be a positive integer")
-    if n > MAX_FREQUENCY:
-        raise OverflowError(f"target frequency {n} exceeds the 64-bit range")
+    n = DirichletSeries._key(n)
     sigma = float(sigma)
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     R = float(R)
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"R must be finite and positive, got {R}")
-    P = operator.index(grid_points)
-    if P < 2:
-        raise ValueError("grid_points must be at least 2")
+    P = _index(grid_points, "grid_points", 2)
 
     logs = np.array([math.log(n / m) for m in D._keys.tolist()])
     with np.errstate(over="ignore"):  # reported below

@@ -32,15 +32,14 @@ nodes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._linalg import operator_norm
-from .multiindex import MultiIndex, _rows_of_keys, _simplex_table
-from .series import PowerSeries, _coefficient_shape, _monomials, _scaled
+from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
+from .series import PowerSeries, _coefficient_shape, _monomials, _polydisk_point, _scaled
 
 __all__ = [
     "TorusGrid",
@@ -57,7 +56,12 @@ __all__ = [
 @dataclass(frozen=True)
 class TorusGrid:
     """Tensor grid of M-th roots of unity scaled by ``radius`` in each of
-    ``nvars`` variables."""
+    ``nvars`` variables.
+
+    ``nvars`` and ``points_per_var`` go through ``operator.index`` and are
+    stored as ints: a non-integer raises ``TypeError`` and a value below 1
+    raises ``ValueError``, each naming the field.  A radius outside
+    (0, 1] raises ``ValueError``."""
 
     nvars: int
     points_per_var: int
@@ -65,15 +69,7 @@ class TorusGrid:
 
     def __post_init__(self) -> None:
         for name in ("nvars", "points_per_var"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if self.nvars < 1:
-            raise ValueError("nvars must be at least 1")
-        if self.points_per_var < 1:
-            raise ValueError("points_per_var must be at least 1")
+            object.__setattr__(self, name, _index(getattr(self, name), name, 1))
         if not 0.0 < self.radius <= 1.0:
             raise ValueError("radius must lie in (0, 1]")
 
@@ -327,9 +323,7 @@ def fourier_coefficient(
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
     """Growth factor ``prod (1 - |z_j|^2)^(-1/p)`` in the point-evaluation
     inequality ``||G(z)|| <= ||G||_p * bound``."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if not (np.abs(z) < 1.0).all():  # also false for NaN
-        raise ValueError(f"point must be finite and lie in the open polydisk, got {z}")
+    z = _polydisk_point(z, "point")
     if not float(p) >= 1:
         raise ValueError("p must be at least 1")
     return float(np.prod((1.0 - np.abs(z) ** 2) ** (-1.0 / float(p))))
@@ -348,22 +342,17 @@ def cole_gamelin_kernel(
     The series is ``x`` at every key of the degree simplex, scaled by the
     amplitude times the monomial table of series evaluation at conj(z):
     ``conj(z_j) ** alpha_j`` multiplied along the variables in increasing
-    order.  ``x`` and ``z`` must be finite and one-dimensional.
+    order.  ``x`` must be finite and ``z`` a point of the open polydisk,
+    both one-dimensional; ``degree`` is a non-negative integer.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty vector")
-    if z.ndim != 1:
-        raise ValueError("kernel base point must be one-dimensional")
-    if not (np.isfinite(x).all() and np.isfinite(z).all()):
-        raise ValueError("x and the kernel base point must be finite")
-    if np.any(np.abs(z) >= 1.0):
-        raise ValueError("kernel base point must lie in the open polydisk")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    z = _polydisk_point(z, "kernel base point")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
-    _, exponents = _simplex_table(z.size, operator.index(degree))
+    _, exponents = _simplex_table(z.size, _index(degree, "degree", 0))
     x_everywhere = np.broadcast_to(x, (len(exponents), x.size))
     constant = PowerSeries._wrap("vector", x.size, exponents, x_everywhere, np.arange(z.size))
     return _scaled(constant, amplitude * _monomials(constant, np.conj(z)[None])[0])
@@ -379,6 +368,7 @@ def cole_gamelin_kernel_value(
 
     Available for every p >= 1 (the series expansion is only built for
     p = 2, where Parseval applies); used for inequality spot checks.
+    ``z`` and ``zeta`` must be one-dimensional and of the same length.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
@@ -388,7 +378,7 @@ def cole_gamelin_kernel_value(
         raise ValueError("p must be at least 1")
     if not (np.isfinite(x).all() and (np.abs(z) < 1.0).all() and (np.abs(zeta) < 1.0).all()):
         raise ValueError(f"x must be finite, z and zeta in the open polydisk; got z={z}, zeta={zeta}")
-    if z.shape != zeta.shape:
-        raise ValueError("z and zeta must have the same length")
+    if z.ndim != 1 or z.shape != zeta.shape:
+        raise ValueError("z and zeta must be one-dimensional and of the same length")
     factors = (1.0 - np.abs(z) ** 2) ** (1.0 / p) / (1.0 - np.conj(z) * zeta) ** (2.0 / p)
     return x * np.prod(factors)

@@ -89,6 +89,19 @@ def _rebuild_tables(bound: int) -> None:
     _pos_table, _prime, _bound = memoryview(table), memoryview(primes_found), bound
 
 
+def _index(value, name: str, least: int) -> int:
+    """``value`` as an int through ``operator.index``, the shared check of
+    integer parameters: a non-integer raises ``TypeError`` and a value
+    below ``least`` raises ``ValueError``, each naming ``name``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def _ensure_bound(bound: int) -> None:
     if bound <= _bound:
         return
@@ -115,9 +128,7 @@ def _ensure_count(count: int) -> None:
 
 def primes(count: int) -> tuple[int, ...]:
     """First ``count`` primes, from the lazily extended sieve."""
-    count = operator.index(count)
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = _index(count, "count", 0)
     if count == 0:
         return ()
     _ensure_count(count)
@@ -434,13 +445,7 @@ def graded_lex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
 
 
 def _simplex_shape(nvars: int, max_degree: int) -> tuple[int, int]:
-    nvars = operator.index(nvars)
-    max_degree = operator.index(max_degree)
-    if nvars < 1:
-        raise ValueError("nvars must be at least 1")
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    return nvars, max_degree
+    return _index(nvars, "nvars", 1), _index(max_degree, "max_degree", 0)
 
 
 @functools.lru_cache(maxsize=32)

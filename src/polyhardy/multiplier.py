@@ -13,7 +13,6 @@ randomized Rayleigh-quotient estimator is provided instead.
 from __future__ import annotations
 
 import math
-import operator as _operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .hardy import TorusGrid, _cells, _grid_coefficients, _grid_values, hp_norm
-from .multiindex import MultiIndex, _simplex_shape, _simplex_table, simplex
+from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table, simplex
 from .series import (
     PowerSeries,
     TruncationParams,
@@ -118,14 +117,16 @@ def multiplier_norm_schedule(
     sequence is eventually constant.  Each norm is the largest singular
     value from LAPACK's SVD, accurate to ``p(n) * eps`` times the norm
     for an ``n``-row compression.
+
+    Only ``nvars`` and ``dim`` of ``trunc_base`` are read: the degree of
+    each compression comes from ``degrees``, and ``trunc_base.max_degree``
+    is ignored.
     """
-    degrees = [_operator.index(D) for D in degrees]
+    degrees = [_index(D, "degrees", 0) for D in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("degrees must be strictly increasing")
     if not degrees:
         return []
-    if degrees[0] < 0:
-        raise ValueError("max_degree must be non-negative")
     matrix = assemble_compression(F, replace(trunc_base, max_degree=degrees[-1])).matrix
     sizes = [math.comb(trunc_base.nvars + D, trunc_base.nvars) * trunc_base.dim for D in degrees]
     return [operator_norm(matrix[:size, :size]) for size in sizes]
@@ -141,7 +142,7 @@ def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     if w.ndim != 1 or w.size < 1:
         raise ValueError("w must be a nonempty vector")
-    if dim is not None and _operator.index(dim) != w.size:
+    if dim is not None and _index(dim, "dim", 1) != w.size:
         raise ValueError(f"dim {dim} does not match len(w) = {w.size}")
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-12):
         raise ValueError("entries must be unimodular (|w_j| = 1)")
@@ -215,8 +216,7 @@ def hp_rayleigh_lower_bound(
     """
     if F.kind != "operator":
         raise ValueError("the symbol must be operator-valued")
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
+    num_samples = _index(num_samples, "num_samples", 1)
     product_degree = F.total_degree + trunc.max_degree
     if grid.radius != 1.0 or grid.points_per_var < product_degree + 1:
         raise ValueError(

@@ -42,14 +42,13 @@ windows are carried explicitly via :class:`TruncationParams`.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
 
-from .multiindex import MultiIndex, _keys_of_rows, _rows_of_keys, graded_lex_key
+from .multiindex import MultiIndex, _index, _keys_of_rows, _rows_of_keys, graded_lex_key
 
 __all__ = [
     "Kind",
@@ -71,19 +70,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 @dataclass(frozen=True)
 class TruncationParams:
     """Finite computation window: first ``nvars`` variables, total degree
-    at most ``max_degree``, coefficient dimension ``dim``."""
+    at most ``max_degree``, coefficient dimension ``dim``.
+
+    Each field goes through ``operator.index`` and is stored as an int: a
+    non-integer (a float such as 2.5 or NaN included) raises ``TypeError``,
+    and ``nvars`` or ``dim`` below 1 or ``max_degree`` below 0 raises
+    ``ValueError``, each naming the field."""
 
     nvars: int
     max_degree: int
     dim: int
 
     def __post_init__(self) -> None:
-        if self.nvars < 1:
-            raise ValueError("nvars must be at least 1")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        for name, least in (("nvars", 1), ("max_degree", 0), ("dim", 1)):
+            object.__setattr__(self, name, _index(getattr(self, name), name, least))
 
 
 def _coefficient_shape(kind: Kind, dim: int) -> tuple[int, ...]:
@@ -136,9 +136,7 @@ class _SparseSeries:
     ):
         if kind not in _KINDS:
             raise ValueError(f"kind must be 'vector' or 'operator', got {kind!r}")
-        dim = operator.index(dim)
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        dim = _index(dim, "dim", 1)
         items = list(terms.items() if isinstance(terms, Mapping) else terms)
         keys, columns = self._encode([self._key(key) for key, _ in items])
         stack = np.array([_as_coefficient(value, kind, dim) for _, value in items], np.complex128)
@@ -245,10 +243,6 @@ class PowerSeries(_SparseSeries):
 
     def _decode(self) -> list[MultiIndex]:
         return _keys_of_rows(self._columns, self._keys)
-
-    @classmethod
-    def zero(cls, kind: Kind, dim: int) -> "PowerSeries":
-        return cls(kind, dim)
 
     @classmethod
     def constant(cls, value) -> "PowerSeries":
@@ -551,6 +545,18 @@ def _values_at(F: _SparseSeries, points: np.ndarray) -> np.ndarray:
     return (_monomials(F, points) @ stack).reshape(len(points), *F._coeffs.shape[1:])
 
 
+def _polydisk_point(z: Iterable[complex], name: str) -> np.ndarray:
+    """``z`` as a 1-d complex array, the shared check of points of the open
+    polydisk: ``ValueError`` naming ``name`` unless it is one-dimensional
+    and each coordinate is finite with modulus below 1."""
+    point = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if point.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not (np.abs(point) < 1.0).all():  # also false for NaN
+        raise ValueError(f"{name} must be finite and lie in the open polydisk, got {point}")
+    return point
+
+
 def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
     """Evaluate at a point of the open polydisk (every ``|z_j| < 1``).
 
@@ -571,12 +577,7 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
     the last bits.  From exponent 100 up numpy takes the power as
     ``exp(e log z_j)``, whose error grows with ``e |log z_j|``.
     """
-    point = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    if point.ndim != 1:
-        raise ValueError("evaluation point must be one-dimensional")
-    if not (np.abs(point) < 1.0).all():  # also false for NaN
-        raise ValueError(f"point must be finite and lie in the open polydisk, got {point}")
-    return _values_at(F, point[None])[0]
+    return _values_at(F, _polydisk_point(z, "point")[None])[0]
 
 
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:

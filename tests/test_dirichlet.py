@@ -454,6 +454,11 @@ class TestRecoverAgainstClosedForm:
         with pytest.raises(ValueError, match=name):
             recover_coefficient(D, 2, sigma, R, 4001)
 
+    def test_non_integer_grid_points_is_named(self):
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        with pytest.raises(TypeError, match="grid_points"):
+            recover_coefficient(D, 2, 2.0, 100.0, grid_points=4001.0)
+
     def test_target_past_64_bits_rejected(self):
         with pytest.raises(OverflowError):
             recover_coefficient(DirichletSeries.vector(1, {2: [1.0]}), MAX_FREQUENCY + 1, 2.0, 10.0, 11)

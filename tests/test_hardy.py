@@ -466,6 +466,22 @@ class TestColeGamelinKernel:
             cole_gamelin_kernel([1.0], [[0.5]], 2)
 
     @pytest.mark.parametrize(
+        "function, args",
+        [
+            (point_evaluation_bound, ([[0.5], [0.5]],)),  # used to flatten to 1.333
+            (cole_gamelin_kernel_value, ([1.0], [[0.5], [0.1]], [[0.2], [0.1]])),  # to [0.967]
+        ],
+        ids=["point_evaluation_bound", "cole_gamelin_kernel_value"],
+    )
+    def test_two_dimensional_points_rejected(self, function, args):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            function(*args)
+
+    def test_non_integer_degree_is_named(self):
+        with pytest.raises(TypeError, match="degree"):
+            cole_gamelin_kernel([1.0], [0.5], 2.5)
+
+    @pytest.mark.parametrize(
         "x, z",
         [
             ([np.nan], [0.5]),

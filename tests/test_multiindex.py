@@ -374,6 +374,10 @@ class TestEnumeration:
         assert primes(10) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
         assert primes(0) == ()
 
+    def test_non_integer_count_is_named(self):
+        with pytest.raises(TypeError, match="count"):
+            primes(2.5)
+
     def test_primes_match_sympy(self):
         ours = primes(2000)
         assert ours[-1] == sympy.prime(2000)

@@ -247,6 +247,12 @@ class TestNormSchedule:
         with pytest.raises(ValueError):
             multiplier_norm_schedule(F, [2, 2], base)
 
+    def test_non_integer_degree_is_named(self):
+        F = PowerSeries.operator(1, {MultiIndex(): [[1.0]]})
+        base = TruncationParams(nvars=1, max_degree=0, dim=1)
+        with pytest.raises(TypeError, match="degrees"):
+            multiplier_norm_schedule(F, [1, 2.5], base)
+
     @pytest.mark.parametrize(
         "nvars, degrees", [(1, [0, 3, 7, 8]), (2, [0, 2, 5]), (3, [1, 3, 4])]
     )
@@ -289,6 +295,10 @@ class TestDiagonalExample:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             diagonal_example(np.ones(3), dim=4)
+
+    def test_non_integer_dim_is_named(self):
+        with pytest.raises(TypeError, match="dim"):
+            diagonal_example(np.ones(3), dim=3.0)
 
 
 class TestPointwiseVsSymbolic:
@@ -404,3 +414,9 @@ class TestRayleighEstimator:
         window = TruncationParams(nvars=1, max_degree=6, dim=1)
         with pytest.raises(ValueError):
             hp_rayleigh_lower_bound(F, 4.0, window, TorusGrid(1, 4, 1.0))
+
+    def test_non_integer_sample_count_is_named(self):
+        F = PowerSeries.operator(1, {MultiIndex([1]): [[1.0]]})
+        window = TruncationParams(nvars=1, max_degree=2, dim=1)
+        with pytest.raises(TypeError, match="num_samples"):
+            hp_rayleigh_lower_bound(F, 4.0, window, TorusGrid(1, 8, 1.0), num_samples=2.5)

@@ -96,6 +96,10 @@ class TestConstruction:
             with pytest.raises(ValueError, match="finite"):
                 cls.vector(1, [(key, [1e308]), (key, [1e308])])
 
+    def test_non_integer_dim_is_named(self):
+        with pytest.raises(TypeError, match="dim"):
+            PowerSeries.vector(2.0)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             PowerSeries("matrix", 2)
@@ -431,6 +435,26 @@ class TestTruncationParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TruncationParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            # a float degree used to pass: op_vec_product kept every pair at
+            # NaN while truncate dropped every term, and both floored 2.5
+            ({"nvars": 1, "max_degree": math.nan, "dim": 1}, "max_degree"),
+            ({"nvars": 1, "max_degree": 2.5, "dim": 1}, "max_degree"),
+            ({"nvars": 1.5, "max_degree": 2, "dim": 1}, "nvars"),
+            ({"nvars": 1, "max_degree": 2, "dim": "2"}, "dim"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, kwargs, name):
+        with pytest.raises(TypeError, match=name):
+            TruncationParams(**kwargs)
+
+    def test_integer_like_fields_become_ints(self):
+        window = TruncationParams(np.int64(2), np.int32(3), np.int64(1))
+        assert all(type(v) is int for v in (window.nvars, window.max_degree, window.dim))
+        assert window == TruncationParams(2, 3, 1)
 
 
 def assert_matches_term_by_term(op, F, mapping):
