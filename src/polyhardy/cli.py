@@ -50,6 +50,7 @@ from .multiindex import (
 )
 from .multiplier import (
     _row_norms,
+    _schedule_error_bound,
     assemble_compression,
     diagonal_example,
     multiplier_norm_schedule,
@@ -381,6 +382,10 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     # bound (D+1) eps ||M|| plus 4 eps for rounding the closed form.
     closed = 2.0 * math.cos(math.pi / (2 * degree + 3))
     endpoint_tol = (degree + 1) * _EPS * closed + 4 * _EPS
+    # The schedule takes the same norm through the Gram matrix; allowed:
+    # the bound its docstring states, plus the same 4 eps.
+    gram_value = multiplier_norm_schedule(symbol, [degree], window)[0]
+    gram_tol = _schedule_error_bound(symbol, degree + 1, gram_value) + 4 * _EPS
 
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     shift_symbol = PowerSeries.operator(3, {MultiIndex([1]): A})
@@ -407,6 +412,7 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     }
     checks = [
         check_close("toeplitz-endpoint-vs-closed-form", endpoint, closed, endpoint_tol),
+        check_close("toeplitz-schedule-vs-closed-form", gram_value, closed, gram_tol),
         check_at_most("shift-symbol-schedule-gap", shift_gap, 1e-8),
         check_at_most("schedule-monotonicity-violation", monotone_violation, 1e-9),
     ]

@@ -114,13 +114,14 @@ def dirichlet_product(
 
     Pairs with ``k*j > max_frequency`` are never formed (the exact test
     ``j <= max_frequency // k``, which cannot overflow), mirroring degree
-    truncation on the power-series side.  A kept product beyond the
-    64-bit range raises ``OverflowError``.
+    truncation on the power-series side.  ``max_frequency`` is an integer
+    of at least 1 (``TypeError`` or ``ValueError`` naming it otherwise).  A
+    kept product beyond the 64-bit range raises ``OverflowError``.
     """
-    max_frequency = operator.index(max_frequency)
+    max_frequency = _index(max_frequency, "max_frequency", 1)
     _check_op_vec(D, E)
     left, right = D._keys, E._keys
-    limit = max(min(max_frequency, MAX_FREQUENCY), 0)
+    limit = min(max_frequency, MAX_FREQUENCY)
     if max_frequency > MAX_FREQUENCY:
         # per left key, the smallest right key whose product leaves the range
         ordered = np.sort(right)

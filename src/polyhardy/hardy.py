@@ -329,6 +329,14 @@ def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
     return float(np.prod((1.0 - np.abs(z) ** 2) ** (-1.0 / float(p))))
 
 
+def _kernel_vector(x: Iterable[complex]) -> np.ndarray:
+    """``x`` as a 1-d complex array; ``ValueError`` unless it is a nonempty vector."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError("x must be a nonempty vector")
+    return x
+
+
 def cole_gamelin_kernel(
     x: Iterable[complex], z: Iterable[complex], degree: int
 ) -> PowerSeries:
@@ -345,9 +353,7 @@ def cole_gamelin_kernel(
     order.  ``x`` must be finite and ``z`` a point of the open polydisk,
     both one-dimensional; ``degree`` is a non-negative integer.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("x must be a nonempty vector")
+    x = _kernel_vector(x)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     z = _polydisk_point(z, "kernel base point")
@@ -368,9 +374,10 @@ def cole_gamelin_kernel_value(
 
     Available for every p >= 1 (the series expansion is only built for
     p = 2, where Parseval applies); used for inequality spot checks.
-    ``z`` and ``zeta`` must be one-dimensional and of the same length.
+    ``x`` must be a nonempty vector, and ``z`` and ``zeta`` one-dimensional
+    and of the same length.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
+    x = _kernel_vector(x)
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
     p = float(p)

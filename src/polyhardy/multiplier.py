@@ -4,10 +4,14 @@ An operator-valued symbol F acts on vector series by the convolution
 product; restricting to the simplex of multi-indices with total degree
 at most D (the compression) gives a finite matrix in the monomial basis
 whose largest singular value lower-bounds the multiplier norm ``||M_F||``
-and converges to the sup norm of the symbol as the window grows.  The
-coefficient-space Euclidean norm *is* the H_2 norm, which is why p = 2
-is the one exponent with an exact finite matrix picture; for other p a
-randomized Rayleigh-quotient estimator is provided instead.
+and converges to the sup norm of the symbol as the window grows.
+``multiplier_norm_schedule`` takes that value at several degrees without
+assembling the matrix: as the square root of the largest eigenvalue of
+each compression's Gram matrix, summed from the nonzero blocks row by row
+in degree order, with a stated error bound.  The coefficient-space
+Euclidean norm *is* the H_2 norm, which is why p = 2 is the one exponent
+with an exact finite matrix picture; for other p a randomized
+Rayleigh-quotient estimator is provided instead.
 """
 
 from __future__ import annotations
@@ -68,21 +72,35 @@ def assemble_compression(
     the stacked coefficients of G to those of the truncated product
     ``truncate(F * G, trunc)`` -- exactly, by construction.
     """
+    basis, i, j, rows = _compression_pairs(F, trunc)
+    n, d = len(basis), trunc.dim
+    matrix = np.zeros((n, d, n, d), dtype=np.complex128)
+    # each block is one coefficient
+    matrix[rows, :, j, :] = F._coeffs.take(i, axis=0)
+    matrix = matrix.reshape(n * d, n * d)
+    matrix.setflags(write=False)
+    return CompressionMatrix(matrix=matrix, basis=basis, trunc=trunc)
+
+
+def _compression_pairs(
+    F: PowerSeries, trunc: TruncationParams
+) -> tuple[tuple[MultiIndex, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The graded-lex basis of the window and the nonzero blocks of the
+    compression: block ``(rows[k], j[k])`` is the coefficient of the term
+    ``i[k]`` of ``F`` (``terms`` order), since block (beta + gamma, gamma)
+    is a_beta.  Pairs come in ``series._window_pairs`` order, so within one
+    row they are by ascending term."""
     if F.kind != "operator":
         raise ValueError("compression requires an operator-valued symbol")
     _check_window(F, trunc)
     basis, rows = _simplex_table(*_simplex_shape(trunc.nvars, trunc.max_degree))
     columns = _union(np.arange(trunc.nvars), F._columns)
     symbol = _widen(F, columns)
-    rows = np.pad(rows, ((0, 0), (0, len(columns) - trunc.nvars)))  # columns start 0..nvars-1
+    # columns start 0..nvars-1; the basis is 0 at the symbol's positions beyond them
+    pad = np.zeros((len(rows), len(columns) - trunc.nvars), dtype=np.int64)
+    rows = np.concatenate([rows, pad], axis=1)
     i, j = _window_pairs(columns, symbol, rows, trunc)
-    n, d = len(basis), trunc.dim
-    matrix = np.zeros((n, d, n, d), dtype=np.complex128)
-    # block (beta + gamma, gamma) is a_beta; each block is one coefficient
-    matrix[_row_positions(rows, symbol[i] + rows[j]), :, j, :] = F._coeffs[i]
-    matrix = matrix.reshape(n * d, n * d)
-    matrix.setflags(write=False)
-    return CompressionMatrix(matrix=matrix, basis=basis, trunc=trunc)
+    return basis, i, j, _row_positions(rows, symbol.take(i, axis=0) + rows.take(j, axis=0))
 
 
 def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -99,6 +117,15 @@ def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return match[len(table) :]
 
 
+def _scale_exponent(F: PowerSeries) -> int:
+    """The exponent e of the power of two 2^-e that brings the largest real
+    or imaginary part of a coefficient of ``F`` into [1/2, 1), clipped to
+    [-1022, 1023] so that 2^-e is a double; 0 for the zero symbol."""
+    parts = F._coeffs.real, F._coeffs.imag
+    largest = max(float(np.abs(part).max(initial=0.0)) for part in parts)
+    return min(max(math.frexp(largest)[1], -1022), 1023)
+
+
 def multiplier_norm_schedule(
     F: PowerSeries,
     degrees: Sequence[int],
@@ -106,17 +133,67 @@ def multiplier_norm_schedule(
 ) -> list[float]:
     """Compression norms over a strictly increasing list of degree cutoffs.
 
-    The compression is assembled once, at the largest degree, and each
-    norm is taken of a leading principal block.  That is exact: the
-    graded-lex simplex of degree D is the first ``C(nvars + D, nvars)``
-    basis entries of every larger one, and each block of a compression
-    is one symbol coefficient (never a sum), so the leading block is bit
-    for bit the degree-D compression.  Nested simplices make the sequence
-    nondecreasing, and every entry is a lower bound of the symbol's sup
-    norm; for symbols whose sup norm is attained at finite degree the
-    sequence is eventually constant.  Each norm is the largest singular
-    value from LAPACK's SVD, accurate to ``p(n) * eps`` times the norm
-    for an ``n``-row compression.
+    The degree-D entry is sqrt(lambda_max(G_D)), where G_D = M_D^H M_D is
+    the Gram matrix of the degree-D compression M_D, taken by one LAPACK
+    Hermitian eigensolve (``np.linalg.eigvalsh``).  Neither M_D nor the
+    compression at the largest degree is assembled, and no SVD
+    (``operator_norm``) is taken.
+
+    *The Gram by degree.*  In the graded basis M is block lower
+    triangular: block (beta + gamma, gamma) is a_beta, so every nonzero
+    block of a row of degree at most D lies in a column of degree at most
+    D.  Hence G_D is the sum over the rows rho of degree at most D of
+    their contributions a_{rho - gamma}^H a_{rho - gamma'} to block
+    (gamma, gamma').  The products a_beta^H a_beta' are formed once per
+    pair of terms that occur, and the contributions to the lower triangle
+    (all that ``eigvalsh`` reads) are added into one ``n d x n d`` array
+    with rows in basis order, one scheduled degree after another, with an
+    eigensolve of the leading block after each.  That leading block is
+    G_D itself, not the leading block of the Gram at a larger degree
+    (which also sums the rows beyond D).  A row adds at most one term to
+    each entry and the rows are added in sequence, so each entry has the
+    same bits whether or not larger degrees follow:
+    ``multiplier_norm_schedule(F, [D], base)`` gives it too.  Nested
+    simplices make the exact sequence nondecreasing, and every entry is a
+    lower bound of the symbol's sup norm; for symbols whose sup norm is
+    attained at finite degree the sequence is eventually constant.
+
+    *Cost.*  A row with c nonzero blocks adds c (c + 1) / 2 block products,
+    each scattered into the Gram by index, and each degree takes one
+    eigensolve.  Rows are added in runs of at most max(4096, (n d)^2 / 16)
+    products (or one row), so the memory in use is the Gram, the table of
+    products (at most n^2 blocks, one per pair of terms in the window),
+    LAPACK's copy of the Gram and one run's indices (about a Gram or 1 MB
+    at most): about three Gram-sized arrays for large n, against two for
+    an assembled compression and its SVD.  For sparse symbols, whose rows
+    hold a few blocks, the work is far less than a dense SVD of the same
+    order.  For dense symbols c grows like n; with a full symbol at 406
+    rows the scattered additions cost more than the SVD they replace.
+
+    *Scaling.*  The coefficients are first multiplied by the power of two
+    2^-e that brings their largest real or imaginary part into [1/2, 1)
+    (e clipped to [-1022, 1023]); that is exact except where an entry
+    turns subnormal, and the Gram can neither overflow nor underflow
+    wholesale.  The result is scaled back by 2^e, and a norm beyond the
+    double range comes out as ``inf``, as the SVD's does.
+
+    *Error bound.*  With u = 2^-53, gamma_k = k u / (1 - k u), d = ``dim``
+    and S_beta = 2^-e a_beta: each Gram entry is a sum of at most T d
+    complex products, so it is off by at most gamma_{Td+2} times the same
+    sum of moduli, (|M|^T |M|)_{entry} (Higham, Lemma 3.5), and
+    ``||G_hat - G|| <= gamma_{Td+2} N^2`` with
+    ``N = sum_beta || |S_beta| || <= sum_beta ||S_beta||_F`` (|M| is a sum
+    of block shifts, each of norm at most 1).  LAPACK's eigenvalue is
+    exact for G_hat + E with ``||E|| <= p(n) eps ||G_hat||`` for an
+    ``n``-row compression (LAPACK Users' Guide; p(n) is taken as n), so
+    ``|lambda_hat - sigma^2| <= Delta = gamma_{Td+2} N^2 + n eps
+    (lambda_hat + gamma_{Td+2} N^2) / (1 - n eps)``.  Then, for
+    sigma_hat = sqrt(lambda_hat), ``|sigma_hat - sigma| <=
+    min(sqrt(Delta), Delta / (sigma_hat + sqrt(max(lambda_hat - Delta, 0))))``
+    plus eps sigma_hat for the rounded square root, all in units of 2^e,
+    while no scaled product underflows.  ``_schedule_error_bound``
+    evaluates this bound.  When N is close to sigma it is about
+    (n + Td/2) eps / 2 relative, below the SVD's own n eps.
 
     Only ``nvars`` and ``dim`` of ``trunc_base`` are read: the degree of
     each compression comes from ``degrees``, and ``trunc_base.max_degree``
@@ -127,9 +204,84 @@ def multiplier_norm_schedule(
         raise ValueError("degrees must be strictly increasing")
     if not degrees:
         return []
-    matrix = assemble_compression(F, replace(trunc_base, max_degree=degrees[-1])).matrix
-    sizes = [math.comb(trunc_base.nvars + D, trunc_base.nvars) * trunc_base.dim for D in degrees]
-    return [operator_norm(matrix[:size, :size]) for size in sizes]
+    basis, i, j, rows = _compression_pairs(F, replace(trunc_base, max_degree=degrees[-1]))
+    n, d = len(basis), trunc_base.dim
+    # the terms that occur, at most n, so that their products are no larger than the Gram
+    used, i = np.unique(i, return_inverse=True)
+    e = _scale_exponent(F)
+    blocks = F._coeffs.take(used, axis=0) * math.ldexp(1.0, -e)
+    products = np.matmul(blocks.conj().transpose(0, 2, 1)[:, None], blocks)
+    # blocks by row, each row's by column
+    order = np.lexsort((j, rows))
+    i, j, rows = i.take(order), j.take(order), rows.take(order)
+    counts = np.bincount(rows, minlength=n)
+    first = np.concatenate([[0], np.cumsum(counts)])  # the first block of each row
+    work = np.concatenate([[0], np.cumsum(counts * (counts + 1) // 2)])
+    sizes = [math.comb(trunc_base.nvars + D, trunc_base.nvars) for D in degrees]
+    gram = np.zeros((n, d, n, d), dtype=np.complex128)
+    # runs of whole rows, of at most this many block products unless one row has more
+    budget = max(4096, (n * d) ** 2 // 16)
+    out, row = [], 0
+    while row < n:
+        stop = int(np.searchsorted(work, work[row] + budget, side="right")) - 1
+        stop = min(n, max(row + 1, stop))
+        row_first = first.take(rows[first[row] : first[stop]])
+        targets, values = _row_products(gram.shape, products, i, j, row_first, first[row])
+        done = 0
+        for size in [size for size in sizes if row < size <= stop]:
+            upto = (work[size] - work[row]) * d * d
+            np.add.at(gram.reshape(-1), targets[done:upto], values[done:upto])
+            done = upto
+            top = float(np.linalg.eigvalsh(gram.reshape(n * d, n * d)[: size * d, : size * d])[-1])
+            out.append(math.sqrt(max(top, 0.0)) * 2.0**e)  # inf beyond the double range
+        np.add.at(gram.reshape(-1), targets[done:], values[done:])
+        del targets, values  # before the next run's are built
+        row = stop
+    return out
+
+
+def _row_products(
+    shape: tuple[int, ...],
+    products: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    row_first: np.ndarray,
+    start: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lower-triangle contributions of the blocks ``start, start + 1,
+    ...``, one per entry of ``row_first``, the first block of each one's
+    row, as flat positions in a Gram of ``shape`` ``(n, d, n, d)`` and
+    values.  Block k is the term ``i[k]`` at column ``j[k]``, and a row's
+    blocks come by column; so each block k' <= k of the row of k adds
+    ``products[i[k], i[k']]`` to the Gram block ``(j[k], j[k'])``.
+    They come in the order of k, so by row."""
+    d = shape[1]
+    left = np.arange(start, start + len(row_first))
+    reach = left - row_first + 1
+    left = np.repeat(left, reach)
+    right = np.arange(len(left)) - np.repeat(np.cumsum(reach) - reach - row_first, reach)
+    coordinate = np.arange(d)
+    at = (j.take(left)[:, None, None], coordinate[:, None], j.take(right)[:, None, None], coordinate)
+    values = products.reshape(-1, d, d).take(i.take(left) * len(products) + i.take(right), axis=0)
+    return np.ravel_multi_index(at, shape).reshape(-1), values.reshape(-1)
+
+
+def _schedule_error_bound(F: PowerSeries, rows: int, value: float) -> float:
+    """The bound of ``multiplier_norm_schedule``'s docstring on
+    ``|value - sigma|``, for its entry ``value`` at an ``rows``-row
+    compression of ``F`` with largest singular value sigma."""
+    eps = float(np.finfo(np.float64).eps)
+    e = _scale_exponent(F)
+    scaled = F._coeffs * math.ldexp(1.0, -e)
+    k = F.num_terms * F.dim + 2
+    gamma = k * eps / 2 / (1 - k * eps / 2)
+    N = float(np.sum(np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
+    sigma = math.ldexp(value, -e)
+    lam = sigma * sigma
+    delta = gamma * N * N + rows * eps * (lam + gamma * N * N) / (1 - rows * eps)
+    below = sigma + math.sqrt(max(lam - delta, 0.0))
+    gap = min(math.sqrt(delta), delta / below) if below > 0 else math.sqrt(delta)
+    return math.ldexp(gap + eps * sigma, e) + 2.0**-1074
 
 
 def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray:

@@ -473,7 +473,8 @@ def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys) -> tuple[np.ndarra
     """
     order, starts = _group(keys)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _from_stack
-        blocks = np.matmul(F._coeffs[i[order]], G._coeffs[j[order], :, None])[..., 0]
+        a, b = F._coeffs.take(i[order], axis=0), G._coeffs.take(j[order], axis=0)
+        blocks = np.matmul(a, b[..., None])[..., 0]
         sums = np.add.reduceat(blocks, starts, axis=0)
     return keys[order[starts]], sums
 
@@ -495,7 +496,7 @@ def op_vec_product(
     columns = _union(F._columns, G._columns)
     left, right = _widen(F, columns), _widen(G, columns)
     i, j = _window_pairs(columns, left, right, trunc)
-    keys, sums = _convolve(F, G, i, j, left[i] + right[j])
+    keys, sums = _convolve(F, G, i, j, left.take(i, axis=0) + right.take(j, axis=0))
     return PowerSeries._from_stack("vector", F.dim, keys, sums, columns)
 
 

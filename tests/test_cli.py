@@ -26,6 +26,7 @@ from polyhardy import (
     simplex,
 )
 from polyhardy.cli import _coefficient_gap, main, run_verify
+from polyhardy.multiplier import _schedule_error_bound
 
 
 def run(argv, capsys):
@@ -225,6 +226,7 @@ class TestUnusedFlags:
             (["norm", "hinf", "G", "--radius", ","], "argument --radius:"),
             (["verify", "toeplitz", "--degree", "-1"], "argument --degree:"),
             (["verify", "parseval", "--dim", "0"], "dim >= 1"),
+            (["product", "DF", "DG", "--max-frequency", "-5"], "max_frequency must be at least 1"),
         ],
     )
     def test_exit_2_naming_the_flag(self, files, capsys, argv, flag):
@@ -337,6 +339,16 @@ class TestVerify:
         assert check.name == "toeplitz-endpoint-vs-closed-form"
         assert check.expected == closed
         assert check.tolerance == 51 * eps * closed + 4 * eps
+        assert check.passed
+
+    def test_toeplitz_schedule_is_the_closed_form(self):
+        report = run_verify("toeplitz", count=5)
+        check = report.checks[1]
+        symbol = PowerSeries.operator(1, {MultiIndex(): [[1.0]], MultiIndex([1]): [[1.0]]})
+        eps = float(np.finfo(np.float64).eps)
+        assert check.name == "toeplitz-schedule-vs-closed-form"
+        assert check.expected == 2.0 * math.cos(math.pi / (2 * 50 + 3))
+        assert check.tolerance == _schedule_error_bound(symbol, 51, check.got) + 4 * eps
         assert check.passed
 
     def test_report_lists_the_parameters_used(self):

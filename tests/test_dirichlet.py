@@ -178,8 +178,8 @@ class TestDirichletProductAgainstOracle:
     @given(
         dirichlet_operands(),
         st.one_of(
-            st.integers(min_value=-3, max_value=4000),
-            st.integers(min_value=-(2**70), max_value=2**70),
+            st.integers(min_value=1, max_value=4000),
+            st.integers(min_value=1, max_value=2**70),
         ),
     )
     @settings(max_examples=200, deadline=None)
@@ -201,12 +201,24 @@ class TestDirichletProductAgainstOracle:
         for max_frequency in (MAX_FREQUENCY, 2**63, 3 * 2**62 - 1):
             assert dirichlet_product(D, E, max_frequency).frequencies == (2**62,)
 
-    @pytest.mark.parametrize("max_frequency", [0, -1, -(2**70)])
-    def test_empty_window_gives_zero(self, max_frequency):
+    def test_empty_window_gives_zero(self):
+        D = DirichletSeries.operator(1, {2: [[2.0]], 3: [[1.0]]})
+        E = DirichletSeries.vector(1, {1: [1.0]})
+        P = dirichlet_product(D, E, 1)
+        assert P.is_zero and P.kind == "vector"
+
+    @pytest.mark.parametrize("max_frequency", [0, -1, -(2**70)], ids=["0", "-1", "-2**70"])
+    def test_window_below_one_is_named(self, max_frequency):
         D = DirichletSeries.operator(1, {1: [[1.0]], 2: [[2.0]]})
         E = DirichletSeries.vector(1, {1: [1.0]})
-        P = dirichlet_product(D, E, max_frequency)
-        assert P.is_zero and P.kind == "vector"
+        with pytest.raises(ValueError, match="max_frequency must be at least 1"):
+            dirichlet_product(D, E, max_frequency)
+
+    def test_float_window_is_a_type_error(self):
+        D = DirichletSeries.operator(1, {1: [[1.0]]})
+        E = DirichletSeries.vector(1, {1: [1.0]})
+        with pytest.raises(TypeError, match="max_frequency"):
+            dirichlet_product(D, E, 5.0)
 
     def test_empty_operands(self):
         D = DirichletSeries.operator(2, {2: np.eye(2)})

@@ -546,6 +546,11 @@ class TestColeGamelinKernel:
         with pytest.raises(ValueError, match=r"got z=\[0.*\], zeta=\[.*nan"):
             cole_gamelin_kernel_value([1.0], origin, point)
 
+    @pytest.mark.parametrize("x", [[[1.0], [2.0]], []])
+    def test_value_x_must_be_a_nonempty_vector(self, x):
+        with pytest.raises(ValueError, match="x must be a nonempty vector"):
+            cole_gamelin_kernel_value(x, [0.5], [0.1])
+
     def test_non_finite_x_rejected_by_value(self):
         with pytest.raises(ValueError, match="x must be finite"):
             cole_gamelin_kernel_value([1.0, np.inf], [0.5], [0.1])

@@ -1,5 +1,7 @@
 """Compression matrices, operator norms, schedules, consistency checks."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from polyhardy import (
     simplex,
     truncate,
 )
+from polyhardy.multiplier import _schedule_error_bound
 
 
 class TestOperatorNorm:
@@ -77,6 +80,16 @@ def compression_loop_oracle(F, trunc):
             if row is not None:
                 matrix[row * d : (row + 1) * d, col * d : (col + 1) * d] += block
     return matrix
+
+
+def assert_near_svd(F, matrix, value):
+    """A schedule entry ``value`` of symbol F lies within the schedule's
+    docstring bound plus LAPACK's n eps sigma of the SVD of ``matrix``,
+    its n-row compression."""
+    rows = matrix.shape[0]
+    sigma = operator_norm(matrix)
+    bound = _schedule_error_bound(F, rows, value) + rows * np.finfo(np.float64).eps * sigma
+    assert abs(value - sigma) <= bound
 
 
 class TestAssembleCompression:
@@ -257,14 +270,84 @@ class TestNormSchedule:
         "nvars, degrees", [(1, [0, 3, 7, 8]), (2, [0, 2, 5]), (3, [1, 3, 4])]
     )
     def test_equals_per_degree_assembly_bit_for_bit(self, nvars, degrees):
+        # each entry is the one-degree schedule's bit for bit, and within the
+        # docstring bound plus the SVD's own of the assembled compression
         rng = np.random.default_rng(10)
         F = random_power_series(rng, "operator", 2, nvars, 3, 6)
         base = TruncationParams(nvars=nvars, max_degree=0, dim=2)
-        per_degree = [
-            operator_norm(compression_loop_oracle(F, replace(base, max_degree=D)))
-            for D in degrees
-        ]
-        assert multiplier_norm_schedule(F, degrees, base) == per_degree
+        values = multiplier_norm_schedule(F, degrees, base)
+        for D, value in zip(degrees, values):
+            assert multiplier_norm_schedule(F, [D], base) == [value]
+            matrix = compression_loop_oracle(F, replace(base, max_degree=D))
+            assert_near_svd(F, matrix, value)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.sampled_from([-600, 0, 600]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_symbols_against_dense_svd(self, nvars, dim, power, seed):
+        # a power-of-two scale moves the result by that power exactly
+        F = random_power_series(np.random.default_rng(seed), "operator", dim, nvars, 2, 4)
+        base = TruncationParams(nvars=nvars, max_degree=0, dim=dim)
+        scaled = 2.0**power * F
+        values = multiplier_norm_schedule(scaled, [0, 1, 2], base)
+        assert values == [math.ldexp(v, power) for v in multiplier_norm_schedule(F, [0, 1, 2], base)]
+        for D, value in zip([0, 1, 2], values):
+            matrix = assemble_compression(scaled, replace(base, max_degree=D)).matrix
+            assert_near_svd(scaled, matrix, value)
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_extreme_coefficients_stay_finite(self, size):
+        # unscaled, the Gram of 1e200 coefficients overflows and that of
+        # 1e-200 ones underflows to zero
+        F = size * random_power_series(np.random.default_rng(14), "operator", 2, 2, 2, 4)
+        base = TruncationParams(nvars=2, max_degree=0, dim=2)
+        for D, value in zip([0, 2, 4], multiplier_norm_schedule(F, [0, 2, 4], base)):
+            matrix = assemble_compression(F, replace(base, max_degree=D)).matrix
+            assert math.isfinite(value) and value > 0.0
+            assert_near_svd(F, matrix, value)
+
+    def test_norm_beyond_double_range_is_inf(self):
+        # the degree-1 norm is 1.5e308 times the golden ratio
+        F = PowerSeries.operator(1, {MultiIndex(): [[1.5e308]], MultiIndex([1]): [[1.5e308]]})
+        base = TruncationParams(nvars=1, max_degree=0, dim=1)
+        assert multiplier_norm_schedule(F, [0, 1], base) == [1.5e308, math.inf]
+
+    def test_peak_memory_is_one_gram(self):
+        # the bench's 406-row shape: 2 variables, degree 27, a sparse scalar
+        # symbol (5 terms), whose block products are few
+        F = random_power_series(np.random.default_rng(15), "operator", 1, 2, 2, 5)
+        base = TruncationParams(nvars=2, max_degree=0, dim=1)
+        multiplier_norm_schedule(F, [27], base)  # warm the simplex cache
+        tracemalloc.start()
+        try:
+            multiplier_norm_schedule(F, [0, 5, 11, 16, 22, 27], base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = 16 * math.comb(2 + 27, 2) ** 2  # complex128, 406 x 406
+        assert peak < 1.5 * one_array
+
+    def test_dense_symbol_memory_is_bounded(self):
+        # a full symbol at the 406-row shape: its rows hold up to 210 blocks
+        # and 1.8e6 block products in all, added a run of rows at a time; the
+        # peak is the Gram, the 406 x 406 table of products, LAPACK's copy
+        # of the Gram and one run's temporaries
+        basis = simplex(2, 27)
+        coeffs = np.random.default_rng(16).standard_normal((len(basis), 1, 1)) / len(basis)
+        F = PowerSeries("operator", 1, dict(zip(basis, coeffs)))
+        base = TruncationParams(nvars=2, max_degree=0, dim=1)
+        tracemalloc.start()
+        try:
+            multiplier_norm_schedule(F, [27], base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = 16 * len(basis) ** 2
+        assert peak < 3.25 * one_array
 
     def test_negative_degree_rejected(self):
         F = PowerSeries.operator(1, {MultiIndex(): [[1.0]]})
