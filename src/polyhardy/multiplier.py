@@ -266,22 +266,29 @@ def _row_products(
     return np.ravel_multi_index(at, shape).reshape(-1), values.reshape(-1)
 
 
-def _schedule_error_bound(F: PowerSeries, rows: int, value: float) -> float:
+def _schedule_error_bound(F: PowerSeries, nvars: int, degrees, values) -> list[float]:
     """The bound of ``multiplier_norm_schedule``'s docstring on
-    ``|value - sigma|``, for its entry ``value`` at an ``rows``-row
-    compression of ``F`` with largest singular value sigma."""
+    ``|value - sigma|`` for each entry ``value`` of ``values``, the
+    schedule of ``F`` over ``degrees`` in ``nvars`` variables, where sigma
+    is the largest singular value of that degree's compression.  The
+    eigensolve at degree D has order ``n = C(nvars + D, nvars) dim``; the
+    scale 2^e and N depend on ``F`` alone, so they are taken once."""
     eps = float(np.finfo(np.float64).eps)
     e = _scale_exponent(F)
     scaled = F._coeffs * math.ldexp(1.0, -e)
     k = F.num_terms * F.dim + 2
     gamma = k * eps / 2 / (1 - k * eps / 2)
     N = float(np.sum(np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
-    sigma = math.ldexp(value, -e)
-    lam = sigma * sigma
-    delta = gamma * N * N + rows * eps * (lam + gamma * N * N) / (1 - rows * eps)
-    below = sigma + math.sqrt(max(lam - delta, 0.0))
-    gap = min(math.sqrt(delta), delta / below) if below > 0 else math.sqrt(delta)
-    return math.ldexp(gap + eps * sigma, e) + 2.0**-1074
+    bounds = []
+    for D, value in zip(degrees, values):
+        rows = math.comb(nvars + D, nvars) * F.dim
+        sigma = math.ldexp(value, -e)
+        lam = sigma * sigma
+        delta = gamma * N * N + rows * eps * (lam + gamma * N * N) / (1 - rows * eps)
+        below = sigma + math.sqrt(max(lam - delta, 0.0))
+        gap = min(math.sqrt(delta), delta / below) if below > 0 else math.sqrt(delta)
+        bounds.append(math.ldexp(gap + eps * sigma, e) + 2.0**-1074)
+    return bounds
 
 
 def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray:

@@ -11,21 +11,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyhardy
-from conftest import assert_same_bits, random_power_series, terms
+from conftest import NON_DYADIC, assert_same_bits, random_power_series, small_indices, terms
 from polyhardy import (
     DirichletSeries,
     MultiIndex,
     PowerSeries,
     TruncationParams,
     bohr,
+    bohr_inverse,
+    dirichlet_product,
     h2_norm,
     op_vec_product,
     operator_norm,
     save_series,
     series_from_dict,
     simplex,
+    truncate,
 )
-from polyhardy.cli import _coefficient_gap, main, run_verify
+from polyhardy import cli
+from polyhardy.cli import (
+    _coefficient_gap,
+    _recovery_envelope,
+    check_each,
+    main,
+    run_verify,
+)
 from polyhardy.multiplier import _schedule_error_bound
 
 
@@ -52,6 +62,21 @@ def files(tmp_path):
     return series, paths
 
 
+class TestCheckEach:
+    def test_shows_a_value_beyond_its_own_bound(self):
+        # 0.5 is below the largest bound but not below its own
+        check = check_each("c", [(1.0, 2.0), (0.5, 0.1), (0.2, 0.3)])
+        assert (check.got, check.tolerance, check.passed) == (0.5, 0.1, False)
+
+    def test_shows_the_largest_value_when_every_one_passes(self):
+        check = check_each("c", [(0.2, 0.3), (1.0, 2.0), (-5.0, 0.0)])
+        assert (check.got, check.tolerance, check.passed) == (1.0, 2.0, True)
+        assert check_each("c", []).passed
+
+    def test_nan_fails(self):
+        assert not check_each("c", [(1.0, 2.0), (math.nan, 1.0)]).passed
+
+
 class TestDiagonalDistance:
     """The diagonal isometry holds to 1e-12 through both CLI routes."""
 
@@ -74,18 +99,41 @@ class TestDiagonalDistance:
 
 
 class TestMulnorm:
-    def test_check_tolerance_does_not_change_the_schedule(self, tmp_path, capsys):
-        A = np.array([[1.0, 2.0], [0.5, -1.0j]])
-        F = PowerSeries.operator(2, {MultiIndex(): np.eye(2), MultiIndex([1]): A})
+    def test_large_symbol_passes(self, tmp_path, capsys):
+        # A z with ||A|| = 3.15e9: every entry from degree 1 up is ||A||, and
+        # they differ by 4.8e-7, one part in 1e16
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = tmp_path / "symbol.json"
-        save_series(F, path)
-        schedules = []
-        for tol in ("1e-12", "1e-2"):
-            assert main(["mulnorm", str(path), "--degree", "4", "--tol", tol]) == 0
-            report = json.loads(capsys.readouterr().out)
-            assert [c["tolerance"] for c in report["checks"]] == [float(tol)]
-            schedules.append(report["outputs"]["schedule"])
-        assert schedules[0] == schedules[1]
+        save_series(PowerSeries.operator(3, {MultiIndex([1]): A * (3.15e9 / operator_norm(A))}), path)
+        status, report = run(["mulnorm", path, "--degree", "15"], capsys)
+        schedule = report["outputs"]["schedule"]
+        assert max(a - b for a, b in zip(schedule[1:], schedule[2:])) > 1e-9
+        assert status == 0
+
+    def test_tolerance_is_the_bound_of_the_shown_drop(self, files, capsys):
+        series, paths = files
+        _, report = run(["mulnorm", paths["F"], "--degree", "4"], capsys)
+        schedule = report["outputs"]["schedule"]
+        bounds = _schedule_error_bound(series["F"], 2, range(5), schedule)
+        drops = [a - b for a, b in zip(schedule, schedule[1:])]
+        k = drops.index(max(drops))
+        assert report["checks"][0]["got"] == drops[k]
+        assert report["checks"][0]["tolerance"] == bounds[k] + bounds[k + 1]
+
+    def test_drop_beyond_its_bound_exits_1(self, files, capsys, monkeypatch):
+        F = files[0]["F"]
+        schedule = cli.multiplier_norm_schedule
+
+        def dropping(symbol, degrees, base):
+            values = schedule(symbol, degrees, base)
+            bounds = _schedule_error_bound(F, 2, degrees, values)
+            return [*values[:-1], values[-2] - 10 * (bounds[-2] + bounds[-1])]
+
+        monkeypatch.setattr(cli, "multiplier_norm_schedule", dropping)
+        status, report = run(["mulnorm", files[1]["F"], "--degree", "4"], capsys)
+        assert status == 1
+        assert not report["checks"][0]["pass"]
 
 
 class TestTransform:
@@ -120,22 +168,77 @@ class TestProduct:
     @pytest.mark.parametrize("left, right, window", TRUNCATING_WINDOWS)
     def test_truncating_window_is_checked(self, files, capsys, left, right, window):
         _, paths = files
-        argv = ["product", paths[left], paths[right], *window, "--tol", "5"]
+        argv = ["product", paths[left], paths[right], *window]
         status, report = run(argv, capsys)
         assert status == 0
-        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == [
-            ("product-evaluation-consistency", 5.0)
-        ]
+        assert [c["name"] for c in report["checks"]] == ["product-evaluation-consistency"]
         assert report["outputs"]["window_gap"] == 0.0
         assert report["outputs"]["evaluation_gap"] < 1e-14
+        assert 0 < report["checks"][0]["tolerance"] < 1e-12
 
     @pytest.mark.parametrize("left, right, window", TRUNCATING_WINDOWS)
-    def test_failing_tolerance_exits_1(self, files, capsys, left, right, window):
+    def test_window_gap_has_tolerance_zero(self, files, capsys, monkeypatch, left, right, window):
         _, paths = files
-        argv = ["product", paths[left], paths[right], *window, "--tol", "-1"]
+        monkeypatch.setattr(cli, "_coefficient_gap", lambda a, b: 5e-324)
+        status, report = run(["product", paths[left], paths[right], *window], capsys)
+        assert status == 1
+        assert [(c["got"], c["tolerance"]) for c in report["checks"]] == [(5e-324, 0.0)]
+
+    # the windowed product equals the full one restricted to the window bit
+    # for bit, so the check's window gap has tolerance 0
+    @given(data=st.data(), dim=st.integers(1, 3), scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    @settings(max_examples=100, deadline=None)
+    def test_power_window_is_the_truncated_full_product(self, data, dim, scale):
+        values = NON_DYADIC.map(lambda v: scale * v)
+        F = PowerSeries("operator", dim, data.draw(terms(small_indices, "operator", dim, values=values)))
+        G = PowerSeries("vector", dim, data.draw(terms(small_indices, "vector", dim, values=values)))
+        full = TruncationParams(4, F.total_degree + G.total_degree, dim)
+        window = TruncationParams(data.draw(st.integers(1, 4)), data.draw(st.integers(0, 16)), dim)
+        assert_same_bits(op_vec_product(F, G, window), truncate(op_vec_product(F, G, full), window))
+
+    @given(data=st.data(), dim=st.integers(1, 3), scale=st.sampled_from([1e-3, 1.0, 1e6]))
+    @settings(max_examples=100, deadline=None)
+    def test_dirichlet_window_is_the_restricted_full_product(self, data, dim, scale):
+        values, keys = NON_DYADIC.map(lambda v: scale * v), st.integers(1, 60)
+        D = DirichletSeries("operator", dim, data.draw(terms(keys, "operator", dim, values=values)))
+        E = DirichletSeries("vector", dim, data.draw(terms(keys, "vector", dim, values=values)))
+        M = data.draw(st.integers(1, 3600))
+        full = dirichlet_product(D, E, 3600)
+        restricted = DirichletSeries("vector", dim, {n: c for n, c in full.terms.items() if n <= M})
+        assert_same_bits(dirichlet_product(D, E, M), restricted)
+
+    @pytest.mark.parametrize("kind", ["power", "dirichlet"])
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_coefficients_pass(self, tmp_path, capsys, kind, scale):
+        rng = np.random.default_rng(1)
+        F = scale * random_power_series(rng, "operator", 3, 2, 4, 10)
+        G = scale * random_power_series(rng, "vector", 3, 2, 4, 10)
+        paths = [tmp_path / "F.json", tmp_path / "G.json"]
+        for path, S in zip(paths, (F, G)):
+            save_series(S if kind == "power" else bohr(S), path)
+        status, report = run(["product", *paths], capsys)
+        assert report["outputs"]["evaluation_gap"] > 1e-12 * scale / 1e3
+        assert status == 0
+
+    @pytest.mark.parametrize("left, right, window", TRUNCATING_WINDOWS)
+    def test_gap_beyond_its_bound_exits_1(self, files, capsys, monkeypatch, left, right, window):
+        # every product off by 10 times the check's bound at the constant term
+        _, paths = files
+        argv = ["product", paths[left], paths[right], *window]
+        bound = run(argv, capsys)[1]["checks"][0]["tolerance"]
+        constant = PowerSeries.constant(10 * bound * np.array([1.0, 0.0]))
+        name = "op_vec_product" if left == "F" else "dirichlet_product"
+        product = getattr(cli, name)
+
+        def off(F, G, window):
+            P = product(F, G, window)
+            return P + constant if left == "F" else bohr(bohr_inverse(P) + constant)
+
+        monkeypatch.setattr(cli, name, off)
         status, report = run(argv, capsys)
         assert status == 1
         assert not report["checks"][0]["pass"]
+        assert report["outputs"]["window_gap"] == 0.0
 
 
 class TestNorm:
@@ -178,15 +281,37 @@ class TestRecover:
         assert main(["recover", str(paths["DG"]), "--frequency", "2", "--grid", "4001,8001"]) == 2
         assert "--grid" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flags, tolerance, status", [([], 1e-2, 0), (["--tol", "1e-12"], 1e-12, 1)]
-    )
-    def test_tolerance_default_and_override(self, tmp_path, capsys, flags, tolerance, status):
+    def test_tolerance_is_the_envelope(self, tmp_path, capsys):
         path = tmp_path / "d.json"
-        save_series(DirichletSeries.vector(1, {2: [3.0], 3: [5.0]}), path)
-        assert main(["recover", str(path), "--frequency", "2", *flags]) == status
-        report = json.loads(capsys.readouterr().out)
-        assert [c["tolerance"] for c in report["checks"]] == [tolerance]
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        save_series(D, path)
+        status, report = run(["recover", path, "--frequency", "2"], capsys)
+        assert status == 0
+        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == [
+            ("recovery-error-envelope", _recovery_envelope(D, 2, 2.0, 1e4, 120_000))
+        ]
+
+    def test_error_beyond_the_envelope_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "d.json"
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [5.0]})
+        save_series(D, path)
+        envelope = _recovery_envelope(D, 2, 2.0, 1e4, 120_000)
+        recover = cli.recover_coefficient
+        monkeypatch.setattr(cli, "recover_coefficient", lambda *a: recover(*a) + 10 * envelope)
+        status, report = run(["recover", path, "--frequency", "2"], capsys)
+        assert status == 1
+        assert not report["checks"][0]["pass"]
+
+    def test_envelope_outside_the_decay_regime(self):
+        # R |L| <= 1 and |h L| >= pi each bound the weight by 1, not 1 / (R |L|)
+        D = DirichletSeries.vector(1, {2: [3.0], 3: [4.0]})
+        rounding = _recovery_envelope(DirichletSeries.vector(1, {2: [3.0]}), 2, 0.0, 1.0, 3)
+        for R, points in ((1.0, 4001), (1e4, 3)):
+            envelope = _recovery_envelope(D, 2, 0.0, R, points)
+            assert 4.0 < envelope < 4.0 + 1e-9
+            error = np.linalg.norm(cli.recover_coefficient(D, 2, 0.0, R, points) - 3.0)
+            assert error <= envelope
+        assert 0 < rounding < 1e-12
 
 
 class TestUnusedFlags:
@@ -227,6 +352,9 @@ class TestUnusedFlags:
             (["verify", "toeplitz", "--degree", "-1"], "argument --degree:"),
             (["verify", "parseval", "--dim", "0"], "dim >= 1"),
             (["product", "DF", "DG", "--max-frequency", "-5"], "max_frequency must be at least 1"),
+            (["product", "F", "G", "--tol", "5"], "--tol"),
+            (["mulnorm", "F", "--tol", "5"], "--tol"),
+            (["recover", "DG", "--frequency", "2", "--tol", "5"], "--tol"),
         ],
     )
     def test_exit_2_naming_the_flag(self, files, capsys, argv, flag):
@@ -249,6 +377,15 @@ class TestUnusedFlags:
         text = capsys.readouterr().out
         assert not any(flag in text for flag in ("--p ", "--grid", "--radius", "--tol"))
         assert all(flag in text for flag in ("--nvars", "--degree", "--dim", "--seed", "--pairs"))
+        # no subcommand offers a tolerance: each check's comes from a stated bound
+        commands = [
+            ["transform"], ["product"], ["mulnorm"], ["recover"], ["example-sot"],
+            *(["norm", which] for which in ("h2", "hp", "hinf")),
+            *(["verify", suite] for suite in cli.VERIFY_SUITES),
+        ]
+        for command in commands:
+            assert main([*command, "--help"]) == 0
+            assert "--tol" not in capsys.readouterr().out, command
 
 
 class TestZeroValuedFlags:
@@ -348,7 +485,7 @@ class TestVerify:
         eps = float(np.finfo(np.float64).eps)
         assert check.name == "toeplitz-schedule-vs-closed-form"
         assert check.expected == 2.0 * math.cos(math.pi / (2 * 50 + 3))
-        assert check.tolerance == _schedule_error_bound(symbol, 51, check.got) + 4 * eps
+        assert check.tolerance == _schedule_error_bound(symbol, 1, [50], [check.got])[0] + 4 * eps
         assert check.passed
 
     def test_report_lists_the_parameters_used(self):

@@ -82,14 +82,14 @@ def compression_loop_oracle(F, trunc):
     return matrix
 
 
-def assert_near_svd(F, matrix, value):
+def assert_near_svd(F, window, matrix, value):
     """A schedule entry ``value`` of symbol F lies within the schedule's
     docstring bound plus LAPACK's n eps sigma of the SVD of ``matrix``,
-    its n-row compression."""
+    its n-row compression on ``window``."""
     rows = matrix.shape[0]
     sigma = operator_norm(matrix)
-    bound = _schedule_error_bound(F, rows, value) + rows * np.finfo(np.float64).eps * sigma
-    assert abs(value - sigma) <= bound
+    (bound,) = _schedule_error_bound(F, window.nvars, [window.max_degree], [value])
+    assert abs(value - sigma) <= bound + rows * np.finfo(np.float64).eps * sigma
 
 
 class TestAssembleCompression:
@@ -278,8 +278,8 @@ class TestNormSchedule:
         values = multiplier_norm_schedule(F, degrees, base)
         for D, value in zip(degrees, values):
             assert multiplier_norm_schedule(F, [D], base) == [value]
-            matrix = compression_loop_oracle(F, replace(base, max_degree=D))
-            assert_near_svd(F, matrix, value)
+            window = replace(base, max_degree=D)
+            assert_near_svd(F, window, compression_loop_oracle(F, window), value)
 
     @given(
         st.integers(1, 3),
@@ -296,8 +296,8 @@ class TestNormSchedule:
         values = multiplier_norm_schedule(scaled, [0, 1, 2], base)
         assert values == [math.ldexp(v, power) for v in multiplier_norm_schedule(F, [0, 1, 2], base)]
         for D, value in zip([0, 1, 2], values):
-            matrix = assemble_compression(scaled, replace(base, max_degree=D)).matrix
-            assert_near_svd(scaled, matrix, value)
+            window = replace(base, max_degree=D)
+            assert_near_svd(scaled, window, assemble_compression(scaled, window).matrix, value)
 
     @pytest.mark.parametrize("size", [1e200, 1e-200])
     def test_extreme_coefficients_stay_finite(self, size):
@@ -306,9 +306,32 @@ class TestNormSchedule:
         F = size * random_power_series(np.random.default_rng(14), "operator", 2, 2, 2, 4)
         base = TruncationParams(nvars=2, max_degree=0, dim=2)
         for D, value in zip([0, 2, 4], multiplier_norm_schedule(F, [0, 2, 4], base)):
-            matrix = assemble_compression(F, replace(base, max_degree=D)).matrix
+            window = replace(base, max_degree=D)
             assert math.isfinite(value) and value > 0.0
-            assert_near_svd(F, matrix, value)
+            assert_near_svd(F, window, assemble_compression(F, window).matrix, value)
+
+    def test_error_bounds_of_a_schedule_are_those_of_each_entry(self):
+        # one call bounds every entry, each at its own eigensolve order
+        F = random_power_series(np.random.default_rng(15), "operator", 3, 2, 2, 4)
+        base = TruncationParams(nvars=2, max_degree=0, dim=3)
+        degrees = [0, 2, 5]
+        values = multiplier_norm_schedule(F, degrees, base)
+        bounds = _schedule_error_bound(F, 2, degrees, values)
+        assert bounds == [_schedule_error_bound(F, 2, [D], [v])[0] for D, v in zip(degrees, values)]
+        assert _schedule_error_bound(F, 2, [], []) == []
+
+    @pytest.mark.parametrize("dim, degree", [(1, 3), (4, 3), (2, 40)])
+    def test_error_bound_counts_the_eigensolve_order(self, dim, degree):
+        # the identity symbol: sigma = 1, N^2 = dim, T d + 2 = dim + 2, and an
+        # eigensolve of order n = C(1 + D, 1) dim
+        F = PowerSeries.constant(np.eye(dim))
+        eps = np.finfo(np.float64).eps
+        gamma = (dim + 2) * eps / 2 / (1 - (dim + 2) * eps / 2)
+        n = (degree + 1) * dim
+        delta = gamma * dim + n * eps * (1 + gamma * dim) / (1 - n * eps)
+        expected = delta / (1 + math.sqrt(1 - delta)) + eps
+        (bound,) = _schedule_error_bound(F, 1, [degree], [1.0])
+        assert bound == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_norm_beyond_double_range_is_inf(self):
         # the degree-1 norm is 1.5e308 times the golden ratio
