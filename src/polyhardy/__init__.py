@@ -20,8 +20,9 @@ systems of multiplier theory for vector-valued Hardy spaces:
 Everything is numerically checkable: norm identities that are exact
 theorems for the full spaces become quadrature-exact or
 oracle-tolerance identities here.  The ``polyhardy verify`` suites
-(:mod:`polyhardy.cli`) define each one once, as a check with a stated
-tolerance, and the test suite runs every suite over several seeds.
+(:mod:`polyhardy.cli`) define each one once, as an exact check or one
+within error bounds the library states, and the test suite runs every
+suite over several seeds.
 """
 
 from .multiindex import (

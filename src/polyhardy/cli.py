@@ -7,9 +7,12 @@ checks, and the process exit status is 0 exactly when every check
 passed.  Human-readable pass/fail lines go to stderr so stdout stays
 scriptable.
 
-No tolerance is set by the user.  Each check's tolerance is either 0
-(exact identities), an error bound the library states and a function
-here evaluates for the data at hand, or a literal of the suite.  The
+No tolerance is set by the user.  Each check is of one of two kinds:
+exact, with tolerance 0, or a value against a bound evaluated for the
+data at hand from error bounds the library states (``check_each`` of
+``(value, bound)`` pairs where a suite draws several samples).  The only
+literal tolerances left are the 1e-10 of ``verify parseval``'s two
+checks, which rest on numpy's FFT, for which no bound is stated.  The
 three identities that ``product``, ``mulnorm`` and ``recover`` check
 have one check each, shared with the suite that checks the same thing:
 ``_product_gap`` (``product`` and ``verify dirichlet``), ``_schedule_drops``
@@ -51,6 +54,7 @@ from .hardy import (
 )
 from .multiindex import (
     MultiIndex,
+    _index,
     _simplex_shape,
     _simplex_table,
     index_to_multiindex,
@@ -69,8 +73,6 @@ from .series import (
     PowerSeries,
     TruncationParams,
     _aligned,
-    _group,
-    _joined,
     _monomials,
     evaluate_power,
     op_vec_product,
@@ -295,8 +297,11 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
         if multiindex_to_index(alpha) != int(a) * int(b):
             bad_mult += 1
 
-    bad_support = 0
-    worst_coeff = 0.0
+    # Exact: both products keep the same pairs, ``_kept_pairs`` and the
+    # stable ``_group`` list each key's pairs by ascending left term, and
+    # ``bohr`` keeps the term order and the coefficient stack, so each
+    # coefficient is the same sum taken in the same order.
+    bad_product = 0
     for _ in range(product_pairs):
         nvars = int(rng.integers(1, 4))
         dim = int(rng.integers(1, 4))
@@ -309,10 +314,7 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
         right = dirichlet_product(
             bohr(F), bohr(G), max_frequency_for_simplex(nvars, deg_f + deg_g)
         )
-        if left.frequencies != right.frequencies:
-            bad_support += 1
-            continue
-        worst_coeff = max(worst_coeff, _coefficient_gap(left, right))
+        bad_product += left != right
 
     outputs = {
         "roundtrip_count": limit,
@@ -322,8 +324,7 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
     checks = [
         check_close("bohr-roundtrip-failures", bad_roundtrip, 0, 0),
         check_close("bohr-multiplicativity-failures", bad_mult, 0, 0),
-        check_close("product-intertwining-support-mismatches", bad_support, 0, 0),
-        check_at_most("product-intertwining-max-coeff-gap", worst_coeff, 1e-12),
+        check_close("product-intertwining-failures", bad_product, 0, 0),
     ]
     return outputs, checks
 
@@ -379,10 +380,27 @@ def _geometric_tail_bound(max_abs_sq: float, nvars: int, degree: int) -> float:
 
 
 def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
+    """Cole-Gamelin kernels and point evaluation at p = 2, each against an
+    exact bound plus the rounding the library states.
+
+    The degree-D kernel's norm falls short of ||x|| by at most ``||x|| A^2
+    tail`` (``_geometric_tail_bound``, with A^2 = prod (1 - |z_j|^2)).
+    Computing that bound rounds it by a relative gamma_J, and the gap
+    itself is off by at most ``||x|| gamma_k`` for k from the kernel's
+    coefficients (``cole_gamelin_kernel``), h2_norm's ``gamma_{Td+2}`` and
+    the norm of x.  A value ``||G(z)||`` is off by evaluate_power's
+    ``gamma_{3(D+T)} S`` and the norm of its d entries, where by
+    Cauchy-Schwarz ``S = sum ||a|| |z^alpha|`` is at most ``||G||_2
+    point_evaluation_bound(z)``, as ``sum |z^alpha|^2 <= prod 1 / (1 -
+    |z_j|^2)``.  That ceiling is off by h2_norm's and
+    point_evaluation_bound's rounding and one product, so every value is
+    within the ceiling times ``1 + gamma_k``.  Here c = 1 / (1 - max
+    |z_j|^2), as in ``point_evaluation_bound``.
+    """
     kernel_count, ineq_count, degree = p["kernel_count"], p["ineq_count"], p["degree"]
     rng = np.random.default_rng(p["seed"])
 
-    worst_excess = -np.inf  # norm gap minus its analytic tail bound
+    kernel_gaps = []
     for _ in range(kernel_count):
         nvars = int(rng.integers(1, 3))
         dim = int(rng.integers(1, 4))
@@ -390,40 +408,57 @@ def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
         radii = 0.7 * rng.random(nvars)
         z = radii * np.exp(2j * np.pi * rng.random(nvars))
         kernel = cole_gamelin_kernel(x, z, degree)
-        gap = abs(h2_norm(kernel) - float(np.linalg.norm(x)))
-        bound = float(np.linalg.norm(x)) * float(
-            np.prod(1 - np.abs(z) ** 2)
-        ) * _geometric_tail_bound(float(np.max(np.abs(z) ** 2)), nvars, degree)
-        worst_excess = max(worst_excess, gap - (bound + 1e-12))
+        norm_x = float(np.linalg.norm(x))
+        gap = abs(h2_norm(kernel) - norm_x)
+        t = float(np.max(np.abs(z) ** 2))
+        tail = norm_x * float(np.prod(1 - np.abs(z) ** 2)) * _geometric_tail_bound(t, nvars, degree)
+        c = 1 / (1 - t)
+        J = 5 * degree + 26 * c + dim + 21  # the tail formula, A^2 and ||x||, for N <= 2
+        k = 3 * degree + 4 + nvars * (5 * c + 3) + kernel.num_terms * dim + dim + 5
+        kernel_gaps.append((gap, tail * (1 + _gamma(J)) + norm_x * _gamma(k)))
 
-    worst_violation = -np.inf  # ||G(z)|| minus the point-evaluation bound
+    values = []
     for _ in range(ineq_count):
         nvars = int(rng.integers(1, 4))
         dim = int(rng.integers(1, 4))
-        G = _random_power_series(rng, "vector", dim, nvars, int(rng.integers(0, 5)), 6)
+        D = int(rng.integers(0, 5))
+        G = _random_power_series(rng, "vector", dim, nvars, D, 6)
         radii = 0.95 * rng.random(nvars)
         z = radii * np.exp(2j * np.pi * rng.random(nvars))
         value = float(np.linalg.norm(evaluate_power(G, z)))
         ceiling = h2_norm(G) * point_evaluation_bound(z, 2.0)
-        worst_violation = max(worst_violation, value - ceiling)
+        c = 1 / (1 - float(np.max(np.abs(z) ** 2)))
+        k = 3 * (D + G.num_terms) + G.num_terms * dim + nvars * (6 * c + 11) + dim + 9
+        values.append((value, ceiling * (1 + _gamma(k))))
 
     outputs = {"kernel_samples": kernel_count, "inequality_samples": ineq_count}
     checks = [
-        check_at_most("kernel-norm-gap-minus-tail-bound", worst_excess, 0.0),
-        check_at_most("point-evaluation-excess", worst_violation, 1e-10),
+        check_each("kernel-norm-gap", kernel_gaps),
+        check_each("point-evaluation-norm", values),
     ]
     return outputs, checks
 
 
 def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
+    """Radial dilation is a contraction with a stated tail, and multiplicative.
+
+    ``||G_r|| <= ||G||`` and ``||G - G_r|| <= (1 - r^W) ||G||`` hold with
+    W the largest weighted degree; computed, each side is off by at most
+    h2_norm's ``gamma_{Td+2}`` and ``radial_dilate``'s gamma_3 (with the
+    subtraction and ``1 - r^W``), within ``||G|| gamma_{2Td+16}`` in all.
+    ``(F G)_r = F_r G_r`` at every key: each product coefficient sums at
+    most ``T_F T_G`` d-term products, within ``gamma_{3 d T_F T_G}`` of the
+    sum of their norms, and each dilation adds gamma_3 per factor, so the
+    two sides differ by at most ``gamma_K S_F(r) S_G(r)`` with
+    ``S(r) = sum r^w(beta) ||a_beta||``, taken from the dilated
+    coefficients, for ``K = 6 d T_F T_G + 9``, plus the rounding of the
+    gap and of S.
+    """
     count = p["count"]
     rng = np.random.default_rng(p["seed"])
     radii = (0.3, 0.6, 0.9)
 
-    contraction_excess = -np.inf
-    bound_excess = -np.inf
-    mult_gap = 0.0
-    support_mismatches = 0
+    contractions, tails, gaps = [], [], []
     for _ in range(count):
         nvars = int(rng.integers(1, 4))
         dim = int(rng.integers(1, 3))
@@ -433,31 +468,23 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
         product = op_vec_product(F, G, window)
         base = h2_norm(G)
         W = G.max_weighted_degree
+        slack = base * _gamma(2 * G.num_terms * dim + 16)
+        # the two sides' 6 d T_F T_G + 9; the gap's subtraction and norm, d + 3;
+        # S_F S_G from the rounded dilated coefficients, d^2 + d + T_F + T_G + 13
+        K = 6 * dim * F.num_terms * G.num_terms + dim * dim + 2 * dim + F.num_terms + G.num_terms + 25
         for r in radii:
-            Gr = radial_dilate(G, r)
-            contraction_excess = max(contraction_excess, h2_norm(Gr) - base)
-            bound_excess = max(
-                bound_excess, h2_norm(G - Gr) - (1 - r**W) * base
-            )
-            dilated_product = radial_dilate(product, r)
-            product_of_dilated = op_vec_product(
-                radial_dilate(F, r), Gr, window
-            )
-            # keys are distinct within a series: equal supports iff the union is no larger
-            runs = _group(_joined(dilated_product, product_of_dilated)[0])[1]
-            if not len(runs) == dilated_product.num_terms == product_of_dilated.num_terms:
-                support_mismatches += 1
-                continue
-            mult_gap = max(
-                mult_gap, _coefficient_gap(dilated_product, product_of_dilated, relative=True)
-            )
+            Fr, Gr = radial_dilate(F, r), radial_dilate(G, r)
+            contractions.append((h2_norm(Gr) - base, slack))
+            tails.append((h2_norm(G - Gr) - (1 - r**W) * base, slack))
+            S = float(np.linalg.norm(Fr._coeffs, axis=(1, 2)).sum() * np.linalg.norm(Gr._coeffs, axis=1).sum())
+            gap = _coefficient_gap(radial_dilate(product, r), op_vec_product(Fr, Gr, window))
+            gaps.append((gap, _gamma(K) * S))
 
     outputs = {"samples": count, "radii": list(radii)}
     checks = [
-        check_at_most("dilation-contraction-excess", contraction_excess, 1e-12),
-        check_at_most("dilation-tail-bound-excess", bound_excess, 1e-12),
-        check_close("dilation-multiplicativity-support-mismatches", support_mismatches, 0, 0),
-        check_at_most("dilation-multiplicativity-max-rel-gap", mult_gap, 1e-13),
+        check_each("dilation-contraction-excess", contractions),
+        check_each("dilation-tail-bound-excess", tails),
+        check_each("dilation-multiplicativity-gap", gaps),
     ]
     return outputs, checks
 
@@ -515,19 +542,23 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
 
 
 def _suite_diagonal(p: dict) -> tuple[dict, list[Check]]:
+    """``||diag(w) - diag(w')|| = max |w_j - w'_j|``.  Both sides read the
+    same rounded differences, so they differ by operator_norm's
+    ``n eps ||M||`` (as the toeplitz suite takes it) and the one ulp np.abs
+    may be off by."""
     dim, pairs = p["dim"], p["pairs"]
     rng = np.random.default_rng(p["seed"])
     rows = []
-    worst = 0.0
+    gaps = []
     for _ in range(pairs):
         w = np.exp(2j * np.pi * rng.random(dim))
         wt = np.exp(2j * np.pi * rng.random(dim))
         dist_op = operator_norm(diagonal_example(w) - diagonal_example(wt))
         dist_inf = float(np.max(np.abs(w - wt)))
-        worst = max(worst, abs(dist_op - dist_inf))
+        gaps.append((abs(dist_op - dist_inf), dim * _EPS * dist_op + _EPS * dist_inf))
         rows.append({"uniform_distance": dist_inf, "operator_distance": dist_op})
     outputs = {"dim": dim, "pairs": pairs, "table": rows}
-    checks = [check_at_most("diagonal-distance-identity-gap", worst, 1e-12)]
+    checks = [check_each("diagonal-distance-identity-gap", gaps)]
     return outputs, checks
 
 
@@ -545,20 +576,26 @@ def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
     E = bohr(_random_power_series(rng, "vector", 2, 3, 3, 8))
     eps_grid = [0.1 * k for k in range(11)]
     norms = [h2_norm(epsilon_shift(E, eps)) for eps in eps_grid]
-    monotone_violation = max(
-        (b - a for a, b in zip(norms, norms[1:])), default=-np.inf
-    )
+    # each norm within gamma_{Td+5} (h2_norm and epsilon_shift's gamma_3)
+    k = E.num_terms * E.dim + 6
+    rises = [(b - a, _gamma(k) * (a + b)) for a, b in zip(norms, norms[1:])]
     identity_exact = 0 if epsilon_shift(E, 0.0) == E else 1
-    twice = epsilon_shift(epsilon_shift(E, 0.3), 0.45)
-    once = epsilon_shift(E, 0.75)
-    semigroup_gap = _coefficient_gap(once, twice, relative=True)
+    a, b = 0.3, 0.45
+    twice = epsilon_shift(epsilon_shift(E, a), b)
+    once = epsilon_shift(E, a + b)
+    # relative to each coefficient: epsilon_shift's gamma_6 and gamma_3 and
+    # its term for rounding a + b, then the subtraction, the two norms of d
+    # entries (gamma_{d+2} each) and the division
+    semigroup_bound = _gamma(2 * E.dim + 19 + (a + b) * math.log(E._keys.max()))
 
     outputs = {"samples": count, "epsilon_grid": eps_grid, "epsilon_norms": norms}
     checks = [
         check_each("product-evaluation-consistency", gaps),
-        check_at_most("epsilon-shift-monotonicity-violation", monotone_violation, 1e-15),
+        check_each("epsilon-shift-monotonicity-violation", rises),
         check_close("epsilon-zero-identity-failures", identity_exact, 0, 0),
-        check_at_most("epsilon-shift-semigroup-rel-gap", semigroup_gap, 1e-13),
+        check_at_most(
+            "epsilon-shift-semigroup-rel-gap", _coefficient_gap(once, twice, relative=True), semigroup_bound
+        ),
     ]
     return outputs, checks
 
@@ -635,38 +672,26 @@ _SUITES = {
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def _suite_value(suite: str, key: str, value, kind: type):
-    """``value`` as the ``kind`` of ``key``'s default, checked as ``run_verify`` states."""
-    if kind is float:
-        return float(value)
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"verify {suite} needs an integer {key}, got {value!r}")
-    if key not in ("seed", "degree") and value < 1:
-        raise ValueError(f"verify {suite} needs {key} >= 1, got {value!r}")
-    return int(value)
-
-
 def run_verify(suite: str, **params) -> RunReport:
     """Run a named verification suite and return its report.
 
     Known suites: bohr, parseval, cole-gamelin, dilation, toeplitz,
     diagonal, dirichlet, recover.  Every suite takes ``seed`` (default
     0); parameters not supplied fall back to the suite's defaults, and a
-    parameter the suite does not read raises ``ValueError``, as does a
-    non-integral value of an integer parameter, or one below 1 other than
-    ``seed`` and ``degree``, since such a run would measure nothing.  The
-    report lists every parameter the suite used, and its wall time is
-    that of the suite alone.
+    parameter the suite does not read raises ``ValueError``.  Integer
+    parameters go through ``multiindex._index``, which names the
+    parameter: a non-integer raises ``TypeError``, and a value below 0
+    (``seed`` and ``degree``) or below 1 (the others, since such a run
+    would measure nothing) raises ``ValueError``.  The report lists every
+    parameter the suite used, and its wall time is that of the suite
+    alone.
 
-    No parameter sets a tolerance.  Exact identities are checked with
-    tolerance 0; ``toeplitz``, ``dirichlet`` and ``recover`` check against
-    the error bounds the library states, evaluated for each sample
-    (``_schedule_error_bound``, ``_product_gap``, ``_recovery_envelope``);
-    the other suites keep literal tolerances.
+    No parameter sets a tolerance.  Every check is exact, with tolerance
+    0, or checks a value against the error bounds the library states,
+    evaluated for its sample (``check_each`` of per-sample ``(value,
+    bound)`` pairs).  The one exception is ``parseval``: its two checks
+    keep the literal 1e-10, as they rest on numpy's FFT, for which no
+    bound is stated.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
@@ -679,8 +704,9 @@ def run_verify(suite: str, **params) -> RunReport:
             f"it takes {', '.join(defaults)}"
         )
     used = {
-        key: _suite_value(suite, key, params.get(key, value), type(value))
-        for key, value in defaults.items()
+        key: float(value) if isinstance(defaults[key], float)
+        else _index(value, key, 0 if key in ("seed", "degree") else 1)
+        for key, value in {**defaults, **params}.items()
     }
     start = time.perf_counter()
     outputs, checks = runner(used)

@@ -167,6 +167,15 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
 
     The shifted norms ``eps -> ||D_eps||`` are nonincreasing, and shifts
     compose additively: shifting by a then b equals shifting by a + b.
+
+    *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u): Python's
+    pow is within one ulp (2u) of ``n ** -eps``, and multiplying a
+    complex number by a real one rounds each of its parts once, so each
+    coefficient is within ``gamma_3 n^-eps ||a_n||`` of ``a_n n^-eps``.
+    Shifting by a then b is thus within ``gamma_6`` of the exact shift by
+    a + b, relative to each coefficient.  The double ``c = a + b`` differs
+    from the exact sum by at most ``u c``, so ``n^-c`` is within
+    ``gamma_{c log n}`` of ``n^-(a+b)``, relative.
     """
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0):

@@ -322,7 +322,17 @@ def fourier_coefficient(
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
     """Growth factor ``prod (1 - |z_j|^2)^(-1/p)`` in the point-evaluation
-    inequality ``||G(z)|| <= ||G||_p * bound``."""
+    inequality ``||G(z)|| <= ||G||_p * bound``.
+
+    *Rounding.*  With u = 2^-53, gamma_k = k u / (1 - k u) and
+    ``c = 1 / (1 - max_j |z_j|^2)``: np.abs is within one ulp, so
+    ``|z_j|^2`` is within gamma_5, relative, and ``1 - |z_j|^2`` within
+    ``gamma_{5c+1}``, as ``|z_j|^2 <= (c - 1)(1 - |z_j|^2)``.  Raised to
+    the double nearest -1/p (p >= 1), which moves the power by at most
+    ``u log c <= u (c - 1)``, it is within ``gamma_{6c+2}``; np.power adds
+    at most four ulp, and the product of N factors N - 1 roundings, so the
+    value is within ``gamma_{N(6c+11)}`` of the exact one, relative.
+    """
     z = _polydisk_point(z, "point")
     if not float(p) >= 1:
         raise ValueError("p must be at least 1")
@@ -352,6 +362,15 @@ def cole_gamelin_kernel(
     ``conj(z_j) ** alpha_j`` multiplied along the variables in increasing
     order.  ``x`` must be finite and ``z`` a point of the open polydisk,
     both one-dimensional; ``degree`` is a non-negative integer.
+
+    *Rounding.*  With gamma_k and c as in ``point_evaluation_bound``: the
+    amplitude ``prod sqrt(1 - |z_j|^2)`` is within ``gamma_{N(5c+3)}``
+    (each square root within ``gamma_{5c+2}``), the monomial of degree at
+    most D within ``gamma_{3D}`` (``evaluate_power``'s count), and the
+    amplitude times the monomial and that times ``x_i`` add ``gamma_4``.
+    So each coefficient is within gamma_k of the exact one, relative to
+    its modulus, for ``k = 3D + 4 + N(5c + 3)``, while no product
+    underflows.
     """
     x = _kernel_vector(x)
     if not np.isfinite(x).all():

@@ -2,11 +2,13 @@
 
 Documents look like::
 
-    {"kind": "vector", "dim": 2,
+    {"series": "power", "kind": "vector", "dim": 2,
      "terms": [{"alpha": [2, 1], "coeff": [[1.0, 0.0], [0.5, -0.25]]}]}
 
-Power-series terms carry an ``alpha`` exponent list, Dirichlet terms an
-integer ``n``; each complex number is a ``[re, im]`` pair, so a vector
+``series`` is ``"power"`` or ``"dirichlet"``.  Power-series terms carry
+an ``alpha`` exponent list, Dirichlet terms an integer ``n``, and they
+must agree with ``series``; a document without ``series`` takes its type
+from its terms.  Each complex number is a ``[re, im]`` pair, so a vector
 coefficient is a length-d list of pairs and an operator coefficient a
 d x d nest.  Parsing failures raise :class:`SeriesFormatError` with a
 message naming the specific defect.
@@ -61,25 +63,29 @@ def _coeff_from_json(obj, kind: str, dim: int, where: str) -> np.ndarray:
 def series_to_dict(series: AnySeries) -> dict:
     """Schema document for a series; terms are emitted in canonical order."""
     if isinstance(series, PowerSeries):
+        which = "power"
         terms = [
             {"alpha": list(alpha.exponents), "coeff": _coeff_to_json(series.terms[alpha])}
             for alpha in series.support
         ]
     elif isinstance(series, DirichletSeries):
+        which = "dirichlet"
         terms = [
             {"n": n, "coeff": _coeff_to_json(series.terms[n])}
             for n in series.frequencies
         ]
     else:
         raise TypeError(f"not a series: {type(series).__name__}")
-    return {"kind": series.kind, "dim": series.dim, "terms": terms}
+    return {"series": which, "kind": series.kind, "dim": series.dim, "terms": terms}
 
 
 def series_from_dict(doc: object) -> AnySeries:
     """Parse a schema document into the matching series type.
 
-    Terms with ``alpha`` build a power series, terms with ``n`` a
-    Dirichlet series; a term-less document parses as an empty power
+    The ``series`` field, ``"power"`` or ``"dirichlet"``, names the type;
+    terms that contradict it raise ``SeriesFormatError``.  Without it,
+    terms with ``alpha`` build a power series, terms with ``n`` a
+    Dirichlet series, and a term-less document parses as an empty power
     series.
     """
     if not isinstance(doc, dict):
@@ -87,6 +93,9 @@ def series_from_dict(doc: object) -> AnySeries:
     missing = {"kind", "dim", "terms"} - doc.keys()
     if missing:
         raise SeriesFormatError(f"series document is missing fields: {sorted(missing)}")
+    which = doc.get("series")
+    if which not in (None, "power", "dirichlet"):
+        raise SeriesFormatError(f"series must be 'power' or 'dirichlet', got {which!r}")
     kind = doc["kind"]
     if kind not in ("vector", "operator"):
         raise SeriesFormatError(f"kind must be 'vector' or 'operator', got {kind!r}")
@@ -128,7 +137,10 @@ def series_from_dict(doc: object) -> AnySeries:
 
     if power_terms and dirichlet_terms:
         raise SeriesFormatError("document mixes 'alpha' terms with 'n' terms")
-    if dirichlet_terms:
+    found = "dirichlet" if dirichlet_terms else "power" if power_terms else which
+    if which is not None and found != which:
+        raise SeriesFormatError(f"series is {which!r} but the terms are {found} terms")
+    if found == "dirichlet":
         return DirichletSeries(kind, dim, dirichlet_terms)
     return PowerSeries(kind, dim, power_terms)
 

@@ -37,6 +37,7 @@ from polyhardy.cli import (
     run_verify,
 )
 from polyhardy.multiplier import _schedule_error_bound
+from polyhardy.series import _scaled
 
 
 def run(argv, capsys):
@@ -78,12 +79,20 @@ class TestCheckEach:
 
 
 class TestDiagonalDistance:
-    """The diagonal isometry holds to 1e-12 through both CLI routes."""
+    """The diagonal isometry holds within operator_norm's n eps ||M|| and
+    one ulp of |w - w'|, through both CLI routes."""
 
     def test_verify_diagonal_passes(self):
         report = run_verify("diagonal", seed=0)
         assert [c.name for c in report.checks] == ["diagonal-distance-identity-gap"]
-        assert report.checks[0].tolerance == 1e-12
+        check = report.checks[0]
+        eps = float(np.finfo(np.float64).eps)
+        shown = [
+            16 * eps * row["operator_distance"] + eps * row["uniform_distance"]
+            for row in report.outputs["table"]
+            if abs(row["operator_distance"] - row["uniform_distance"]) == check.got
+        ]
+        assert check.tolerance in shown
         assert report.passed, report.checks
 
     def test_example_sot_passes(self, capsys):
@@ -157,6 +166,13 @@ class TestProduct:
         status, report = run(["product", paths[left], paths[right]], capsys)
         assert status == 0
         assert [c["name"] for c in report["checks"]] == ["product-evaluation-consistency"]
+
+    def test_empty_dirichlet_file_is_a_dirichlet_factor(self, files, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        save_series(DirichletSeries.operator(2), path)
+        status, report = run(["product", path, files[1]["DG"]], capsys)
+        assert status == 0
+        assert series_from_dict(report["outputs"]["series"]) == DirichletSeries.vector(2)
 
     def test_power_product_is_the_full_cauchy_product(self, files, capsys):
         series, paths = files
@@ -350,7 +366,7 @@ class TestUnusedFlags:
             (["norm", "hinf", "G", "--grid", ","], "argument --grid:"),
             (["norm", "hinf", "G", "--radius", ","], "argument --radius:"),
             (["verify", "toeplitz", "--degree", "-1"], "argument --degree:"),
-            (["verify", "parseval", "--dim", "0"], "dim >= 1"),
+            (["verify", "parseval", "--dim", "0"], "dim must be at least 1"),
             (["product", "DF", "DG", "--max-frequency", "-5"], "max_frequency must be at least 1"),
             (["product", "F", "G", "--tol", "5"], "--tol"),
             (["mulnorm", "F", "--tol", "5"], "--tol"),
@@ -420,6 +436,57 @@ SMALL_SUITES = {
 }
 
 
+def _norm_moved_by(f, change):
+    """``f`` with each vector result scaled so that its norm becomes
+    ``change(first argument, norm of the result)``; operator results are
+    left as they are."""
+
+    def moved(first, *args):
+        R = f(first, *args)
+        return R * (change(first, h2_norm(R)) / h2_norm(R)) if R.kind == "vector" else R
+
+    return moved
+
+
+EPS = float(np.finfo(np.float64).eps)
+
+#: For each suite check with a derived bound: the check, its suite, a run
+#: of it that draws one sample, the library function the suite calls, and
+#: a mutant of that function whose result is off by ten times ``tol``, the
+#: bound an unpatched run shows.
+MUTANTS = [
+    # the bound is 0, so the least error: one ulp in every coefficient
+    ("product-intertwining-failures", "bohr", {"limit": 1, "pairs": 1, "product_pairs": 1},
+     "op_vec_product", lambda f, tol: lambda F, G, w: f(F, G, w) * (1 + EPS)),
+    ("kernel-norm-gap", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1, "seed": 2},
+     "cole_gamelin_kernel", lambda f, tol: _norm_moved_by(f, lambda x, norm: norm - 10 * tol)),
+    ("point-evaluation-norm", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1},
+     "evaluate_power", lambda f, tol: lambda G, z: f(G, z) + 10 * tol / np.sqrt(G.dim)),
+    ("dilation-contraction-excess", "dilation", {"count": 1},
+     "radial_dilate", lambda f, tol: _norm_moved_by(f, lambda G, norm: h2_norm(G) + 10 * tol)),
+    ("dilation-tail-bound-excess", "dilation", {"count": 1},
+     "radial_dilate", lambda f, tol: lambda F, r: (
+         F * (r**F.max_weighted_degree - 10 * tol / h2_norm(F)) if F.kind == "vector" else f(F, r))),
+    # the product has more than four terms and its factors at most four:
+    # only the dilated product moves, by 10 tol at the constant term
+    ("dilation-multiplicativity-gap", "dilation", {"count": 1},
+     "radial_dilate", lambda f, tol: lambda F, r: (
+         f(F, r) + PowerSeries.constant(10 * tol * np.eye(F.dim)[0]) if F.num_terms > 4 else f(F, r))),
+    ("diagonal-distance-identity-gap", "diagonal", {"pairs": 1},
+     "operator_norm", lambda f, tol: lambda M: f(M) + 10 * tol),
+    # the norms rise by 100 tol per unit of epsilon, 10 tol per step of the grid
+    ("epsilon-shift-monotonicity-violation", "dirichlet", {"count": 1},
+     "epsilon_shift", lambda f, tol: lambda D, eps: _scaled(D, 1 + 100 * tol * eps / h2_norm(D))),
+    # every nonzero shift 1 + 10 tol times too large: a shift twice is off once
+    ("epsilon-shift-semigroup-rel-gap", "dirichlet", {"count": 1},
+     "epsilon_shift", lambda f, tol: lambda D, eps: _scaled(f(D, eps), 1 + 10 * tol) if eps else D),
+]
+
+#: Checks whose mutant above is off by less than 1e-12 at its seed, so that
+#: a fixed slack of 1e-12 would miss it.
+FINER_THAN_1E12 = {"kernel-norm-gap", "dilation-contraction-excess", "diagonal-distance-identity-gap"}
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite, params", SMALL_SUITES.items())
     def test_every_suite_passes(self, suite, params):
@@ -444,11 +511,31 @@ class TestVerify:
             ("dilation", {"count": -3}, "count"),
             ("diagonal", {"pairs": 2.7}, "pairs"),
             ("diagonal", {"seed": 1.9}, "seed"),
+            ("dilation", {"count": 2.0}, "count"),
+            ("diagonal", {"seed": -1}, "seed"),
         ],
     )
     def test_bad_integer_parameter_is_named(self, suite, params, name):
-        with pytest.raises(ValueError, match=f"needs .*{name}"):
+        with pytest.raises((TypeError, ValueError), match=f"^{name} must"):
             run_verify(suite, **params)
+
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        assert main(["verify", "diagonal", "--seed", "-1"]) == 2
+        assert "seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, suite, params, name, mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
+    def test_result_off_by_ten_bounds_fails(self, monkeypatch, check, suite, params, name, mutant):
+        """Each check with a bound catches the library function it checks
+        when that function's result is off by ten times the bound."""
+
+        def shown():
+            return next(c for c in run_verify(suite, **params).checks if c.name == check)
+
+        tol = shown().tolerance
+        assert shown().passed
+        assert check not in FINER_THAN_1E12 or 10 * tol < 1e-12
+        monkeypatch.setattr(cli, name, mutant(getattr(cli, name), tol))
+        assert not shown().passed
 
     def test_recover_checks_cross_term_and_envelope_at_each_window(self):
         report = run_verify("recover")

@@ -299,6 +299,16 @@ class TestEpsilonShift:
         with pytest.raises(ValueError):
             epsilon_shift(DirichletSeries.vector(1), -0.1)
 
+    @given(st.floats(min_value=0.0, max_value=3.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_each_coefficient_within_its_stated_rounding(self, eps, seed):
+        D = bohr(random_power_series(np.random.default_rng(seed), "operator", 2, 3, 4, 8))
+        for n, got in epsilon_shift(D, eps).terms.items():
+            a = D.coefficient(n)
+            with mpmath.workdps(40):
+                want = [mpmath.mpf(n) ** -mpmath.mpf(eps) * mpmath.mpc(c) for c in a.ravel()]
+            assert distance(got, want) <= gamma(3) * n**-eps * np.linalg.norm(a)
+
     def test_semigroup_law(self):
         rng = np.random.default_rng(10)
         D = bohr(random_power_series(rng, "vector", 2, 2, 3, 6))

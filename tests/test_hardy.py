@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import polyhardy.hardy
 from conftest import (
     assert_same_bits,
+    distance,
     grid_values_by_term,
     random_power_series,
     simplex_by_compositions,
@@ -419,6 +421,44 @@ def evaluate_power_on_torus(F, w):
             mono = mono * w[pos] ** e
         out = out + coeff * mono
     return out
+
+
+def polydisk_points(max_nvars: int, max_radius: float):
+    """Strategy: points of the polydisk with 1 to ``max_nvars`` coordinates,
+    each 0 or of modulus from 1e-3 (so that no monomial underflows) to
+    ``max_radius``."""
+    modulus = st.one_of(st.just(0.0), st.floats(1e-3, max_radius))
+    coordinate = st.tuples(modulus, st.floats(0.0, 2 * math.pi))
+    return st.lists(coordinate, min_size=1, max_size=max_nvars).map(
+        lambda polar: np.array([r * np.exp(1j * t) for r, t in polar])
+    )
+
+
+class TestStatedRounding:
+    """The rounding bounds the docstrings state, against 40-digit values."""
+
+    @given(polydisk_points(3, 0.99), st.sampled_from([1.0, 2.0, 3.7]))
+    @settings(max_examples=40, deadline=None)
+    def test_point_evaluation_bound(self, z, p):
+        c = 1 / (1 - float(np.max(np.abs(z) ** 2)))
+        with mpmath.workdps(40):
+            want = mpmath.fprod((1 - abs(mpmath.mpc(w)) ** 2) ** (-1 / mpmath.mpf(p)) for w in z)
+            error = float(abs(point_evaluation_bound(z, p) - want) / want)
+        assert error <= gamma(len(z) * (6 * c + 11))
+
+    @given(polydisk_points(2, 0.95), st.integers(0, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_cole_gamelin_kernel_coefficients(self, z, degree):
+        x = np.array([1.5 - 0.25j, -0.75j])
+        c = 1 / (1 - float(np.max(np.abs(z) ** 2)))
+        k = 3 * degree + 4 + len(z) * (5 * c + 3)
+        with mpmath.workdps(40):
+            amplitude = mpmath.fprod(mpmath.sqrt(1 - abs(mpmath.mpc(w)) ** 2) for w in z)
+            for alpha, got in cole_gamelin_kernel(x, z, degree).terms.items():
+                monomial = mpmath.fprod(mpmath.conj(mpmath.mpc(w)) ** e for w, e in zip(z, alpha.exponents))
+                want = [amplitude * monomial * mpmath.mpc(xi) for xi in x]
+                scale = float(amplitude * abs(monomial)) * np.linalg.norm(x)
+                assert distance(got, want) <= gamma(k) * scale
 
 
 class TestColeGamelinKernel:

@@ -295,6 +295,16 @@ class TestRadialDilate:
         with pytest.raises(ValueError):
             radial_dilate(PowerSeries.vector(1), bad)
 
+    @given(st.floats(min_value=0.05, max_value=0.999), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_each_coefficient_within_its_stated_rounding(self, r, seed):
+        F = random_power_series(np.random.default_rng(seed), "operator", 2, 3, 4, 8)
+        for alpha, got in radial_dilate(F, r).terms.items():
+            w, a = weighted_degree(alpha), F.coefficient(alpha)
+            with mpmath.workdps(40):
+                want = [mpmath.mpf(r) ** w * mpmath.mpc(c) for c in a.ravel()]
+            assert distance(got, want) <= gamma(3) * r**w * np.linalg.norm(a)
+
     def test_h2_contraction(self):
         rng = np.random.default_rng(5)
         F = random_power_series(rng, "vector", 2, 3, 4, 8)

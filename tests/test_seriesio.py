@@ -12,6 +12,7 @@ from polyhardy import (
     PowerSeries,
     SeriesFormatError,
     bohr,
+    bohr_inverse,
     load_series,
     save_series,
     series_from_dict,
@@ -50,6 +51,18 @@ class TestRoundtrip:
         got = series_from_dict({"kind": "vector", "dim": 3, "terms": []})
         assert isinstance(got, PowerSeries)
         assert got.is_zero
+
+    @pytest.mark.parametrize("empty", [DirichletSeries.vector(2), DirichletSeries.operator(2), PowerSeries.operator(1)])
+    def test_empty_series_keeps_its_type(self, tmp_path, empty):
+        path = tmp_path / "empty.json"
+        save_series(empty, path)
+        got = load_series(path)
+        assert type(got) is type(empty) and got == empty
+
+    def test_document_names_its_series_type(self):
+        D = DirichletSeries.vector(1, {3: [1.0]})
+        assert series_to_dict(D)["series"] == "dirichlet"
+        assert series_to_dict(bohr_inverse(D))["series"] == "power"
 
     def test_terms_emitted_in_canonical_order(self):
         F = PowerSeries.vector(
@@ -100,6 +113,14 @@ class TestSchemaErrors:
             ],
         }
         with pytest.raises(SeriesFormatError, match="mixes"):
+            series_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "series, term", [("power", {"n": 2}), ("dirichlet", {"alpha": [1]}), ("taylor", {"alpha": [1]})]
+    )
+    def test_series_field_must_name_the_terms_type(self, series, term):
+        doc = {"series": series, "kind": "vector", "dim": 1, "terms": [{**term, "coeff": [[1.0, 0.0]]}]}
+        with pytest.raises(SeriesFormatError, match="^series "):
             series_from_dict(doc)
 
     def test_term_with_both_keys(self):
