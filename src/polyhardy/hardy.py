@@ -141,7 +141,8 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     is one contiguous block of node values; every 1-D transform sees the
     same numbers as on a node-first tensor.  The result is a node-first
     view of that node-last tensor: its ``np.moveaxis(values, 0, -1)`` is
-    the contiguous ``(*shape, num_nodes)`` array.
+    the contiguous ``(*shape, num_nodes)`` array.  A value beyond the
+    double range comes out infinite or NaN with no warning.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
@@ -160,8 +161,9 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     folded = np.zeros(shape + box, dtype=np.complex128)
     scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coeffs
     np.add.at(folded.reshape(*shape, -1).transpose(node_first), cells, scaled)
-    values = np.fft.ifftn(folded, s=(M,) * grid.nvars, axes=range(rank, folded.ndim))
-    values *= grid.num_nodes
+    with np.errstate(over="ignore", invalid="ignore"):  # callers name such nodes (_check_finite)
+        values = np.fft.ifftn(folded, s=(M,) * grid.nvars, axes=range(rank, folded.ndim))
+        values *= grid.num_nodes
     return values.reshape(*shape, grid.num_nodes).transpose(node_first)
 
 
@@ -237,13 +239,27 @@ def _node_norms(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(values, axis=1)
 
 
+def _check_finite(what: str, values: np.ndarray, grid: TorusGrid) -> None:
+    """Raise ``ValueError`` if a node's value in ``values`` (one row per
+    node of ``grid.nodes()``) is not finite, naming the first such node."""
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise ValueError(
+            f"{what} are not finite at {bad.size} of {grid.num_nodes} "
+            f"nodes; the first, node {bad[0]} of grid.nodes(), is {values[bad[0]]}"
+        )
+
+
 def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     """Grid H_p norm: ``(mean over nodes of ||F(r w)||^p)^(1/p)``.
 
     At radius 1 this is the trapezoid-exact torus integral for
     polynomials whenever points_per_var exceeds the relevant aliasing
     degree (2*deg for p = 2); at radius < 1 it is the norm of the
-    uniformly dilated restriction.
+    uniformly dilated restriction.  A node value that is not finite
+    raises ``ValueError`` naming the first such node; the values are
+    looked at only when the result is not finite.
     """
     p = float(p)
     if not p >= 1:
@@ -252,8 +268,11 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("p must be finite; use hinf_norm for the sup norm")
     if F.kind != "vector":
         raise ValueError("hp_norm is defined for vector series")
-    norms = _node_norms(_grid_values(F, grid))
-    return float(np.mean(norms**p) ** (1.0 / p))
+    values = _grid_values(F, grid)
+    result = float(np.mean(_node_norms(values) ** p) ** (1.0 / p))
+    if not math.isfinite(result):
+        _check_finite("grid values", values, grid)
+    return result
 
 
 def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
@@ -271,8 +290,12 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     by descending ceiling, and the visit stops at the first ceiling at
     most the maximum so far.  Every skipped node's computed norm is at
     most its ceiling, so the result equals the maximum of
-    ``operator_norm`` over all nodes bit for bit.  Non-finite operator
-    values raise ``ValueError``.
+    ``operator_norm`` over all nodes bit for bit.
+
+    A node value that is not finite, of either kind, raises
+    ``ValueError`` naming the first such node.  It leaves its node norm
+    (vector) or ceiling (operator) NaN or infinite, so the values are
+    looked at only when the largest of those is not finite.
     """
     grids = list(grid_schedule)
     if not grids:
@@ -281,11 +304,14 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     for grid in grids:
         values = _grid_values(F, grid)
         if F.kind == "vector":
-            best = max(best, float(np.max(_node_norms(values))))
+            top = float(np.max(_node_norms(values)))
+            if not math.isfinite(top):
+                _check_finite("grid values", values, grid)
+            best = max(best, top)
             continue
-        if not np.isfinite(values).all():
-            raise ValueError("grid values must be finite")
         ceilings = _sigma_ceilings(values)
+        if not math.isfinite(float(np.max(ceilings))):
+            _check_finite("grid values", values, grid)
         candidates = np.flatnonzero(ceilings > best)
         for k in candidates[np.argsort(-ceilings[candidates], kind="stable")].tolist():
             if ceilings[k] <= best:

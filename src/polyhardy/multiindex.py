@@ -12,21 +12,25 @@ Frequencies are kept within signed 64-bit range; anything larger raises
 before any power is taken, since ``2**63`` is already out of range, so a
 huge exponent read from a file costs nothing.  The prime tables are built
 by a sieve and grow lazily up to ``SIEVE_LIMIT`` (a module attribute that
-can be raised if deeper factorizations are ever needed).  The sieve stores
-the *position* of each n's smallest prime factor (-1 for 0 and 1), so
-factoring is a chain of plain-int ``memoryview`` lookups
-``p = prime[table[n]]``, and each exponent is the length of the run of
-quotients whose smallest factor stays at that position: no trial ``%``.
-Building a frequency reads the prime table directly once it is long
-enough.
+can be raised if deeper factorizations are ever needed), each time to the
+larger of the request and twice the current bound, rounded up to a
+multiple of ``_MIN_SIEVE``.  The sieve stores, for odd n only, the
+*position* of n's smallest prime factor at index ``n >> 1`` (-1 for 1):
+one int32 per two integers.  Factoring strips the power of two in one
+step, ``(n & -n).bit_length() - 1``, and the odd rest is a chain of
+plain-int ``memoryview`` lookups ``p = prime[table[rem >> 1]]``, each
+followed by dividing p out as often as it goes: no trial division by
+primes that are not factors.  Building a frequency reads the prime table
+directly once it is long enough.
 
 Series hold multi-indices as int64 exponent rows over the positions
 they use.  On those rows the Bohr map runs as arrays: building
 frequencies is one product of prime powers after a floating-point bound
 on each frequency's size (rows near 2^63 take the exact scalar path), and
-factoring gathers ``table[rem]`` for every remainder above 1 at once,
-then scatters one count per (row, position) pair.  The scalar functions
-below keep their code and their per-call cost.
+factoring divides out each frequency's power of two, gathers
+``table[rem >> 1]`` for every odd remainder above 1 at once, then
+scatters one count per (row, position) pair.  The scalar functions
+below serve one key at a time.
 
 Each degree simplex is enumerated once per ``(nvars, max_degree)`` shape,
 in one array pass that yields the graded-lex exponent rows and their
@@ -37,6 +41,7 @@ call, and array callers read the cached read-only rows.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
@@ -63,29 +68,44 @@ _MAX_EXPONENT = 62
 
 #: Hard ceiling for lazy sieve growth.  Factoring a frequency requires the
 #: prime table to reach its largest prime factor (the factor's *position*
-#: in the prime sequence is needed, not just its primality).
+#: in the prime sequence is needed, not just its primality).  At the limit
+#: the odd-only table takes 32 MB and the primes below it 8.2 MB.
 SIEVE_LIMIT = 1 << 24
 
 _MIN_SIEVE = 1 << 16
 
-_pos_table = memoryview(b"")  # int32: position of n's smallest prime factor
+_pos_table = memoryview(b"")  # int32 at n >> 1: position of odd n's smallest prime factor
 _prime = memoryview(b"")  # int64: the primes below the current bound
 _bound = 0
 
 
 def _rebuild_tables(bound: int) -> None:
+    """Tables for every n below ``bound``: ``_pos_table[n >> 1]`` holds the
+    position of the smallest prime factor of odd n (-1 for 1), and
+    ``_prime`` lists the primes below ``bound``.
+
+    A small boolean sieve gives the odd primes q with q^2 < bound.  Each
+    writes its position over its odd multiples from q^2, largest q first,
+    so an odd composite keeps the position of its smallest factor and the
+    entries still -1 past n = 1 are the odd primes.
+    """
     global _pos_table, _prime, _bound
-    table = np.full(bound, -1, dtype=np.int32)
-    count = 0  # primes below sqrt(bound) are met in increasing order
-    i = 2
-    while i * i < bound:
-        if table[i] == -1:
-            block = table[i * i :: i]
-            block[block == -1] = count
-            count += 1
-        i += 1
-    primes_found = np.flatnonzero(table[2:] == -1) + 2
-    table[primes_found] = np.arange(len(primes_found), dtype=np.int32)
+    root = math.isqrt(bound - 1)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for i in range(2, math.isqrt(root) + 1):
+        if small[i]:
+            small[i * i :: i] = False
+    table = np.full((bound + 1) >> 1, -1, dtype=np.int32)
+    odd_small = np.flatnonzero(small)[1:].tolist()  # past 2, at position 0
+    for pos in range(len(odd_small), 0, -1):  # the k-th odd prime is at position k
+        q = odd_small[pos - 1]
+        table[q * q >> 1 :: q] = pos
+    primes_found = np.flatnonzero(table < 0)  # n >> 1 of 1 and of the odd primes
+    table[primes_found[1:]] = np.arange(1, len(primes_found), dtype=np.int32)
+    primes_found *= 2
+    primes_found += 1
+    primes_found[0] = 2  # in the place of 1, at position 0
     _pos_table, _prime, _bound = memoryview(table), memoryview(primes_found), bound
 
 
@@ -103,6 +123,13 @@ def _index(value, name: str, least: int) -> int:
 
 
 def _ensure_bound(bound: int) -> None:
+    """Grow the tables to cover every n below ``bound``, up to ``SIEVE_LIMIT``.
+
+    The new bound is the larger of ``bound`` and twice the current one,
+    rounded up to a multiple of ``_MIN_SIEVE``: a one-shot request builds
+    about what it asks for, and growth in small steps still doubles, so
+    its rebuilds cost a constant factor over the last one.
+    """
     if bound <= _bound:
         return
     if bound > SIEVE_LIMIT:
@@ -110,9 +137,7 @@ def _ensure_bound(bound: int) -> None:
             f"required sieve bound {bound} exceeds SIEVE_LIMIT={SIEVE_LIMIT}; "
             "raise polyhardy.multiindex.SIEVE_LIMIT to factor deeper"
         )
-    target = _MIN_SIEVE
-    while target < bound:
-        target *= 2
+    target = -(-max(bound, 2 * _bound) // _MIN_SIEVE) * _MIN_SIEVE
     _rebuild_tables(min(target, SIEVE_LIMIT))
 
 
@@ -123,7 +148,7 @@ def _ensure_count(count: int) -> None:
             raise ValueError(
                 f"need {count} primes but the sieve is capped at SIEVE_LIMIT={SIEVE_LIMIT}"
             )
-        _rebuild_tables(min(_bound * 2, SIEVE_LIMIT))
+        _ensure_bound(_bound + 1)
 
 
 def primes(count: int) -> tuple[int, ...]:
@@ -143,8 +168,10 @@ def _prime_at(position: int) -> int:
 
 def _prime_position(p: int) -> int:
     """Position of the prime ``p`` in the increasing prime sequence."""
+    if p == 2:
+        return 0
     _ensure_bound(p + 1)
-    pos = _pos_table[p]
+    pos = _pos_table[p >> 1] if p & 1 else -1
     if pos < 0 or _prime[pos] != p:
         raise ValueError(f"{p} is not prime")
     return pos
@@ -304,14 +331,16 @@ def index_to_multiindex(n: int) -> MultiIndex:
     table, prime = _pos_table, _prime
     items = []
     rem = n
-    while rem > 1:
-        # every prime factor of rem is at least p, so p still divides rem
-        # exactly while p is its smallest prime factor
-        pos = table[rem]
+    if not n & 1:
+        twos = (n & -n).bit_length() - 1
+        items.append((0, twos))
+        rem >>= twos
+    while rem > 1:  # rem is odd
+        pos = table[rem >> 1]
         p = prime[pos]
         rem //= p
         e = 1
-        while table[rem] == pos:
+        while not rem % p:
             rem //= p
             e += 1
         items.append((pos, e))
@@ -414,22 +443,26 @@ def _factor(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     increasing positions used, and those positions (as ``_rows_of_keys``
     returns them); the inverse of ``_frequencies``.
 
-    Below ``SIEVE_LIMIT`` each pass gathers the position ``table[rem]`` of
-    the smallest prime factor of every remainder above 1 and divides that
-    prime out; one count of the (row, position) pairs then gives the
-    exponents.  Frequencies at or above ``SIEVE_LIMIT`` keep the scalar
-    trial-division path.
+    Below ``SIEVE_LIMIT`` the power of two ``f & -f`` of each frequency
+    is divided out first, so every remainder is odd; each pass then takes
+    the position ``table[rem >> 1]`` of the smallest prime factor of every
+    remainder above 1 and divides that prime out; one count of the (row,
+    position) pairs then gives the exponents.  Frequencies at or above
+    ``SIEVE_LIMIT`` keep the scalar trial-division path.
     """
     owner = np.flatnonzero((freqs > 1) & (freqs < SIEVE_LIMIT))
     rem = freqs[owner]
     _ensure_bound(int(rem.max(initial=1)) + 1)
     table, prime = np.asarray(_pos_table), np.asarray(_prime)
-    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]  # (row, position)
-    while len(rem):
-        pos = table[rem]
+    low = rem & -rem  # the power of two in each frequency
+    twos = np.repeat(owner, np.bitwise_count(low - 1))
+    found = [(twos, np.zeros(len(twos), dtype=np.int64))]  # (row, position)
+    rem //= low
+    while len(rem := rem[keep := rem > 1]):
+        owner = owner[keep]
+        pos = table[rem >> 1]
         rem = rem // prime[pos]
         found.append((owner, pos))
-        owner, rem = owner[rem > 1], rem[rem > 1]
     for t in np.flatnonzero(freqs >= SIEVE_LIMIT).tolist():
         pos, exps = zip(*_trial_division(int(freqs[t])))
         found.append((np.full(sum(exps), t), np.repeat(pos, exps)))

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import operator_norm
-from .hardy import TorusGrid, _cells, _grid_coefficients, _grid_values, hp_norm
+from .hardy import TorusGrid, _cells, _check_finite, _grid_coefficients, _grid_values, hp_norm
 from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table, simplex
 from .series import (
     PowerSeries,
@@ -336,12 +336,7 @@ def pointwise_vs_symbolic(
     product = op_vec_product(F, G, window)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid), order="C")
-    bad = np.flatnonzero(~np.isfinite(sampled).all(axis=1))
-    if bad.size:
-        raise ValueError(
-            f"sampled values F(w) G(w) are not finite at {bad.size} of {grid.num_nodes} "
-            f"nodes; the first, node {bad[0]} of grid.nodes(), is {sampled[bad[0]]}"
-        )
+    _check_finite("sampled values F(w) G(w)", sampled, grid)
     extracted = _grid_coefficients(sampled, grid)
     gaps = extracted[_cells(product._columns, product._keys, grid)[0]] - product._coeffs
     return float(np.max(_row_norms(gaps), initial=0.0))

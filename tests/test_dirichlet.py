@@ -309,14 +309,6 @@ class TestEpsilonShift:
                 want = [mpmath.mpf(n) ** -mpmath.mpf(eps) * mpmath.mpc(c) for c in a.ravel()]
             assert distance(got, want) <= gamma(3) * n**-eps * np.linalg.norm(a)
 
-    def test_semigroup_law(self):
-        rng = np.random.default_rng(10)
-        D = bohr(random_power_series(rng, "vector", 2, 2, 3, 6))
-        twice = epsilon_shift(epsilon_shift(D, 0.3), 0.45)
-        once = epsilon_shift(D, 0.75)
-        assert twice.frequencies == once.frequencies
-        assert twice.allclose(once, rtol=1e-13, atol=0.0)
-
 
 class TestRecoverCoefficient:
     def test_frequency_one_is_exact_for_any_window(self):

@@ -181,8 +181,34 @@ class TestHinfNorm:
         F = PowerSeries.operator(1, {MultiIndex(): [[1e308]], MultiIndex([1]): [[1e308]]})
         # The FFT gives inf + nan*j at w = 1, whose Frobenius ceiling is NaN,
         # and 0 at w = -1, whose zero ceiling alone would end the search.
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"not finite at 1 of 2 nodes; the first, node 0 "):
             hinf_norm(F, [TorusGrid(1, 2)])
+
+
+class TestNonFiniteNodes:
+    """F = 1e308 (1 + z) on four nodes is inf + nan*j at w = 1, where a
+    running ``max(0.0, nan)`` would return 0.0 and the H_p mean NaN.  The
+    finite value 1e308 (1 + i) at w = i overflows numpy's norm, so its
+    warning is silenced here: only the ``ValueError`` is under test."""
+
+    GRID = TorusGrid(1, 4)
+    MESSAGE = r"grid values are not finite at 1 of 4 nodes; the first, node 0 of grid.nodes\(\)"
+
+    def series(self, kind):
+        if kind == "vector":
+            return PowerSeries.vector(1, {MultiIndex(): [1e308], MultiIndex([1]): [1e308]})
+        return PowerSeries.operator(2, {MultiIndex(): 1e308 * np.eye(2), MultiIndex([1]): 1e308 * np.eye(2)})
+
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    def test_hinf_norm_names_the_node(self, kind):
+        schedule = [TorusGrid(1, 3, 0.5), self.GRID]  # the first grid is finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+            hinf_norm(self.series(kind), schedule)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_hp_norm_names_the_node(self, p):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+            hp_norm(self.series("vector"), p, self.GRID)
 
 
 #: Entries from subnormal to 1e3 in modulus, so Frobenius squares can underflow.

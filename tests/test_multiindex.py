@@ -1,6 +1,7 @@
 """Multi-index arithmetic and the prime-power frequency bijection."""
 
 import re
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -219,6 +220,55 @@ class TestFactoringBoundaries:
     )
     def test_large_frequencies(self, small_sieve, n):
         self.check(n)
+
+
+class TestSieveTables:
+    """The odd-only smallest-factor table: its layout, memory and growth."""
+
+    def test_one_shot_request_builds_it_rounded_up(self, small_sieve):
+        index_to_multiindex(1_100_000)  # needs every n below 1 100 001
+        assert multiindex._bound == 17 * multiindex._MIN_SIEVE  # 1 114 112, not 2^21
+
+    def test_growth_in_small_steps_doubles(self, small_sieve):
+        for _ in range(3):
+            bound = multiindex._bound
+            index_to_multiindex(bound)  # one past the table
+            assert multiindex._bound >= 2 * bound
+
+    def test_two_bytes_per_integer(self, small_sieve):
+        for n in (small_sieve, 10**6):
+            index_to_multiindex(n)
+            assert multiindex._pos_table.nbytes == 2 * multiindex._bound
+
+    def test_building_peaks_at_two_and_a_half_bytes_per_integer_beside_the_primes(self, small_sieve):
+        """The table and a one-byte mask per table entry; an int32 entry
+        for every integer would take 4 bytes per integer alone."""
+        bound = 1 << 21
+        tracemalloc.start()
+        try:
+            multiindex._rebuild_tables(bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert multiindex._prime[:4].tolist() == [2, 3, 5, 7]
+        assert peak <= 2.5 * bound + multiindex._prime.nbytes + (1 << 16)
+
+    @pytest.mark.parametrize("p", [2, 3, 65521, 65537, 1_048_573])
+    def test_prime_position(self, small_sieve, p):
+        assert multiindex._prime_position(p) == sympy.primepi(p) - 1
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 6, 2 * 65537, 2 * 1_048_573])
+    def test_prime_position_rejects_non_primes(self, small_sieve, n):
+        with pytest.raises(ValueError, match=f"{n} is not prime"):
+            multiindex._prime_position(n)
+
+    def test_array_factoring_agrees_with_the_scalar_path(self, small_sieve):
+        freqs = [2**k for k in range(63)] + [3**k for k in range(1, 40)]
+        freqs += [2**k * p for k in (1, 7, 20, 38) for p in (3, 65537, 1_048_573, 16_777_213)]
+        rows, columns = multiindex._factor(np.array(freqs, dtype=np.int64))
+        assert multiindex._bound > small_sieve  # 1 048 573 grew the table
+        assert multiindex._keys_of_rows(columns, rows) == [index_to_multiindex(n) for n in freqs]
+        assert all(dict(index_to_multiindex(n).items()) == sympy_items(n) for n in freqs[::7])
 
 
 class TestExponentGuard:

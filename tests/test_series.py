@@ -34,7 +34,6 @@ from polyhardy import (
     dirichlet_product,
     epsilon_shift,
     evaluate_power,
-    h2_norm,
     op_vec_product,
     radial_dilate,
     series_from_dict,
@@ -304,22 +303,6 @@ class TestRadialDilate:
             with mpmath.workdps(40):
                 want = [mpmath.mpf(r) ** w * mpmath.mpc(c) for c in a.ravel()]
             assert distance(got, want) <= gamma(3) * r**w * np.linalg.norm(a)
-
-    def test_h2_contraction(self):
-        rng = np.random.default_rng(5)
-        F = random_power_series(rng, "vector", 2, 3, 4, 8)
-        assert h2_norm(radial_dilate(F, 0.9)) <= h2_norm(F)
-
-    def test_multiplicative_over_products(self):
-        rng = np.random.default_rng(11)
-        window = TruncationParams(nvars=2, max_degree=4, dim=2)
-        F = random_power_series(rng, "operator", 2, 2, 2, 4)
-        G = random_power_series(rng, "vector", 2, 2, 2, 4)
-        r = 0.8
-        left = radial_dilate(op_vec_product(F, G, window), r)
-        right = op_vec_product(radial_dilate(F, r), radial_dilate(G, r), window)
-        assert set(left.terms) == set(right.terms)
-        assert left.allclose(right, rtol=1e-13, atol=1e-15)
 
 
 class TestEvaluate:
