@@ -35,6 +35,7 @@ import operator
 
 import numpy as np
 
+from ._linalg import _gamma
 from .multiindex import MAX_FREQUENCY, _factor, _frequencies, _index
 from .series import (
     PowerSeries,
@@ -117,6 +118,11 @@ def dirichlet_product(
     truncation on the power-series side.  ``max_frequency`` is an integer
     of at least 1 (``TypeError`` or ``ValueError`` naming it otherwise).  A
     kept product beyond the 64-bit range raises ``OverflowError``.
+
+    *Rounding.*  As for ``op_vec_product``, with which it shares its
+    convolution: each coefficient is within
+    ``gamma_{T_D T_E d + 2} sum ||a_k|| ||b_j||`` of the exact sum, over
+    its pairs, while no product underflows (``series._product_rounding``).
     """
     max_frequency = _index(max_frequency, "max_frequency", 1)
     _check_op_vec(D, E)
@@ -155,11 +161,19 @@ def evaluate_dirichlet(D: DirichletSeries, s: complex) -> np.ndarray:
     ``sum_n ||a_n|| n^(-Re s) (gamma_{3T+4} + 2 gamma_3 |s| log n)`` of
     the exact sum (Frobenius norms for operators).  The terms are summed
     in BLAS order, so another order can differ in the last bits.
+    ``_evaluate_dirichlet_rounding`` evaluates the factor of each term.
     """
     s = complex(s)
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     return _values_at(D, np.array([s]))[0]
+
+
+def _evaluate_dirichlet_rounding(D: DirichletSeries, s: complex) -> np.ndarray:
+    """The rounding ``evaluate_dirichlet`` states, as one factor per term
+    in ``terms`` order: the value at s is within the sum over the terms of
+    ``||a_n|| n^(-Re s)`` times ``gamma_{3T+4} + 2 gamma_3 |s| log n``."""
+    return _gamma(3 * D.num_terms + 4) + 2 * _gamma(3) * abs(complex(s)) * np.log(D._keys)
 
 
 def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
@@ -175,7 +189,8 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
     Shifting by a then b is thus within ``gamma_6`` of the exact shift by
     a + b, relative to each coefficient.  The double ``c = a + b`` differs
     from the exact sum by at most ``u c``, so ``n^-c`` is within
-    ``gamma_{c log n}`` of ``n^-(a+b)``, relative.
+    ``gamma_{c log n}`` of ``n^-(a+b)``, relative (``_EPSILON_SHIFT_ROUNDING``
+    and ``_epsilon_shift_sum_rounding``).
     """
     eps = float(eps)
     if not (math.isfinite(eps) and eps >= 0):
@@ -184,6 +199,20 @@ def epsilon_shift(D: DirichletSeries, eps: float) -> DirichletSeries:
         return D
     # Python's pow, not np.power: with numpy 2.4 on AVX-512 about 5% of n ** -eps round differently
     return _scaled(D, [n ** (-eps) for n in D._keys.tolist()])
+
+
+#: The index k of the rounding ``epsilon_shift`` states, relative to each
+#: coefficient: a shift is within gamma_k of the exact ``a_n n^-eps``, so a
+#: shift by a and then b is within gamma_{2k} of the exact shift by a + b.
+_EPSILON_SHIFT_ROUNDING = 3
+
+
+def _epsilon_shift_sum_rounding(D: DirichletSeries, c: float) -> float:
+    """The index s of the rounding ``epsilon_shift`` states for the double
+    ``c = a + b`` of an exact sum: ``n^-c`` is within gamma_s of
+    ``n^-(a+b)``, relative, for ``s = c log n_max`` with n_max the largest
+    frequency of D."""
+    return float(c) * math.log(D._keys.max(initial=1))
 
 
 def recover_coefficient(
@@ -241,6 +270,7 @@ def recover_coefficient(
     finite, and a ``(n/m)^sigma`` beyond the float range raises
     ``ValueError``, as does a step ``h |L|`` of 2^52 turns or more, where
     the turns c keep no fractional bit and the bound above says nothing.
+    ``_recover_coefficient_rounding`` evaluates the factor of each term.
     """
     n = DirichletSeries._key(n)
     sigma = float(sigma)
@@ -268,3 +298,12 @@ def recover_coefficient(
         weights[np.fmod(j, 2) != 0] *= -1.0  # (-1)^(j (P-1))
     weights *= scales
     return np.tensordot(weights, D._coeffs, axes=1)
+
+
+def _recover_coefficient_rounding(D: DirichletSeries, n: int, sigma: float, R: float) -> list[float]:
+    """The rounding ``recover_coefficient`` states, as one factor per term
+    m in ``terms`` order: the result is within the sum over the terms of
+    ``|a_m| (n/m)^sigma`` times ``gamma_8 (R + |sigma|) (1 + |L_m|) +
+    gamma_{T+53}``, with ``L_m = log(n/m)``."""
+    T = D.num_terms
+    return [_gamma(8) * (R + abs(sigma)) * (1 + abs(math.log(n / m))) + _gamma(T + 53) for m in D._keys.tolist()]

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import operator_norm
+from ._linalg import _U, _scale_exponent, operator_norm
 from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
 from .series import PowerSeries, _coefficient_shape, _monomials, _polydisk_point, _scaled
 
@@ -93,14 +93,29 @@ def h2_norm(F) -> float:
     or a vector Dirichlet series; the Bohr bijection is an isometry for
     this norm, so both sides give the same number.  One sum of squares
     over all T*d entries of the coefficient stack the series holds, so
-    the relative error is at most gamma_{T*d+2}; the empty series has
-    norm 0.
+    the relative error is at most gamma_{T*d+2} (``_h2_norm_rounding``);
+    the empty series has norm 0.  Where a square leaves the double range,
+    the sum is taken once more on the coefficients times the power of two
+    that brings their largest part into [1/2, 1), which is exact except
+    where an entry turns subnormal, and scaled back; a norm beyond the
+    double range is ``inf``.
     """
     if F.kind != "vector":
         raise ValueError(
             "h2_norm is defined for vector series; use hinf_norm for operator symbols"
         )
-    return float(np.linalg.norm(F._coeffs))
+    with np.errstate(over="ignore"):  # taken again below
+        norm = float(np.linalg.norm(F._coeffs))
+    if math.isinf(norm):
+        e = _scale_exponent(F._coeffs)
+        norm = float(np.linalg.norm(F._coeffs * 2.0**-e)) * 2.0**e
+    return norm
+
+
+def _h2_norm_rounding(F) -> int:
+    """The index k of the relative rounding gamma_k that ``h2_norm``
+    states, ``k = T d + 2``."""
+    return F.num_terms * F.dim + 2
 
 
 def _cells(
@@ -213,7 +228,7 @@ def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
     range) loses to the Frobenius ceiling in ``np.fmin``.
     """
     d = values.shape[-1]
-    delta = 16 * (d * d + 2) * np.finfo(np.float64).eps
+    delta = 16 * (d * d + 2) * (2 * _U)
     nodes = values.transpose(1, 2, 0)  # (d, d, N)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ceilings are kept
         frob = np.linalg.norm(nodes, axis=(0, 1))
@@ -259,7 +274,12 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     degree (2*deg for p = 2); at radius < 1 it is the norm of the
     uniformly dilated restriction.  A node value that is not finite
     raises ``ValueError`` naming the first such node; the values are
-    looked at only when the result is not finite.
+    looked at only when the result is not finite.  Where the node norms
+    or their powers leave the double range although the values are
+    finite, the mean is taken once more on the norms of the values times
+    an exact power of two, each divided by the largest m of them, so that
+    the largest term is 1 and no p underflows the mean to 0, and scaled
+    back by m and the power of two.
     """
     p = float(p)
     if not p >= 1:
@@ -269,9 +289,14 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     if F.kind != "vector":
         raise ValueError("hp_norm is defined for vector series")
     values = _grid_values(F, grid)
-    result = float(np.mean(_node_norms(values) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # taken again below
+        result = float(np.mean(_node_norms(values) ** p) ** (1.0 / p))
     if not math.isfinite(result):
         _check_finite("grid values", values, grid)
+        e = _scale_exponent(values)
+        norms = _node_norms(values * 2.0**-e)
+        m = float(np.max(norms))
+        result = float(np.mean((norms / m) ** p) ** (1.0 / p)) * m * 2.0**e
     return result
 
 
@@ -295,7 +320,9 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     A node value that is not finite, of either kind, raises
     ``ValueError`` naming the first such node.  It leaves its node norm
     (vector) or ceiling (operator) NaN or infinite, so the values are
-    looked at only when the largest of those is not finite.
+    looked at only when the largest of those is not finite.  A vector
+    node norm that leaves the double range although the values are finite
+    is taken once more on the values times an exact power of two.
     """
     grids = list(grid_schedule)
     if not grids:
@@ -304,9 +331,12 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     for grid in grids:
         values = _grid_values(F, grid)
         if F.kind == "vector":
-            top = float(np.max(_node_norms(values)))
+            with np.errstate(over="ignore"):  # taken again below
+                top = float(np.max(_node_norms(values)))
             if not math.isfinite(top):
                 _check_finite("grid values", values, grid)
+                e = _scale_exponent(values)
+                top = float(np.max(_node_norms(values * 2.0**-e))) * 2.0**e
             best = max(best, top)
             continue
         ceilings = _sigma_ceilings(values)
@@ -357,12 +387,26 @@ def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:
     the double nearest -1/p (p >= 1), which moves the power by at most
     ``u log c <= u (c - 1)``, it is within ``gamma_{6c+2}``; np.power adds
     at most four ulp, and the product of N factors N - 1 roundings, so the
-    value is within ``gamma_{N(6c+11)}`` of the exact one, relative.
+    value is within ``gamma_{N(6c+11)}`` of the exact one, relative
+    (``_point_evaluation_bound_rounding``).
     """
     z = _polydisk_point(z, "point")
     if not float(p) >= 1:
         raise ValueError("p must be at least 1")
     return float(np.prod((1.0 - np.abs(z) ** 2) ** (-1.0 / float(p))))
+
+
+def _closeness(z: np.ndarray) -> float:
+    """``c = 1 / (1 - max_j |z_j|^2)`` of the rounding statements of
+    ``point_evaluation_bound`` and ``cole_gamelin_kernel``."""
+    return 1 / (1 - float(np.max(np.abs(z) ** 2)))
+
+
+def _point_evaluation_bound_rounding(z: np.ndarray) -> float:
+    """The index k of the relative rounding gamma_k that
+    ``point_evaluation_bound`` states at the N-coordinate point z,
+    ``k = N (6c + 11)``."""
+    return len(z) * (6 * _closeness(z) + 11)
 
 
 def _kernel_vector(x: Iterable[complex]) -> np.ndarray:
@@ -396,7 +440,7 @@ def cole_gamelin_kernel(
     amplitude times the monomial and that times ``x_i`` add ``gamma_4``.
     So each coefficient is within gamma_k of the exact one, relative to
     its modulus, for ``k = 3D + 4 + N(5c + 3)``, while no product
-    underflows.
+    underflows (``_cole_gamelin_kernel_rounding``).
     """
     x = _kernel_vector(x)
     if not np.isfinite(x).all():
@@ -407,6 +451,14 @@ def cole_gamelin_kernel(
     x_everywhere = np.broadcast_to(x, (len(exponents), x.size))
     constant = PowerSeries._wrap("vector", x.size, exponents, x_everywhere, np.arange(z.size))
     return _scaled(constant, amplitude * _monomials(constant, np.conj(z)[None])[0])
+
+
+def _cole_gamelin_kernel_rounding(z: np.ndarray, degree: int) -> float:
+    """The index k of the relative rounding gamma_k that
+    ``cole_gamelin_kernel`` states for each coefficient of the kernel at
+    the N-coordinate point z truncated at ``degree``,
+    ``k = 3 degree + 4 + N (5c + 3)``."""
+    return 3 * degree + 4 + len(z) * (5 * _closeness(z) + 3)
 
 
 def cole_gamelin_kernel_value(

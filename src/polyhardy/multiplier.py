@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import operator_norm
+from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_exponent, operator_norm
 from .hardy import TorusGrid, _cells, _check_finite, _grid_coefficients, _grid_values, hp_norm
 from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table, simplex
 from .series import (
@@ -117,15 +117,6 @@ def _row_positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return match[len(table) :]
 
 
-def _scale_exponent(F: PowerSeries) -> int:
-    """The exponent e of the power of two 2^-e that brings the largest real
-    or imaginary part of a coefficient of ``F`` into [1/2, 1), clipped to
-    [-1022, 1023] so that 2^-e is a double; 0 for the zero symbol."""
-    parts = F._coeffs.real, F._coeffs.imag
-    largest = max(float(np.abs(part).max(initial=0.0)) for part in parts)
-    return min(max(math.frexp(largest)[1], -1022), 1023)
-
-
 def multiplier_norm_schedule(
     F: PowerSeries,
     degrees: Sequence[int],
@@ -185,7 +176,8 @@ def multiplier_norm_schedule(
     ``N = sum_beta || |S_beta| || <= sum_beta ||S_beta||_F`` (|M| is a sum
     of block shifts, each of norm at most 1).  LAPACK's eigenvalue is
     exact for G_hat + E with ``||E|| <= p(n) eps ||G_hat||`` for an
-    ``n``-row compression (LAPACK Users' Guide; p(n) is taken as n), so
+    ``n``-row compression (LAPACK Users' Guide; p(n) is taken as n, as for
+    ``operator_norm``: ``_operator_norm_rounding``), so
     ``|lambda_hat - sigma^2| <= Delta = gamma_{Td+2} N^2 + n eps
     (lambda_hat + gamma_{Td+2} N^2) / (1 - n eps)``.  Then, for
     sigma_hat = sqrt(lambda_hat), ``|sigma_hat - sigma| <=
@@ -208,7 +200,7 @@ def multiplier_norm_schedule(
     n, d = len(basis), trunc_base.dim
     # the terms that occur, at most n, so that their products are no larger than the Gram
     used, i = np.unique(i, return_inverse=True)
-    e = _scale_exponent(F)
+    e = _scale_exponent(F._coeffs)
     blocks = F._coeffs.take(used, axis=0) * math.ldexp(1.0, -e)
     products = np.matmul(blocks.conj().transpose(0, 2, 1)[:, None], blocks)
     # blocks by row, each row's by column
@@ -273,21 +265,19 @@ def _schedule_error_bound(F: PowerSeries, nvars: int, degrees, values) -> list[f
     is the largest singular value of that degree's compression.  The
     eigensolve at degree D has order ``n = C(nvars + D, nvars) dim``; the
     scale 2^e and N depend on ``F`` alone, so they are taken once."""
-    eps = float(np.finfo(np.float64).eps)
-    e = _scale_exponent(F)
+    e = _scale_exponent(F._coeffs)
     scaled = F._coeffs * math.ldexp(1.0, -e)
-    k = F.num_terms * F.dim + 2
-    gamma = k * eps / 2 / (1 - k * eps / 2)
+    gamma = _gamma(F.num_terms * F.dim + 2)
     N = float(np.sum(np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
     bounds = []
     for D, value in zip(degrees, values):
-        rows = math.comb(nvars + D, nvars) * F.dim
+        lapack = _operator_norm_rounding(math.comb(nvars + D, nvars) * F.dim)
         sigma = math.ldexp(value, -e)
         lam = sigma * sigma
-        delta = gamma * N * N + rows * eps * (lam + gamma * N * N) / (1 - rows * eps)
+        delta = gamma * N * N + lapack * (lam + gamma * N * N) / (1 - lapack)
         below = sigma + math.sqrt(max(lam - delta, 0.0))
         gap = min(math.sqrt(delta), delta / below) if below > 0 else math.sqrt(delta)
-        bounds.append(math.ldexp(gap + eps * sigma, e) + 2.0**-1074)
+        bounds.append(math.ldexp(gap + 2 * _U * sigma, e) + 2.0**-1074)
     return bounds
 
 

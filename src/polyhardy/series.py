@@ -479,6 +479,13 @@ def _convolve(F: _SparseSeries, G: _SparseSeries, i, j, keys) -> tuple[np.ndarra
     return keys[order[starts]], sums
 
 
+def _product_rounding(F: _SparseSeries, G: _SparseSeries) -> int:
+    """The index k of the rounding ``op_vec_product`` and
+    ``dirichlet_product`` state: each coefficient is within
+    ``gamma_k sum ||a|| ||b||`` over its pairs, ``k = T_F T_G d + 2``."""
+    return F.num_terms * G.num_terms * F.dim + 2
+
+
 def op_vec_product(
     F: PowerSeries, G: PowerSeries, trunc: TruncationParams
 ) -> PowerSeries:
@@ -490,6 +497,14 @@ def op_vec_product(
     never formed, matching the compression window.  A window whose
     ``dim`` is not that of the series raises ``ValueError``.  Bilinear in
     (F, G).
+
+    *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u): each
+    coefficient sums at most T_F T_G d complex products, one d-term
+    ``a_beta @ b_gamma`` per pair, in some order, so by Higham's bound for
+    complex inner products (Section 3.6) it is within
+    ``gamma_{T_F T_G d + 2} sum ||a_beta|| ||b_gamma||`` of the exact sum,
+    over its pairs (Frobenius norms for the operators), while no product
+    underflows (``_product_rounding``).
     """
     _check_op_vec(F, G)
     _check_window(F, trunc)
@@ -510,7 +525,7 @@ def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
     pow is within one ulp (2u) of ``r ** w``, and multiplying a complex
     number by a real one rounds each of its parts once, so each
     coefficient is within ``gamma_3 r^w ||a_alpha||`` of ``r^w a_alpha``
-    while no ``r ** w`` underflows.
+    while no ``r ** w`` underflows (``_RADIAL_DILATE_ROUNDING``).
     """
     r = float(r)
     if not 0.0 < r <= 1.0:
@@ -519,6 +534,11 @@ def radial_dilate(F: PowerSeries, r: float) -> PowerSeries:
         return F
     # Python's pow, not np.power: with numpy 2.4 on AVX-512 about 5% of r ** w round differently
     return _scaled(F, [r**w for w in _weighted_degrees(F)])
+
+
+#: The index k of the rounding ``radial_dilate`` states: each coefficient
+#: is within ``gamma_k r^w ||a_alpha||`` of ``r^w a_alpha``.
+_RADIAL_DILATE_ROUNDING = 3
 
 
 def _monomials(F: _SparseSeries, points: np.ndarray) -> np.ndarray:
@@ -583,8 +603,20 @@ def evaluate_power(F: PowerSeries, z: Iterable[complex]) -> np.ndarray:
     The terms are summed in BLAS order, so another order can differ in
     the last bits.  From exponent 100 up numpy takes the power as
     ``exp(e log z_j)``, whose error grows with ``e |log z_j|``.
+    ``_evaluate_power_rounding`` evaluates the index.
     """
     return _values_at(F, _polydisk_point(z, "point")[None])[0]
+
+
+def _evaluate_power_rounding(F: PowerSeries) -> int:
+    """The index k of the rounding ``evaluate_power`` states: the value is
+    within ``gamma_k sum_alpha ||a_alpha|| |z^alpha|`` of the exact sum,
+    ``k = 3 (D + T)`` with D the largest total degree and T the terms.
+    That bound holds only for exponents below 100, so an exponent of 100
+    or more raises ``ValueError``."""
+    if F._keys.max(initial=0) >= 100:
+        raise ValueError(f"evaluate_power states no rounding bound for an exponent of 100 or more, got {F._keys.max()}")
+    return 3 * (F.total_degree + F.num_terms)
 
 
 def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:

@@ -40,6 +40,12 @@ class SeriesFormatError(ValueError):
     """A series document violates the schema."""
 
 
+def _is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: JSON's true and false parse
+    to Python bools, which ``isinstance(value, int)`` would let through."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coeff_to_json(coeff: np.ndarray) -> list:
     return np.stack([coeff.real, coeff.imag], axis=-1).tolist()
 
@@ -100,7 +106,7 @@ def series_from_dict(doc: object) -> AnySeries:
     if kind not in ("vector", "operator"):
         raise SeriesFormatError(f"kind must be 'vector' or 'operator', got {kind!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise SeriesFormatError(f"dim must be a positive integer, got {dim!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
@@ -123,7 +129,7 @@ def series_from_dict(doc: object) -> AnySeries:
         if has_alpha:
             alpha = entry["alpha"]
             if not isinstance(alpha, list) or not all(
-                isinstance(e, int) and e >= 0 for e in alpha
+                _is_int(e) and e >= 0 for e in alpha
             ):
                 raise SeriesFormatError(
                     f"{where}.alpha must be a list of non-negative integers"
@@ -131,7 +137,7 @@ def series_from_dict(doc: object) -> AnySeries:
             power_terms.append((alpha, coeff))
         else:
             n = entry["n"]
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise SeriesFormatError(f"{where}.n must be a positive integer")
             dirichlet_terms.append((n, coeff))
 

@@ -14,19 +14,11 @@ from hypothesis import strategies as st
 from polyhardy import MultiIndex
 from polyhardy.cli import _random_power_series as random_power_series  # noqa: F401
 
-#: Unit roundoff of IEEE double precision.
-U = 2.0**-53
-
 #: Non-dyadic values, so products round, and none so small that they underflow.
 NON_DYADIC = st.integers(min_value=-1000, max_value=1000).map(lambda n: n / 37)
 
 #: Every finite double: signed zeros, subnormals and values whose products overflow.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u): relative error bound of n roundings."""
-    return n * U / (1.0 - n * U)
 
 
 def summed_norms(series) -> float:
@@ -54,6 +46,24 @@ def contracted_by_mpmath(F, monomial):
             total = [t + m * mpmath.mpc(c) for t, c in zip(total, a.ravel())]
             weight += abs(m) * mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(c)) ** 2 for c in a.ravel()))
         return total, float(weight)
+
+
+def sums_of_products_by_mpmath(F, G, combine):
+    """Each coefficient of the full product of an operator series ``F`` and
+    a vector series ``G``: ``sum a @ b`` over the pairs of terms whose keys
+    ``combine`` to its key, in 40-digit arithmetic, one mpmath value per
+    entry; and ``sum ||a|| ||b||`` over the same pairs, as a float."""
+    exact, weight = {}, {}
+    with mpmath.workdps(40):
+        for k, a in F.terms.items():
+            A = mpmath.matrix(a.tolist())
+            for j, b in G.terms.items():
+                key = combine(k, j)
+                products = A * mpmath.matrix(b.tolist())
+                total = exact.get(key, [mpmath.mpc(0)] * F.dim)
+                exact[key] = [t + products[i] for i, t in enumerate(total)]
+                weight[key] = weight.get(key, 0.0) + float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    return exact, weight
 
 
 def terms(keys, kind: str, dim: int, max_size: int = 6, values=NON_DYADIC):

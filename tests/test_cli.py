@@ -29,6 +29,7 @@ from polyhardy import (
     truncate,
 )
 from polyhardy import cli
+from polyhardy._linalg import _U, _operator_norm_rounding
 from polyhardy.cli import (
     _coefficient_gap,
     _recovery_envelope,
@@ -79,16 +80,15 @@ class TestCheckEach:
 
 
 class TestDiagonalDistance:
-    """The diagonal isometry holds within operator_norm's n eps ||M|| and
-    one ulp of |w - w'|, through both CLI routes."""
+    """The diagonal isometry holds within the rounding operator_norm states
+    and one ulp of |w - w'|, through both CLI routes."""
 
     def test_verify_diagonal_passes(self):
         report = run_verify("diagonal", seed=0)
         assert [c.name for c in report.checks] == ["diagonal-distance-identity-gap"]
         check = report.checks[0]
-        eps = float(np.finfo(np.float64).eps)
         shown = [
-            16 * eps * row["operator_distance"] + eps * row["uniform_distance"]
+            _operator_norm_rounding(16) * row["operator_distance"] + 2 * _U * row["uniform_distance"]
             for row in report.outputs["table"]
             if abs(row["operator_distance"] - row["uniform_distance"]) == check.got
         ]
@@ -223,6 +223,15 @@ class TestProduct:
         restricted = DirichletSeries("vector", dim, {n: c for n, c in full.terms.items() if n <= M})
         assert_same_bits(dirichlet_product(D, E, M), restricted)
 
+    def test_exponent_100_has_no_stated_bound(self, tmp_path, capsys):
+        """Factors of degree 50 give a product with z^100, beyond the
+        exponents for which evaluate_power states its rounding."""
+        paths = [tmp_path / "F.json", tmp_path / "G.json"]
+        save_series(PowerSeries.operator(1, {MultiIndex([50]): [[1.0]]}), paths[0])
+        save_series(PowerSeries.vector(1, {MultiIndex([50]): [1.0]}), paths[1])
+        assert cli.main(["product", *map(str, paths)]) == 2
+        assert "no rounding bound for an exponent of 100 or more" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["power", "dirichlet"])
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_large_coefficients_pass(self, tmp_path, capsys, kind, scale):
@@ -292,6 +301,12 @@ class TestNorm:
 
 
 class TestRecover:
+    @pytest.mark.parametrize("R", ["nan", "inf", "-1"])
+    def test_a_bad_half_length_is_named(self, files, capsys, R):
+        _, paths = files
+        assert main(["recover", str(paths["DG"]), "--frequency", "2", "--R", R]) == 2
+        assert "R must be finite and positive" in capsys.readouterr().err
+
     def test_grid_rejects_a_list(self, files, capsys):
         _, paths = files
         assert main(["recover", str(paths["DG"]), "--frequency", "2", "--grid", "4001,8001"]) == 2
@@ -448,8 +463,6 @@ def _norm_moved_by(f, change):
     return moved
 
 
-EPS = float(np.finfo(np.float64).eps)
-
 #: For each suite check with a derived bound: the check, its suite, a run
 #: of it that draws one sample, the library function the suite calls, and
 #: a mutant of that function whose result is off by ten times ``tol``, the
@@ -457,7 +470,7 @@ EPS = float(np.finfo(np.float64).eps)
 MUTANTS = [
     # the bound is 0, so the least error: one ulp in every coefficient
     ("product-intertwining-failures", "bohr", {"limit": 1, "pairs": 1, "product_pairs": 1},
-     "op_vec_product", lambda f, tol: lambda F, G, w: f(F, G, w) * (1 + EPS)),
+     "op_vec_product", lambda f, tol: lambda F, G, w: f(F, G, w) * math.nextafter(1.0, 2.0)),
     ("kernel-norm-gap", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1, "seed": 2},
      "cole_gamelin_kernel", lambda f, tol: _norm_moved_by(f, lambda x, norm: norm - 10 * tol)),
     ("point-evaluation-norm", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1},
@@ -559,20 +572,18 @@ class TestVerify:
         report = run_verify("toeplitz", count=5)
         check = report.checks[0]
         closed = 2.0 * math.cos(math.pi / (2 * 50 + 3))
-        eps = float(np.finfo(np.float64).eps)
         assert check.name == "toeplitz-endpoint-vs-closed-form"
         assert check.expected == closed
-        assert check.tolerance == 51 * eps * closed + 4 * eps
+        assert check.tolerance == _operator_norm_rounding(51) * closed + 8 * _U
         assert check.passed
 
     def test_toeplitz_schedule_is_the_closed_form(self):
         report = run_verify("toeplitz", count=5)
         check = report.checks[1]
         symbol = PowerSeries.operator(1, {MultiIndex(): [[1.0]], MultiIndex([1]): [[1.0]]})
-        eps = float(np.finfo(np.float64).eps)
         assert check.name == "toeplitz-schedule-vs-closed-form"
         assert check.expected == 2.0 * math.cos(math.pi / (2 * 50 + 3))
-        assert check.tolerance == _schedule_error_bound(symbol, 1, [50], [check.got])[0] + 4 * eps
+        assert check.tolerance == _schedule_error_bound(symbol, 1, [50], [check.got])[0] + 8 * _U
         assert check.passed
 
     def test_report_lists_the_parameters_used(self):

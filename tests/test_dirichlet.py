@@ -15,11 +15,11 @@ from conftest import (
     built_term_by_term,
     contracted_by_mpmath,
     distance,
-    gamma,
     random_power_series,
     series,
     small_indices,
     summed_norms,
+    sums_of_products_by_mpmath,
     terms,
 )
 from polyhardy import (
@@ -33,7 +33,14 @@ from polyhardy import (
     evaluate_dirichlet,
     recover_coefficient,
 )
+from polyhardy._linalg import _gamma
+from polyhardy.dirichlet import (
+    _EPSILON_SHIFT_ROUNDING,
+    _evaluate_dirichlet_rounding,
+    _recover_coefficient_rounding,
+)
 from polyhardy.multiindex import MAX_FREQUENCY, index_to_multiindex, multiindex_to_index
+from polyhardy.series import _product_rounding
 
 
 class TestBohrTransform:
@@ -188,9 +195,23 @@ class TestDirichletProductAgainstOracle:
         P = dirichlet_product(D, E, max_frequency)
         expected = divisor_pair_oracle(D, E, max_frequency)
         assert all(n <= max_frequency for n in P.frequencies)
-        tol = gamma((D.num_terms * E.num_terms + 1) * D.dim) * summed_norms(D) * summed_norms(E)
+        tol = _gamma((D.num_terms * E.num_terms + 1) * D.dim) * summed_norms(D) * summed_norms(E)
         for n in set(P.frequencies) | set(expected):
             assert np.linalg.norm(P.coefficient(n) - expected.get(n, 0.0)) <= tol
+
+    @given(dirichlet_operands(), st.integers(min_value=1, max_value=4000))
+    @settings(max_examples=100, deadline=None)
+    def test_within_the_stated_rounding_of_a_40_digit_sum(self, operands, max_frequency):
+        """Against each coefficient's divisor sum in 40-digit arithmetic,
+        within the bound ``dirichlet_product`` states: ``gamma_k`` times the
+        sum of ``||a_k|| ||b_j||`` over the coefficient's pairs, k from
+        ``series._product_rounding``.  Non-dyadic values, so products round."""
+        D, E = operands
+        P = dirichlet_product(D, E, max_frequency)
+        exact, weight = sums_of_products_by_mpmath(D, E, lambda k, j: k * j)
+        for n in exact:
+            if n <= max_frequency:
+                assert distance(P.coefficient(n), exact[n]) <= _gamma(_product_rounding(D, E)) * weight[n]
 
     def test_kept_product_past_64_bits_raises(self):
         D = DirichletSeries.operator(1, {1: [[1.0]], 3: [[1.0]]})
@@ -279,12 +300,8 @@ class TestEvaluate:
         ``n^(-s)`` leaves the normal range."""
         s = complex(sigma, t)
         want, _ = contracted_by_mpmath(D, lambda n: mpmath.exp(-mpmath.mpc(s) * mpmath.log(n)))
-        bound = sum(
-            float(np.linalg.norm(a))
-            * n**-sigma
-            * (gamma(3 * D.num_terms + 4) + 2 * gamma(3) * abs(s) * math.log(n))
-            for n, a in D.terms.items()
-        )
+        factors = _evaluate_dirichlet_rounding(D, s)
+        bound = sum(float(np.linalg.norm(a)) * n**-sigma * f for (n, a), f in zip(D.terms.items(), factors))
         assert distance(evaluate_dirichlet(D, s), want) <= bound
 
 
@@ -307,7 +324,7 @@ class TestEpsilonShift:
             a = D.coefficient(n)
             with mpmath.workdps(40):
                 want = [mpmath.mpf(n) ** -mpmath.mpf(eps) * mpmath.mpc(c) for c in a.ravel()]
-            assert distance(got, want) <= gamma(3) * n**-eps * np.linalg.norm(a)
+            assert distance(got, want) <= _gamma(_EPSILON_SHIFT_ROUNDING) * n**-eps * np.linalg.norm(a)
 
 
 class TestRecoverCoefficient:
@@ -448,7 +465,7 @@ class TestRecoverAgainstClosedForm:
             got = recover_coefficient(D, n, sigma, R, grid_points)
             want, scale = trapezoid_closed_form(D, n, sigma, R, grid_points)
             assert got.shape == want.shape and got.dtype == np.complex128
-            assert np.linalg.norm(got - want) <= gamma(grid_points + 4) * scale
+            assert np.linalg.norm(got - want) <= _gamma(grid_points + 4) * scale
 
     def test_empty_series_recovers_zero(self):
         got = recover_coefficient(DirichletSeries.operator(2), 3, 2.0, 10.0, 11)
@@ -493,14 +510,10 @@ class TestRecoverAgainstClosedForm:
 
 
 def recovery_bound(D, n, sigma, R):
-    """``recover_coefficient``'s rounding bound from its docstring:
-    ``sum_m |a_m| (n/m)^sigma (gamma_8 (R + |sigma|) (1 + |L_m|) + gamma_{T+53})``."""
-    return sum(
-        float(np.linalg.norm(a))
-        * (n / m) ** sigma
-        * (gamma(8) * (R + abs(sigma)) * (1 + abs(math.log(n / m))) + gamma(D.num_terms + 53))
-        for m, a in D.terms.items()
-    )
+    """``recover_coefficient``'s rounding bound from its docstring, the sum
+    over the terms of ``|a_m| (n/m)^sigma`` times each term's factor."""
+    factors = _recover_coefficient_rounding(D, n, sigma, R)
+    return sum(float(np.linalg.norm(a)) * (n / m) ** sigma * f for (m, a), f in zip(D.terms.items(), factors))
 
 
 def trapezoid_by_direct_sum(D, n, sigma, R, grid_points):

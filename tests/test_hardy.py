@@ -35,6 +35,12 @@ from polyhardy import (
     radial_dilate,
     simplex,
 )
+from polyhardy._linalg import _gamma, _operator_norm_rounding
+from polyhardy.hardy import (
+    _cole_gamelin_kernel_rounding,
+    _h2_norm_rounding,
+    _point_evaluation_bound_rounding,
+)
 
 
 class TestTorusGrid:
@@ -108,7 +114,7 @@ class TestH2Norm:
         for F in (PowerSeries("vector", dim, power_terms), DirichletSeries("vector", dim, dirichlet_terms)):
             entries = [v for c in F.terms.values() for v in c.tolist()]
             reference = math.sqrt(math.fsum([v.real**2 for v in entries] + [v.imag**2 for v in entries]))
-            assert abs(h2_norm(F) - reference) <= gamma(F.num_terms * dim + 2) * reference
+            assert abs(h2_norm(F) - reference) <= _gamma(_h2_norm_rounding(F)) * reference
 
     def test_empty_series_has_norm_zero(self):
         assert h2_norm(PowerSeries.vector(3)) == 0.0
@@ -188,8 +194,8 @@ class TestHinfNorm:
 class TestNonFiniteNodes:
     """F = 1e308 (1 + z) on four nodes is inf + nan*j at w = 1, where a
     running ``max(0.0, nan)`` would return 0.0 and the H_p mean NaN.  The
-    finite value 1e308 (1 + i) at w = i overflows numpy's norm, so its
-    warning is silenced here: only the ``ValueError`` is under test."""
+    finite value 1e308 (1 + i) at w = i overflows numpy's norm, and no
+    warning of it escapes (warnings are errors in this suite)."""
 
     GRID = TorusGrid(1, 4)
     MESSAGE = r"grid values are not finite at 1 of 4 nodes; the first, node 0 of grid.nodes\(\)"
@@ -202,13 +208,45 @@ class TestNonFiniteNodes:
     @pytest.mark.parametrize("kind", ["vector", "operator"])
     def test_hinf_norm_names_the_node(self, kind):
         schedule = [TorusGrid(1, 3, 0.5), self.GRID]  # the first grid is finite
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+        with pytest.raises(ValueError, match=self.MESSAGE):
             hinf_norm(self.series(kind), schedule)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     def test_hp_norm_names_the_node(self, p):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=self.MESSAGE):
+        with pytest.raises(ValueError, match=self.MESSAGE):
             hp_norm(self.series("vector"), p, self.GRID)
+
+
+class TestLargeFiniteValues:
+    """Values whose squares or p-th powers leave the double range although
+    their norms do not: each norm is a double near the exact one, and no
+    overflow warning escapes (warnings are errors in this suite)."""
+
+    BIG = [1e155, -1e155j]
+    GRID = TorusGrid(1, 3)
+
+    @pytest.mark.parametrize(
+        "F", [PowerSeries.vector(2, {MultiIndex(): BIG, MultiIndex([1]): BIG}), DirichletSeries.vector(2, {1: BIG, 6: BIG})]
+    )
+    def test_h2_norm(self, F):
+        assert abs(h2_norm(F) - 2e155) <= _gamma(_h2_norm_rounding(F)) * 2e155
+
+    @pytest.mark.parametrize("scale, p", [(1e155, 1.0), (1e155, 2.0), (1e100, 4.0), (1e30, 12.0)])
+    def test_hp_norm(self, scale, p):
+        F = PowerSeries.vector(2, {MultiIndex(): [1.0, 2.0j], MultiIndex([1]): [-0.5, 1.0]})
+        want = scale * hp_norm(F, p, self.GRID)
+        assert hp_norm(scale * F, p, self.GRID) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("c, p", [(2.0, 1100.0), (1.2, 5000.0)])
+    def test_hp_norm_of_a_constant_at_large_p(self, c, p):
+        """c^p overflows and (c / 2^e)^p underflows: the retry divides by
+        the largest node norm, so the largest term is 1 and the norm is c."""
+        assert hp_norm(PowerSeries.vector(1, {MultiIndex(): [c]}), p, self.GRID) == c
+
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    def test_hinf_norm(self, kind):
+        F = PowerSeries(kind, 2, {MultiIndex(): np.diag(self.BIG) if kind == "operator" else self.BIG})
+        assert hinf_norm(F, [self.GRID]) == pytest.approx(1e155 * (1.0 if kind == "operator" else math.sqrt(2)), rel=1e-15)
 
 
 #: Entries from subnormal to 1e3 in modulus, so Frobenius squares can underflow.
@@ -344,14 +382,6 @@ class TestSigmaCeilings:
         assert np.all(sigmas <= ceilings) and np.all(ceilings <= sigmas * (1 + 1e-13))
 
 
-U = np.finfo(float).eps / 2
-
-
-def gamma(k):
-    """Higham's gamma_k = k u / (1 - k u): relative error bound of k roundings."""
-    return k * U / (1 - k * U)
-
-
 def grid_value_error(F, grid):
     """Bound on the gap between the library's value of F at a grid node and
     ``evaluate_power`` there, as a multiple of S = sum ||c_alpha||.
@@ -369,7 +399,7 @@ def grid_value_error(F, grid):
     T, D = F.num_terms, F.total_degree
     stages = math.ceil(math.log2(grid.num_nodes))
     S = sum(float(np.linalg.norm(c, 2 if c.ndim == 2 else None)) for c in F.terms.values())
-    return (gamma(T + 3 + 5 * stages) + gamma(T + 23 * D + 3)) * S, S
+    return (_gamma(T + 3 + 5 * stages) + _gamma(T + 23 * D + 3)) * S, S
 
 
 class TestCoarseGrid:
@@ -389,7 +419,7 @@ class TestCoarseGrid:
         error, S = grid_value_error(F, self.GRID)
         # Power means move by at most the largest node gap (Minkowski); the
         # vector norm, power, mean and root add gamma_{dim + n + 3} on each side.
-        tol = error + 2 * gamma(F.dim + self.GRID.num_nodes + 3) * S
+        tol = error + 2 * _gamma(F.dim + self.GRID.num_nodes + 3) * S
         for p in (1.0, 2.0, 4.0):
             expected = float(np.mean(direct**p) ** (1.0 / p))
             assert abs(hp_norm(F, p, self.GRID) - expected) <= tol
@@ -398,8 +428,8 @@ class TestCoarseGrid:
         F = self.random_series("operator", 11)
         direct = max(operator_norm(evaluate_power(F, w)) for w in self.GRID.nodes())
         error, S = grid_value_error(F, self.GRID)
-        # LAPACK singular values are within p(n) eps ||M||, p(n) = n, on each side.
-        tol = error + 2 * F.dim * np.finfo(float).eps * S
+        # operator_norm's stated rounding on each side
+        tol = error + 2 * _operator_norm_rounding(F.dim) * S
         assert abs(hinf_norm(F, [self.GRID]) - direct) <= tol
 
 
@@ -466,25 +496,23 @@ class TestStatedRounding:
     @given(polydisk_points(3, 0.99), st.sampled_from([1.0, 2.0, 3.7]))
     @settings(max_examples=40, deadline=None)
     def test_point_evaluation_bound(self, z, p):
-        c = 1 / (1 - float(np.max(np.abs(z) ** 2)))
         with mpmath.workdps(40):
             want = mpmath.fprod((1 - abs(mpmath.mpc(w)) ** 2) ** (-1 / mpmath.mpf(p)) for w in z)
             error = float(abs(point_evaluation_bound(z, p) - want) / want)
-        assert error <= gamma(len(z) * (6 * c + 11))
+        assert error <= _gamma(_point_evaluation_bound_rounding(z))
 
     @given(polydisk_points(2, 0.95), st.integers(0, 12))
     @settings(max_examples=25, deadline=None)
     def test_cole_gamelin_kernel_coefficients(self, z, degree):
         x = np.array([1.5 - 0.25j, -0.75j])
-        c = 1 / (1 - float(np.max(np.abs(z) ** 2)))
-        k = 3 * degree + 4 + len(z) * (5 * c + 3)
+        k = _cole_gamelin_kernel_rounding(z, degree)
         with mpmath.workdps(40):
             amplitude = mpmath.fprod(mpmath.sqrt(1 - abs(mpmath.mpc(w)) ** 2) for w in z)
             for alpha, got in cole_gamelin_kernel(x, z, degree).terms.items():
                 monomial = mpmath.fprod(mpmath.conj(mpmath.mpc(w)) ** e for w, e in zip(z, alpha.exponents))
                 want = [amplitude * monomial * mpmath.mpc(xi) for xi in x]
                 scale = float(amplitude * abs(monomial)) * np.linalg.norm(x)
-                assert distance(got, want) <= gamma(k) * scale
+                assert distance(got, want) <= _gamma(k) * scale
 
 
 class TestColeGamelinKernel:
@@ -582,7 +610,7 @@ class TestColeGamelinKernel:
         z[-1] = 0.7 * np.exp(1j)  # one coordinate at the largest modulus
         kernel = cole_gamelin_kernel(x, z, degree)
         amplitude = math.prod(math.sqrt(1.0 - abs(complex(zj)) ** 2) for zj in z)
-        tol = gamma(2 * (7 * nvars + 3 * degree + 5))
+        tol = _gamma(2 * (7 * nvars + 3 * degree + 5))
         keys = simplex(nvars, degree)
         assert set(kernel.terms) == set(keys)
         for alpha in keys:

@@ -30,6 +30,7 @@ from polyhardy import (
     simplex,
     truncate,
 )
+from polyhardy._linalg import _U, _gamma, _operator_norm_rounding
 from polyhardy.multiplier import _schedule_error_bound
 
 
@@ -84,12 +85,11 @@ def compression_loop_oracle(F, trunc):
 
 def assert_near_svd(F, window, matrix, value):
     """A schedule entry ``value`` of symbol F lies within the schedule's
-    docstring bound plus LAPACK's n eps sigma of the SVD of ``matrix``,
-    its n-row compression on ``window``."""
-    rows = matrix.shape[0]
+    docstring bound plus the rounding ``operator_norm`` states for the SVD
+    of ``matrix``, its n-row compression on ``window``."""
     sigma = operator_norm(matrix)
     (bound,) = _schedule_error_bound(F, window.nvars, [window.max_degree], [value])
-    assert abs(value - sigma) <= bound + rows * np.finfo(np.float64).eps * sigma
+    assert abs(value - sigma) <= bound + _operator_norm_rounding(matrix.shape[0]) * sigma
 
 
 class TestAssembleCompression:
@@ -325,8 +325,8 @@ class TestNormSchedule:
         # the identity symbol: sigma = 1, N^2 = dim, T d + 2 = dim + 2, and an
         # eigensolve of order n = C(1 + D, 1) dim
         F = PowerSeries.constant(np.eye(dim))
-        eps = np.finfo(np.float64).eps
-        gamma = (dim + 2) * eps / 2 / (1 - (dim + 2) * eps / 2)
+        eps = 2 * _U
+        gamma = _gamma(dim + 2)
         n = (degree + 1) * dim
         delta = gamma * dim + n * eps * (1 + gamma * dim) / (1 - n * eps)
         expected = delta / (1 + math.sqrt(1 - delta)) + eps

@@ -17,11 +17,11 @@ from conftest import (
     built_term_by_term,
     contracted_by_mpmath,
     distance,
-    gamma,
     random_power_series,
     series,
     small_indices,
     summed_norms,
+    sums_of_products_by_mpmath,
     terms,
 )
 from polyhardy import (
@@ -41,6 +41,8 @@ from polyhardy import (
     truncate,
     weighted_degree,
 )
+from polyhardy._linalg import _gamma
+from polyhardy.series import _RADIAL_DILATE_ROUNDING, _evaluate_power_rounding, _product_rounding
 
 
 def dense_convolution_oracle(F, G, max_degree):
@@ -243,10 +245,24 @@ class TestOpVecProductAgainstOracle:
             if len(alpha) <= nvars
         }
         assert all(a.degree <= max_degree and len(a) <= nvars for a in P.terms)
-        tol = gamma((F.num_terms * G.num_terms + 1) * F.dim) * summed_norms(F) * summed_norms(G)
+        tol = _gamma((F.num_terms * G.num_terms + 1) * F.dim) * summed_norms(F) * summed_norms(G)
         for alpha in set(P.terms) | set(expected):
             gap = np.linalg.norm(P.coefficient(alpha) - expected.get(alpha, 0.0))
             assert gap <= tol
+
+    @given(op_vec_operands(), st.integers(min_value=0, max_value=8))
+    @settings(max_examples=100, deadline=None)
+    def test_within_the_stated_rounding_of_a_40_digit_sum(self, operands, max_degree):
+        """Against each coefficient's sum of products in 40-digit arithmetic,
+        within the bound ``op_vec_product`` states: ``gamma_k`` times the sum
+        of ``||a|| ||b||`` over the coefficient's pairs, k from
+        ``_product_rounding``.  Non-dyadic values, so products round."""
+        F, G = operands
+        P = op_vec_product(F, G, TruncationParams(nvars=41, max_degree=max_degree, dim=F.dim))
+        exact, weight = sums_of_products_by_mpmath(F, G, lambda alpha, beta: alpha + beta)
+        for key in exact:
+            if key.degree <= max_degree:
+                assert distance(P.coefficient(key), exact[key]) <= _gamma(_product_rounding(F, G)) * weight[key]
 
     def test_empty_operands(self):
         window = TruncationParams(nvars=2, max_degree=3, dim=2)
@@ -302,7 +318,7 @@ class TestRadialDilate:
             w, a = weighted_degree(alpha), F.coefficient(alpha)
             with mpmath.workdps(40):
                 want = [mpmath.mpf(r) ** w * mpmath.mpc(c) for c in a.ravel()]
-            assert distance(got, want) <= gamma(3) * r**w * np.linalg.norm(a)
+            assert distance(got, want) <= _gamma(_RADIAL_DILATE_ROUNDING) * r**w * np.linalg.norm(a)
 
 
 class TestEvaluate:
@@ -366,7 +382,7 @@ class TestEvaluate:
             F,
             lambda alpha: mpmath.fprod(mpmath.mpc(z[j]) ** e if j < len(z) else 0 for j, e in alpha.items()),
         )
-        bound = gamma(3 * (F.total_degree + F.num_terms)) * weight
+        bound = _gamma(_evaluate_power_rounding(F)) * weight
         assert distance(evaluate_power(F, z), want) <= bound
 
     def test_evaluation_homomorphism(self):

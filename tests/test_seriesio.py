@@ -176,6 +176,19 @@ class TestSchemaErrors:
             series_from_dict(doc)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"kind": "vector", "dim": true, "terms": []}', "^dim must"),
+            ('{"kind": "vector", "dim": 1, "terms": [{"alpha": [true, 2], "coeff": [[1, 0]]}]}', r"\.alpha must"),
+            ('{"kind": "vector", "dim": 1, "terms": [{"n": true, "coeff": [[1, 0]]}]}', r"\.n must"),
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, text, message):
+        with pytest.raises(SeriesFormatError, match=message):
+            series_from_dict(json.loads(text))
+
+
 class TestDirichletDocs:
     def test_operator_dirichlet_roundtrip(self, tmp_path):
         A = np.array([[1.0, 1.0j], [0.0, 2.0]])

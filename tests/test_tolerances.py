@@ -1,4 +1,5 @@
-"""No check in ``cli.py`` takes a literal tolerance.
+"""No check in ``cli.py`` takes a literal tolerance, and each stated
+rounding bound is evaluated in one place.
 
 Every check's tolerance is 0 or a bound evaluated from the error bounds
 the library states, so a nonzero float literal in the tolerance of a
@@ -8,12 +9,38 @@ that is a name is followed to the values the function assigns, adds or
 appends to it; of a ``check_each`` pair written out as a tuple, only its
 second element is the bound.  Parseval's two checks keep their 1e-10:
 they rest on numpy's FFT, for which no bound is stated.
+
+Higham's gamma_k and the unit roundoff are defined once, in
+``_linalg``, and each function that states a rounding bound has one
+evaluator beside it, whose value on fixed inputs is pinned here to its
+docstring's formula.
 """
 
 import ast
+import math
+from fractions import Fraction
 from pathlib import Path
 
-CLI = Path(__file__).resolve().parent.parent / "src" / "polyhardy" / "cli.py"
+import numpy as np
+import pytest
+
+from polyhardy import DirichletSeries, MultiIndex, PowerSeries
+from polyhardy._linalg import _U, _gamma, _operator_norm_rounding
+from polyhardy.dirichlet import (
+    _EPSILON_SHIFT_ROUNDING,
+    _epsilon_shift_sum_rounding,
+    _evaluate_dirichlet_rounding,
+    _recover_coefficient_rounding,
+)
+from polyhardy.hardy import (
+    _cole_gamelin_kernel_rounding,
+    _h2_norm_rounding,
+    _point_evaluation_bound_rounding,
+)
+from polyhardy.series import _RADIAL_DILATE_ROUNDING, _evaluate_power_rounding, _product_rounding
+
+ROOT = Path(__file__).resolve().parent.parent
+CLI = ROOT / "src" / "polyhardy" / "cli.py"
 
 #: check name -> why its literal stays
 ALLOWED = {
@@ -92,3 +119,87 @@ def test_no_literal_tolerance():
 
 def test_the_allowed_literals_are_still_there():
     assert {name for _, name, _ in literal_tolerances()} == set(ALLOWED)
+
+
+def roundoff_definitions() -> list[tuple[str, str]]:
+    """File and name of each definition of gamma_k or of the unit roundoff
+    in ``src/polyhardy/`` and ``tests/``: a function named gamma, or an
+    assignment of a power of two with exponent -52 or -53, or of a value
+    that reads ``finfo(...).eps`` or ``float_info.epsilon``."""
+
+    def roundoff(value) -> bool:
+        power = isinstance(value, ast.BinOp) and isinstance(value.op, ast.Pow)
+        if power and getattr(value.left, "value", None) == 2 and ast.unparse(value.right) in ("-52", "-53"):
+            return True
+        return any(
+            isinstance(part, ast.Attribute)
+            and (part.attr == "eps" and "finfo" in ast.unparse(part.value) or part.attr == "epsilon")
+            for part in ast.walk(value)
+        )
+
+    found = []
+    for path in sorted([*(ROOT / "src" / "polyhardy").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.strip("_") == "gamma":
+                found.append((where, node.name))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+                if roundoff(node.value):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.append((where, ", ".join(ast.unparse(t) for t in targets)))
+    return sorted(found)
+
+
+def test_gamma_and_the_unit_roundoff_are_defined_once():
+    assert roundoff_definitions() == [("src/polyhardy/_linalg.py", "_U"), ("src/polyhardy/_linalg.py", "_gamma")]
+
+
+def test_gamma_is_highams():
+    assert _U == math.ulp(1.0) / 2
+    for k in (1, 3, 5, 57, 10**6, 2.5):  # 1 - k u is a double for integer k: one rounding
+        k_u = Fraction(k) * Fraction(_U)
+        assert _gamma(k) == pytest.approx(float(k_u / (1 - k_u)), rel=0 if k == int(k) else 2**-52)
+
+
+#: Fixed inputs: T = 3 terms of total degree up to 4 in d = 2; a 2-term
+#: operator symbol; frequencies 1, 6 and 10; a point with max |z_j|^2 = 0.36.
+POWER = PowerSeries.vector(2, {MultiIndex([1, 2]): [1.0, 2.0], MultiIndex([0, 4]): [1.0, 0.0], MultiIndex(): [0.0, 1.0]})
+SYMBOL = PowerSeries.operator(2, {MultiIndex([1]): np.eye(2), MultiIndex(): np.eye(2)})
+DIRICHLET = DirichletSeries.vector(2, {1: [1.0, 0.0], 6: [0.0, 1.0], 10: [1.0, 1.0]})
+POINT = np.array([0.6, 0.4j])
+C = 1 / (1 - 0.36)
+
+#: Each evaluator on those inputs, and the value of its docstring's formula.
+EVALUATORS = {
+    "operator_norm": (lambda: _operator_norm_rounding(7), 7 * math.ulp(1.0)),
+    "evaluate_power": (lambda: _evaluate_power_rounding(POWER), 3 * (4 + 3)),
+    "op_vec_product": (lambda: _product_rounding(SYMBOL, POWER), 2 * 3 * 2 + 2),
+    "radial_dilate": (lambda: _RADIAL_DILATE_ROUNDING, 3),
+    "evaluate_dirichlet": (
+        lambda: list(_evaluate_dirichlet_rounding(DIRICHLET, 2 + 1j)),
+        [_gamma(3 * 3 + 4) + 2 * _gamma(3) * math.sqrt(5) * math.log(n) for n in (1, 6, 10)],
+    ),
+    "epsilon_shift": (lambda: _EPSILON_SHIFT_ROUNDING, 3),
+    "epsilon_shift of a sum": (lambda: _epsilon_shift_sum_rounding(DIRICHLET, 0.75), 0.75 * math.log(10)),
+    "recover_coefficient": (
+        lambda: _recover_coefficient_rounding(DIRICHLET, 6, -2.0, 100.0),
+        [_gamma(8) * (100 + 2) * (1 + abs(math.log(6 / m))) + _gamma(3 + 53) for m in (1, 6, 10)],
+    ),
+    "h2_norm": (lambda: _h2_norm_rounding(POWER), 3 * 2 + 2),
+    "point_evaluation_bound": (lambda: _point_evaluation_bound_rounding(POINT), 2 * (6 * C + 11)),
+    "cole_gamelin_kernel": (lambda: _cole_gamelin_kernel_rounding(POINT, 5), 3 * 5 + 4 + 2 * (5 * C + 3)),
+}
+
+
+@pytest.mark.parametrize("function", EVALUATORS)
+def test_each_evaluator_is_its_docstring_formula(function):
+    evaluate, formula = EVALUATORS[function]
+    assert evaluate() == pytest.approx(formula, rel=1e-14, abs=0)
+
+
+def test_evaluate_power_states_no_bound_from_exponent_100():
+    """numpy takes z^e as exp(e log z) from e = 100 up, where the stated
+    bound does not hold, so the evaluator refuses such a series."""
+    assert _evaluate_power_rounding(PowerSeries.vector(1, {MultiIndex([3, 99]): [1.0]})) == 3 * (102 + 1)
+    with pytest.raises(ValueError, match="exponent of 100 or more, got 100"):
+        _evaluate_power_rounding(PowerSeries.vector(1, {MultiIndex([1]): [1.0], MultiIndex([0, 100]): [1.0]}))
