@@ -5,7 +5,8 @@ Every invocation produces a JSON report on stdout (and to ``--out`` when
 given) listing the command, its inputs, its outputs, and a list of
 checks, and the process exit status is 0 exactly when every check
 passed.  Human-readable pass/fail lines go to stderr so stdout stays
-scriptable.
+scriptable.  Each verification suite runs at fixed sizes, so its seed
+is its only input.
 
 No tolerance is set by the user.  Each check is of one of two kinds:
 exact, with tolerance 0, or a value against a bound evaluated for the
@@ -281,10 +282,7 @@ def _recovery_envelope(D: DirichletSeries, n: int, sigma: float, R: float, point
 # ---------------------------------------------------------------------------
 
 
-def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
-    limit, pairs, product_pairs = p["limit"], p["pairs"], p["product_pairs"]
-    rng = np.random.default_rng(p["seed"])
-
+def _suite_bohr(rng, limit, pairs, product_pairs) -> tuple[dict, list[Check]]:
     bad_roundtrip = sum(
         1 for n in range(1, limit + 1) if multiindex_to_index(index_to_multiindex(n)) != n
     )
@@ -327,9 +325,7 @@ def _suite_bohr(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_parseval(p: dict) -> tuple[dict, list[Check]]:
-    nvars, degree, dim, count = p["nvars"], p["degree"], p["dim"], p["count"]
-    rng = np.random.default_rng(p["seed"])
+def _suite_parseval(rng, nvars, degree, dim, count) -> tuple[dict, list[Check]]:
     grid = TorusGrid(nvars=nvars, points_per_var=2 * degree + 1, radius=1.0)
 
     worst_rel = 0.0
@@ -377,7 +373,7 @@ def _geometric_tail_bound(max_abs_sq: float, nvars: int, degree: int) -> float:
     raise ValueError("tail bound implemented for 1 or 2 variables")
 
 
-def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
+def _suite_cole_gamelin(rng, kernel_count, ineq_count, degree) -> tuple[dict, list[Check]]:
     """Cole-Gamelin kernels and point evaluation at p = 2, each against an
     exact bound plus the rounding the library states.
 
@@ -394,9 +390,6 @@ def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
     rounding ``h2_norm`` and ``point_evaluation_bound`` state and one
     product, so every value is within the ceiling times ``1 + gamma_k``.
     """
-    kernel_count, ineq_count, degree = p["kernel_count"], p["ineq_count"], p["degree"]
-    rng = np.random.default_rng(p["seed"])
-
     kernel_gaps = []
     for _ in range(kernel_count):
         nvars = int(rng.integers(1, 3))
@@ -436,7 +429,7 @@ def _suite_cole_gamelin(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
+def _suite_dilation(rng, count) -> tuple[dict, list[Check]]:
     """Radial dilation is a contraction with a stated tail, and multiplicative.
 
     ``||G_r|| <= ||G||`` and ``||G - G_r|| <= (1 - r^W) ||G||`` hold with
@@ -450,8 +443,6 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
     ||a_beta||``, taken from the dilated coefficients, for ``K = 2 q + 9``,
     plus the rounding of the gap and of S.
     """
-    count = p["count"]
-    rng = np.random.default_rng(p["seed"])
     radii = (0.3, 0.6, 0.9)
 
     contractions, tails, gaps = [], [], []
@@ -485,10 +476,7 @@ def _suite_dilation(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
-    degree = p["degree"]
-    rng = np.random.default_rng(p["seed"])
-
+def _suite_toeplitz(rng, degree, count) -> tuple[dict, list[Check]]:
     symbol = PowerSeries.operator(
         1, {MultiIndex(): [[1.0]], MultiIndex([1]): [[1.0]]}
     )
@@ -514,7 +502,7 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     shift_gaps = [(abs(s - norm_A), b + _operator_norm_rounding(3) * norm_A) for s, b in zip(schedule, shift_bounds)]
 
     drops = []
-    for _ in range(p["count"]):
+    for _ in range(count):
         nvars = int(rng.integers(1, 3))
         dim = int(rng.integers(1, 3))
         F = _random_power_series(rng, "operator", dim, nvars, 2, 4)
@@ -537,12 +525,10 @@ def _suite_toeplitz(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_diagonal(p: dict) -> tuple[dict, list[Check]]:
+def _suite_diagonal(rng, dim, pairs) -> tuple[dict, list[Check]]:
     """``||diag(w) - diag(w')|| = max |w_j - w'_j|``.  Both sides read the
     same rounded differences, so they differ by the rounding operator_norm
     states and the one ulp (2u) np.abs may be off by."""
-    dim, pairs = p["dim"], p["pairs"]
-    rng = np.random.default_rng(p["seed"])
     rows = []
     gaps = []
     for _ in range(pairs):
@@ -557,10 +543,7 @@ def _suite_diagonal(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
-    count = p["count"]
-    rng = np.random.default_rng(p["seed"])
-
+def _suite_dirichlet(rng, count) -> tuple[dict, list[Check]]:
     gaps = []
     for _ in range(count):
         dim = int(rng.integers(1, 4))
@@ -595,7 +578,7 @@ def _suite_dirichlet(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-def _suite_recover(p: dict) -> tuple[dict, list[Check]]:
+def _suite_recover(rng, sigma) -> tuple[dict, list[Check]]:
     """Recover one coefficient a_n of a random series on windows of growing half-length R.
 
     The series has 2-4 terms ``a_m m^-s`` on distinct frequencies m in
@@ -613,8 +596,6 @@ def _suite_recover(p: dict) -> tuple[dict, list[Check]]:
     window, and ``|x| < 0.3``.  The envelope, with its rounding term, is
     ``_recovery_envelope``, the one ``polyhardy recover`` checks.
     """
-    sigma = p["sigma"]
-    rng = np.random.default_rng(p["seed"])
     frequencies = rng.choice(np.arange(1, 31), size=int(rng.integers(2, 5)), replace=False)
     draws = rng.standard_normal((len(frequencies), 2))
     D = DirichletSeries.vector(1, {int(m): [complex(*z)] for m, z in zip(frequencies, draws)})
@@ -652,7 +633,7 @@ def _suite_recover(p: dict) -> tuple[dict, list[Check]]:
     return outputs, checks
 
 
-#: Each suite's runner and the parameters it reads, with their defaults.
+#: Each suite's runner and the fixed sizes it runs at.
 _SUITES = {
     "bohr": (_suite_bohr, {"limit": 100_000, "pairs": 1000, "product_pairs": 100}),
     "parseval": (_suite_parseval, {"nvars": 3, "degree": 4, "dim": 2, "count": 50}),
@@ -667,19 +648,16 @@ _SUITES = {
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def run_verify(suite: str, **params) -> RunReport:
+def run_verify(suite: str, seed: int = 0) -> RunReport:
     """Run a named verification suite and return its report.
 
     Known suites: bohr, parseval, cole-gamelin, dilation, toeplitz,
-    diagonal, dirichlet, recover.  Every suite takes ``seed`` (default
-    0); parameters not supplied fall back to the suite's defaults, and a
-    parameter the suite does not read raises ``ValueError``.  Integer
-    parameters go through ``multiindex._index``, which names the
-    parameter: a non-integer raises ``TypeError``, and a value below 0
-    (``seed`` and ``degree``) or below 1 (the others, since such a run
-    would measure nothing) raises ``ValueError``.  The report lists every
-    parameter the suite used, and its wall time is that of the suite
-    alone.
+    diagonal, dirichlet, recover.  Each runs at its fixed sizes on draws
+    from ``np.random.default_rng(seed)``, so ``seed`` is its only input; it
+    goes through ``multiindex._index``, so a non-integer raises
+    ``TypeError`` and a negative seed ``ValueError``, each naming it.  The
+    report's inputs are the seed and the suite's sizes, and its wall time
+    is that of the suite alone.
 
     No parameter sets a tolerance.  Every check is exact, with tolerance
     0, or checks a value against the error bounds the library states,
@@ -692,24 +670,13 @@ def run_verify(suite: str, **params) -> RunReport:
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
-    runner, defaults = _SUITES[suite]
-    defaults = {"seed": 0, **defaults}
-    unused = sorted(params.keys() - defaults.keys())
-    if unused:
-        raise ValueError(
-            f"verify {suite} does not use {', '.join(unused)}; "
-            f"it takes {', '.join(defaults)}"
-        )
-    used = {
-        key: float(value) if isinstance(defaults[key], float)
-        else _index(value, key, 0 if key in ("seed", "degree") else 1)
-        for key, value in {**defaults, **params}.items()
-    }
+    runner, sizes = _SUITES[suite]
+    seed = _index(seed, "seed", 0)
     start = time.perf_counter()
-    outputs, checks = runner(used)
+    outputs, checks = runner(np.random.default_rng(seed), **sizes)
     return RunReport(
         command=f"verify {suite}",
-        inputs=used,
+        inputs={"seed": seed, **sizes},
         outputs=outputs,
         checks=checks,
         wall_time_s=time.perf_counter() - start,
@@ -917,19 +884,14 @@ def _cmd_recover(args) -> RunReport:
     )
 
 
-def _suite_params(args) -> dict:
-    """The shared options a suite's subparser offers, where set."""
-    return {k: v for k, v in vars(args).items() if k in _SHARED_OPTIONS and v is not None}
-
-
 def _cmd_example_sot(args) -> RunReport:
-    """The ``verify diagonal`` suite, reported as its distance table."""
-    report = run_verify("diagonal", pairs=args.pairs, **_suite_params(args))
+    """The ``verify diagonal`` run at ``--seed``, reported as its distance table."""
+    report = run_verify("diagonal", seed=args.seed)
     return replace(report, command="example-sot", outputs={"table": report.outputs["table"]})
 
 
 def _cmd_verify(args) -> RunReport:
-    return run_verify(args.suite, **_suite_params(args))
+    return run_verify(args.suite, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +904,6 @@ def _cmd_verify(args) -> RunReport:
 _SHARED_OPTIONS = {
     "nvars": {"type": int, "help": "number of variables"},
     "degree": {"type": _degree, "help": "total-degree bound"},
-    "dim": {"type": int, "help": "coefficient dimension"},
     "p": {"type": float, "default": 2.0, "help": "norm exponent (default 2)"},
     "grid": {"type": _int_list, "help": "grid points per variable (comma list for schedules)"},
     "radius": {"type": _float_list, "help": "grid radius in (0, 1] (comma list for schedules)"},
@@ -963,7 +924,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(parent, name, handler, shared, **kwargs) -> argparse.ArgumentParser:
         """Subparser ``name`` offering ``--out`` and the ``shared`` options.
-        Abbreviations are off, or ``--p`` would be taken for ``--pairs``."""
+        Abbreviations are off, so a flag is read only as spelled: ``--s``
+        is not taken for ``--seed``."""
         sp = parent.add_parser(name, allow_abbrev=False, **kwargs)
         for option in shared:
             sp.add_argument(f"--{option}", **_SHARED_OPTIONS[option])
@@ -1020,15 +982,10 @@ def _build_parser() -> argparse.ArgumentParser:
     suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
         dest="suite", required=True
     )
-    for suite, (_, defaults) in _SUITES.items():
-        reads = {"seed", *defaults}
-        command(suites, suite, _cmd_verify, [k for k in _SHARED_OPTIONS if k in reads])
+    for suite in _SUITES:
+        command(suites, suite, _cmd_verify, ("seed",))
 
-    sp = command(
-        sub, "example-sot", _cmd_example_sot, ("dim", "seed"),
-        help="diagonal-symbol distance table",
-    )
-    sp.add_argument("--pairs", type=int, default=20)
+    command(sub, "example-sot", _cmd_example_sot, ("seed",), help="diagonal-symbol distance table")
 
     return parser
 

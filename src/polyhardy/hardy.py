@@ -94,11 +94,9 @@ def h2_norm(F) -> float:
     this norm, so both sides give the same number.  One sum of squares
     over all T*d entries of the coefficient stack the series holds, so
     the relative error is at most gamma_{T*d+2} (``_h2_norm_rounding``);
-    the empty series has norm 0.  Where a square leaves the double range,
-    the sum is taken once more on the coefficients times the power of two
-    that brings their largest part into [1/2, 1), which is exact except
-    where an entry turns subnormal, and scaled back; a norm beyond the
-    double range is ``inf``.
+    the empty series has norm 0.  A norm outside the range of
+    ``_in_range`` is taken once more on scaled coefficients; one beyond
+    the double range is ``inf``.
     """
     if F.kind != "vector":
         raise ValueError(
@@ -106,10 +104,30 @@ def h2_norm(F) -> float:
         )
     with np.errstate(over="ignore"):  # taken again below
         norm = float(np.linalg.norm(F._coeffs))
-    if math.isinf(norm):
+    if not _in_range(norm):
         e = _scale_exponent(F._coeffs)
         norm = float(np.linalg.norm(F._coeffs * 2.0**-e)) * 2.0**e
     return norm
+
+
+def _in_range(norm: float, mean: float = 1.0) -> bool:
+    """Whether a norm taken directly is kept: the one rule by which
+    ``h2_norm``, ``hp_norm`` and ``hinf_norm`` (vector) take it once more.
+
+    Each norm is a root of a sum or mean of squares or p-th powers, and
+    is kept when it is finite and at least 2^-484 and the mean of p-th
+    powers behind it (``hp_norm``) is at least 2^-969.  Then no square or
+    power overflowed, and each sum or mean of them (at the largest node,
+    for node norms) is at least 2^-969, so each one that fell below the
+    normal doubles moves it by at most 2^-1075, a relative 2^-106: far
+    below one rounding.  Otherwise it is taken once
+    more on the values times 2^-e, the power of two that brings their
+    largest part into [1/2, 1), which is exact except where an entry
+    turns subnormal, and scaled back by 2^e; for p-th powers the node
+    norms are further divided by their largest m, so that the largest
+    power is 1 and no p underflows the mean to 0, and scaled back by m.
+    """
+    return 2.0**-484 <= norm < math.inf and mean >= 2.0**-969
 
 
 def _h2_norm_rounding(F) -> int:
@@ -272,14 +290,10 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     At radius 1 this is the trapezoid-exact torus integral for
     polynomials whenever points_per_var exceeds the relevant aliasing
     degree (2*deg for p = 2); at radius < 1 it is the norm of the
-    uniformly dilated restriction.  A node value that is not finite
-    raises ``ValueError`` naming the first such node; the values are
-    looked at only when the result is not finite.  Where the node norms
-    or their powers leave the double range although the values are
-    finite, the mean is taken once more on the norms of the values times
-    an exact power of two, each divided by the largest m of them, so that
-    the largest term is 1 and no p underflows the mean to 0, and scaled
-    back by m and the power of two.
+    uniformly dilated restriction.  A result outside the range of
+    ``_in_range`` is taken once more on scaled node norms
+    (``_scaled_node_norms``), which raises ``ValueError`` if a node value
+    is not finite.
     """
     p = float(p)
     if not p >= 1:
@@ -290,14 +304,22 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("hp_norm is defined for vector series")
     values = _grid_values(F, grid)
     with np.errstate(over="ignore"):  # taken again below
-        result = float(np.mean(_node_norms(values) ** p) ** (1.0 / p))
-    if not math.isfinite(result):
-        _check_finite("grid values", values, grid)
-        e = _scale_exponent(values)
-        norms = _node_norms(values * 2.0**-e)
-        m = float(np.max(norms))
-        result = float(np.mean((norms / m) ** p) ** (1.0 / p)) * m * 2.0**e
+        mean = np.mean(_node_norms(values) ** p)
+        result = float(mean ** (1.0 / p))
+    if not _in_range(result, mean):
+        norms, scale = _scaled_node_norms(values, grid)
+        m = float(np.max(norms)) or 1.0  # 1 for the zero series, whose norms are all 0
+        result = float(np.mean((norms / m) ** p) ** (1.0 / p)) * m * scale
     return result
+
+
+def _scaled_node_norms(values: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, float]:
+    """The node norms of ``values`` times 2^-e, and 2^e, for the power of
+    two of ``_in_range``; ``ValueError`` (``_check_finite``) if a node
+    value is not finite."""
+    _check_finite("grid values", values, grid)
+    e = _scale_exponent(values)
+    return _node_norms(values * 2.0**-e), 2.0**e
 
 
 def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
@@ -320,9 +342,9 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     A node value that is not finite, of either kind, raises
     ``ValueError`` naming the first such node.  It leaves its node norm
     (vector) or ceiling (operator) NaN or infinite, so the values are
-    looked at only when the largest of those is not finite.  A vector
-    node norm that leaves the double range although the values are finite
-    is taken once more on the values times an exact power of two.
+    looked at only when the largest ceiling is not finite, or the
+    largest node norm is outside the range of ``_in_range``; that norm is
+    then taken once more on scaled node norms (``_scaled_node_norms``).
     """
     grids = list(grid_schedule)
     if not grids:
@@ -333,10 +355,9 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
         if F.kind == "vector":
             with np.errstate(over="ignore"):  # taken again below
                 top = float(np.max(_node_norms(values)))
-            if not math.isfinite(top):
-                _check_finite("grid values", values, grid)
-                e = _scale_exponent(values)
-                top = float(np.max(_node_norms(values * 2.0**-e))) * 2.0**e
+            if not _in_range(top):
+                norms, scale = _scaled_node_norms(values, grid)
+                top = float(np.max(norms)) * scale
             best = max(best, top)
             continue
         ceilings = _sigma_ceilings(values)

@@ -281,8 +281,9 @@ def _schedule_error_bound(F: PowerSeries, nvars: int, degrees, values) -> list[f
     return bounds
 
 
-def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray:
-    """Diagonal operator with the unimodular tuple w on the diagonal.
+def diagonal_example(w: Iterable[complex]) -> np.ndarray:
+    """Diagonal operator with the unimodular tuple w on the diagonal; its
+    order d is ``len(w)``.
 
     The map ``w -> diag(w)`` is a sup-norm isometry into operators:
     ``||diag(w) - diag(w')|| = max_j |w_j - w'_j|``, which is exactly the
@@ -291,8 +292,6 @@ def diagonal_example(w: Iterable[complex], dim: int | None = None) -> np.ndarray
     w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     if w.ndim != 1 or w.size < 1:
         raise ValueError("w must be a nonempty vector")
-    if dim is not None and _index(dim, "dim", 1) != w.size:
-        raise ValueError(f"dim {dim} does not match len(w) = {w.size}")
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-12):
         raise ValueError("entries must be unimodular (|w_j| = 1)")
     out = np.diag(w)

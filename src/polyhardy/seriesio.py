@@ -53,7 +53,7 @@ def _coeff_to_json(coeff: np.ndarray) -> list:
 def _coeff_from_json(obj, kind: str, dim: int, where: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SeriesFormatError(f"coefficient at {where} is not numeric: {exc}") from exc
     expected = (dim, 2) if kind == "vector" else (dim, dim, 2)
     if arr.shape != expected:
@@ -63,6 +63,10 @@ def _coeff_from_json(obj, kind: str, dim: int, where: str) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise SeriesFormatError(f"coefficient at {where} contains non-finite numbers")
+    # numpy reads true, false and numeric strings as numbers; JSON does not
+    for entry in np.asarray(obj, dtype=object).flat:
+        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise SeriesFormatError(f"coefficient at {where} is not numeric: {entry!r}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -99,12 +100,13 @@ class TestDiagonalDistance:
         assert main(["example-sot"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"]
-        assert len(report["outputs"]["table"]) == 20
+        assert len(report["outputs"]["table"]) == 100
 
     def test_example_sot_is_the_diagonal_suite(self, capsys):
-        assert main(["example-sot", "--pairs", "5", "--seed", "3"]) == 0
-        table = json.loads(capsys.readouterr().out)["outputs"]["table"]
-        assert table == run_verify("diagonal", pairs=5, seed=3).outputs["table"]
+        assert main(["example-sot", "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        suite = run_verify("diagonal", seed=3)
+        assert (report["inputs"], report["outputs"]["table"]) == (suite.inputs, suite.outputs["table"])
 
 
 class TestMulnorm:
@@ -347,7 +349,7 @@ class TestRecover:
 
 class TestUnusedFlags:
     """A flag the command does not read, an empty list, a negative degree
-    or a suite size that measures nothing exits 2 and is named on stderr."""
+    or a value out of range exits 2 and is named on stderr."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -380,8 +382,8 @@ class TestUnusedFlags:
             (["mulnorm", "F", "--degrees", ","], "argument --degrees:"),
             (["norm", "hinf", "G", "--grid", ","], "argument --grid:"),
             (["norm", "hinf", "G", "--radius", ","], "argument --radius:"),
-            (["verify", "toeplitz", "--degree", "-1"], "argument --degree:"),
-            (["verify", "parseval", "--dim", "0"], "dim must be at least 1"),
+            (["product", "F", "G", "--degree", "-1"], "argument --degree:"),
+            (["norm", "hp", "G", "--p", "0.5"], "hp_norm requires p >= 1"),
             (["product", "DF", "DG", "--max-frequency", "-5"], "max_frequency must be at least 1"),
             (["product", "F", "G", "--tol", "5"], "--tol"),
             (["mulnorm", "F", "--tol", "5"], "--tol"),
@@ -401,13 +403,12 @@ class TestUnusedFlags:
         assert "exponent 1000000" in capsys.readouterr().err
 
     def test_verify_help_offers_no_unread_flags(self, capsys):
+        """A suite runs at fixed sizes, so ``--seed`` is its only input."""
         assert main(["verify", "--help"]) == 0
-        for suite in ("parseval", "diagonal", "bohr"):
-            assert main(["verify", suite, "--help"]) == 0
-        assert main(["example-sot", "--help"]) == 0
-        text = capsys.readouterr().out
-        assert not any(flag in text for flag in ("--p ", "--grid", "--radius", "--tol"))
-        assert all(flag in text for flag in ("--nvars", "--degree", "--dim", "--seed", "--pairs"))
+        capsys.readouterr()
+        for command in [*(["verify", suite] for suite in cli.VERIFY_SUITES), ["example-sot"]]:
+            assert main([*command, "--help"]) == 0
+            assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--seed", "--out", "--help"}, command
         # no subcommand offers a tolerance: each check's comes from a stated bound
         commands = [
             ["transform"], ["product"], ["mulnorm"], ["recover"], ["example-sot"],
@@ -438,16 +439,16 @@ class TestZeroValuedFlags:
         assert "nvars" in capsys.readouterr().err
 
 
-#: Every suite at sizes small enough for the unit tests.
-SMALL_SUITES = {
-    "bohr": {"limit": 2000, "pairs": 50, "product_pairs": 10},
-    "parseval": {"count": 5},
-    "cole-gamelin": {"kernel_count": 5, "ineq_count": 10},
-    "dilation": {"count": 5},
-    "toeplitz": {"count": 5},
-    "diagonal": {"pairs": 10},
-    "dirichlet": {"count": 5},
-    "recover": {},
+#: Each suite's fixed sizes, as its report lists them after the seed.
+FIXED_SIZES = {
+    "bohr": {"limit": 100_000, "pairs": 1000, "product_pairs": 100},
+    "parseval": {"nvars": 3, "degree": 4, "dim": 2, "count": 50},
+    "cole-gamelin": {"kernel_count": 20, "ineq_count": 100, "degree": 40},
+    "dilation": {"count": 20},
+    "toeplitz": {"degree": 50, "count": 20},
+    "diagonal": {"dim": 16, "pairs": 100},
+    "dirichlet": {"count": 25},
+    "recover": {"sigma": 2.0},
 }
 
 
@@ -463,53 +464,53 @@ def _norm_moved_by(f, change):
     return moved
 
 
-#: For each suite check with a derived bound: the check, its suite, a run
-#: of it that draws one sample, the library function the suite calls, and
-#: a mutant of that function whose result is off by ten times ``tol``, the
-#: bound an unpatched run shows.
+#: For each suite check with a derived bound: the check, its suite, the
+#: library function the suite calls, and a mutant of that function whose
+#: result is off by ten times ``tol``, the bound an unpatched run at seed
+#: 0 shows.
 MUTANTS = [
     # the bound is 0, so the least error: one ulp in every coefficient
-    ("product-intertwining-failures", "bohr", {"limit": 1, "pairs": 1, "product_pairs": 1},
+    ("product-intertwining-failures", "bohr",
      "op_vec_product", lambda f, tol: lambda F, G, w: f(F, G, w) * math.nextafter(1.0, 2.0)),
-    ("kernel-norm-gap", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1, "seed": 2},
+    ("kernel-norm-gap", "cole-gamelin",
      "cole_gamelin_kernel", lambda f, tol: _norm_moved_by(f, lambda x, norm: norm - 10 * tol)),
-    ("point-evaluation-norm", "cole-gamelin", {"kernel_count": 1, "ineq_count": 1},
+    ("point-evaluation-norm", "cole-gamelin",
      "evaluate_power", lambda f, tol: lambda G, z: f(G, z) + 10 * tol / np.sqrt(G.dim)),
-    ("dilation-contraction-excess", "dilation", {"count": 1},
+    ("dilation-contraction-excess", "dilation",
      "radial_dilate", lambda f, tol: _norm_moved_by(f, lambda G, norm: h2_norm(G) + 10 * tol)),
-    ("dilation-tail-bound-excess", "dilation", {"count": 1},
+    ("dilation-tail-bound-excess", "dilation",
      "radial_dilate", lambda f, tol: lambda F, r: (
          F * (r**F.max_weighted_degree - 10 * tol / h2_norm(F)) if F.kind == "vector" else f(F, r))),
     # the product has more than four terms and its factors at most four:
     # only the dilated product moves, by 10 tol at the constant term
-    ("dilation-multiplicativity-gap", "dilation", {"count": 1},
+    ("dilation-multiplicativity-gap", "dilation",
      "radial_dilate", lambda f, tol: lambda F, r: (
          f(F, r) + PowerSeries.constant(10 * tol * np.eye(F.dim)[0]) if F.num_terms > 4 else f(F, r))),
-    ("diagonal-distance-identity-gap", "diagonal", {"pairs": 1},
+    ("diagonal-distance-identity-gap", "diagonal",
      "operator_norm", lambda f, tol: lambda M: f(M) + 10 * tol),
     # the norms rise by 100 tol per unit of epsilon, 10 tol per step of the grid
-    ("epsilon-shift-monotonicity-violation", "dirichlet", {"count": 1},
+    ("epsilon-shift-monotonicity-violation", "dirichlet",
      "epsilon_shift", lambda f, tol: lambda D, eps: _scaled(D, 1 + 100 * tol * eps / h2_norm(D))),
     # every nonzero shift 1 + 10 tol times too large: a shift twice is off once
-    ("epsilon-shift-semigroup-rel-gap", "dirichlet", {"count": 1},
+    ("epsilon-shift-semigroup-rel-gap", "dirichlet",
      "epsilon_shift", lambda f, tol: lambda D, eps: _scaled(f(D, eps), 1 + 10 * tol) if eps else D),
 ]
 
-#: Checks whose mutant above is off by less than 1e-12 at its seed, so that
-#: a fixed slack of 1e-12 would miss it.
+#: Checks whose mutant above is off by less than 1e-12, so that a fixed
+#: slack of 1e-12 would miss it.
 FINER_THAN_1E12 = {"kernel-norm-gap", "dilation-contraction-excess", "diagonal-distance-identity-gap"}
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite, params", SMALL_SUITES.items())
+    @pytest.mark.parametrize("suite, params", FIXED_SIZES.items())
     def test_every_suite_passes(self, suite, params):
-        """The suites define the paper's identities once; each runs over
-        seeds 0-4, and every failing check is named with its seed, value
-        and tolerance."""
+        """The suites define the paper's identities once; each runs at its
+        fixed sizes over seeds 0-4, and every failing check is named with
+        its seed, value and tolerance."""
         failed = []
         for seed in range(5):
-            report = run_verify(suite, seed=seed, **params)
-            assert {**params, "seed": seed}.items() <= report.inputs.items()
+            report = run_verify(suite, seed=seed)
+            assert report.inputs == {"seed": seed, **params}
             failed += [
                 f"seed {seed}: {c.name} got={c.got} tolerance={c.tolerance}"
                 for c in report.checks
@@ -520,11 +521,11 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, params, name",
         [
-            ("dilation", {"count": 0}, "count"),
-            ("dilation", {"count": -3}, "count"),
-            ("diagonal", {"pairs": 2.7}, "pairs"),
+            ("dilation", {"seed": None}, "seed"),
+            ("dilation", {"seed": -3}, "seed"),
+            ("diagonal", {"seed": "2"}, "seed"),
             ("diagonal", {"seed": 1.9}, "seed"),
-            ("dilation", {"count": 2.0}, "count"),
+            ("dilation", {"seed": 2.0}, "seed"),
             ("diagonal", {"seed": -1}, "seed"),
         ],
     )
@@ -532,17 +533,29 @@ class TestVerify:
         with pytest.raises((TypeError, ValueError), match=f"^{name} must"):
             run_verify(suite, **params)
 
+    @pytest.mark.parametrize("suite, size", [(s, k) for s, sizes in FIXED_SIZES.items() for k in sizes])
+    def test_a_size_is_neither_a_parameter_nor_a_flag(self, capsys, suite, size):
+        """``run_verify`` raises Python's own ``TypeError`` for a size, and
+        ``verify`` (and ``example-sot``, the diagonal suite) exits 2 naming
+        it as a flag."""
+        with pytest.raises(TypeError, match=size):
+            run_verify(suite, **{size: FIXED_SIZES[suite][size]})
+        commands = [["verify", suite]] + ([["example-sot"]] if suite == "diagonal" else [])
+        for command in commands:
+            assert main([*command, f"--{size}", "3"]) == 2
+            assert f"--{size}" in capsys.readouterr().err
+
     def test_negative_seed_exits_2_naming_it(self, capsys):
         assert main(["verify", "diagonal", "--seed", "-1"]) == 2
         assert "seed must be at least 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("check, suite, params, name, mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
-    def test_result_off_by_ten_bounds_fails(self, monkeypatch, check, suite, params, name, mutant):
+    @pytest.mark.parametrize("check, suite, name, mutant", MUTANTS, ids=[m[0] for m in MUTANTS])
+    def test_result_off_by_ten_bounds_fails(self, monkeypatch, check, suite, name, mutant):
         """Each check with a bound catches the library function it checks
         when that function's result is off by ten times the bound."""
 
         def shown():
-            return next(c for c in run_verify(suite, **params).checks if c.name == check)
+            return next(c for c in run_verify(suite).checks if c.name == check)
 
         tol = shown().tolerance
         assert shown().passed
@@ -569,7 +582,7 @@ class TestVerify:
         assert len(drawn) == 5
 
     def test_toeplitz_endpoint_is_the_closed_form(self):
-        report = run_verify("toeplitz", count=5)
+        report = run_verify("toeplitz")
         check = report.checks[0]
         closed = 2.0 * math.cos(math.pi / (2 * 50 + 3))
         assert check.name == "toeplitz-endpoint-vs-closed-form"
@@ -578,7 +591,7 @@ class TestVerify:
         assert check.passed
 
     def test_toeplitz_schedule_is_the_closed_form(self):
-        report = run_verify("toeplitz", count=5)
+        report = run_verify("toeplitz")
         check = report.checks[1]
         symbol = PowerSeries.operator(1, {MultiIndex(): [[1.0]], MultiIndex([1]): [[1.0]]})
         assert check.name == "toeplitz-schedule-vs-closed-form"
@@ -587,10 +600,12 @@ class TestVerify:
         assert check.passed
 
     def test_report_lists_the_parameters_used(self):
-        assert run_verify("recover", seed=3).inputs == {"seed": 3, "sigma": 2.0}
+        """The seed, then the suite's sizes, in the order its JSON report shows."""
+        for suite, sizes in FIXED_SIZES.items():
+            assert list(run_verify(suite, seed=3).inputs.items()) == [("seed", 3), *sizes.items()]
 
     def test_unused_parameter_is_named(self):
-        with pytest.raises(ValueError, match="sigma"):
+        with pytest.raises(TypeError, match="sigma"):
             run_verify("dilation", sigma=1.0)
 
     def test_unused_flags_exit_2(self, capsys):

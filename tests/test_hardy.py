@@ -218,9 +218,10 @@ class TestNonFiniteNodes:
 
 
 class TestLargeFiniteValues:
-    """Values whose squares or p-th powers leave the double range although
-    their norms do not: each norm is a double near the exact one, and no
-    overflow warning escapes (warnings are errors in this suite)."""
+    """Values whose squares or p-th powers leave the normal doubles, above
+    or below, although their norms do not: each norm is a double near the
+    exact one, not inf or 0, and no warning escapes (warnings are errors
+    in this suite)."""
 
     BIG = [1e155, -1e155j]
     GRID = TorusGrid(1, 3)
@@ -247,6 +248,22 @@ class TestLargeFiniteValues:
     def test_hinf_norm(self, kind):
         F = PowerSeries(kind, 2, {MultiIndex(): np.diag(self.BIG) if kind == "operator" else self.BIG})
         assert hinf_norm(F, [self.GRID]) == pytest.approx(1e155 * (1.0 if kind == "operator" else math.sqrt(2)), rel=1e-15)
+
+    TINY = PowerSeries.vector(2, {MultiIndex(): [1e-170, 1e-170]})
+
+    def test_h2_norm_of_tiny_entries(self):
+        """Each square, 1e-340, is below the smallest double."""
+        want = math.sqrt(2) * 1e-170
+        assert abs(h2_norm(self.TINY) - want) <= _gamma(_h2_norm_rounding(self.TINY)) * want
+
+    def test_hinf_norm_of_tiny_entries(self):
+        assert math.isclose(hinf_norm(self.TINY, [self.GRID]), math.sqrt(2) * 1e-170, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("c, p", [(0.5, 1100.0), (1e-200, 3.0), (1e-170, 2.0), (1e-160, 2.0)])
+    def test_hp_norm_of_a_small_constant(self, c, p):
+        """c^p is 0 or subnormal, which the direct mean returns as 0 or
+        with lost digits: the retry divides by the largest node norm."""
+        assert math.isclose(hp_norm(PowerSeries.vector(1, {MultiIndex(): [c]}), p, self.GRID), c, rel_tol=1e-15)
 
 
 #: Entries from subnormal to 1e3 in modulus, so Frobenius squares can underflow.

@@ -398,14 +398,6 @@ class TestDiagonalExample:
         with pytest.raises(ValueError):
             diagonal_example([1.0, 0.5])
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            diagonal_example(np.ones(3), dim=4)
-
-    def test_non_integer_dim_is_named(self):
-        with pytest.raises(TypeError, match="dim"):
-            diagonal_example(np.ones(3), dim=3.0)
-
 
 class TestPointwiseVsSymbolic:
     def test_constant_symbol(self):

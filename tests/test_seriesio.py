@@ -188,6 +188,14 @@ class TestSchemaErrors:
         with pytest.raises(SeriesFormatError, match=message):
             series_from_dict(json.loads(text))
 
+    @pytest.mark.parametrize("entry", ["true", "false", '"1.5"', "1" + "0" * 400])
+    def test_coefficient_entries_must_be_json_numbers(self, entry):
+        """numpy reads booleans and numeric strings as numbers, and raises
+        OverflowError for an integer beyond the doubles."""
+        text = '{"kind": "vector", "dim": 1, "terms": [{"alpha": [1], "coeff": [[%s, 0]]}]}' % entry
+        with pytest.raises(SeriesFormatError, match=r"coefficient at terms\[0\] is not numeric"):
+            series_from_dict(json.loads(text))
+
 
 class TestDirichletDocs:
     def test_operator_dirichlet_roundtrip(self, tmp_path):
