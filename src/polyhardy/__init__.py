@@ -65,7 +65,6 @@ from .multiplier import (
     CompressionMatrix,
     assemble_compression,
     diagonal_example,
-    hp_rayleigh_lower_bound,
     multiplier_norm_schedule,
     operator_norm,
     pointwise_vs_symbolic,
@@ -102,7 +101,6 @@ __all__ = [
     "h2_norm",
     "hinf_norm",
     "hp_norm",
-    "hp_rayleigh_lower_bound",
     "index_to_multiindex",
     "load_series",
     "max_frequency_for_simplex",

@@ -312,17 +312,12 @@ def _suite_bohr(rng, limit, pairs, product_pairs) -> tuple[dict, list[Check]]:
         )
         bad_product += left != right
 
-    outputs = {
-        "roundtrip_count": limit,
-        "multiplicativity_pairs": pairs,
-        "product_pairs": product_pairs,
-    }
     checks = [
         check_close("bohr-roundtrip-failures", bad_roundtrip, 0, 0),
         check_close("bohr-multiplicativity-failures", bad_mult, 0, 0),
         check_close("product-intertwining-failures", bad_product, 0, 0),
     ]
-    return outputs, checks
+    return {}, checks
 
 
 def _suite_parseval(rng, nvars, degree, dim, count) -> tuple[dict, list[Check]]:
@@ -345,11 +340,7 @@ def _suite_parseval(rng, nvars, degree, dim, count) -> tuple[dict, list[Check]]:
         )
         worst_residual = max(worst_residual, pointwise_vs_symbolic(F, G, g))
 
-    outputs = {
-        "norm_samples": count,
-        "grid_points_per_var": grid.points_per_var,
-        "consistency_samples": count,
-    }
+    outputs = {"grid_points_per_var": grid.points_per_var}
     checks = [
         check_at_most("parseval-vs-quadrature-max-rel-gap", worst_rel, 1e-10),
         check_at_most("pointwise-vs-symbolic-max-residual", worst_residual, 1e-10),
@@ -421,12 +412,11 @@ def _suite_cole_gamelin(rng, kernel_count, ineq_count, degree) -> tuple[dict, li
         k = _evaluate_power_rounding(G) + _h2_norm_rounding(G) + _point_evaluation_bound_rounding(z) + dim + 7
         values.append((value, ceiling * (1 + _gamma(k))))
 
-    outputs = {"kernel_samples": kernel_count, "inequality_samples": ineq_count}
     checks = [
         check_each("kernel-norm-gap", kernel_gaps),
         check_each("point-evaluation-norm", values),
     ]
-    return outputs, checks
+    return {}, checks
 
 
 def _suite_dilation(rng, count) -> tuple[dict, list[Check]]:
@@ -467,7 +457,7 @@ def _suite_dilation(rng, count) -> tuple[dict, list[Check]]:
             gap = _coefficient_gap(radial_dilate(product, r), op_vec_product(Fr, Gr, window))
             gaps.append((gap, _gamma(K) * S))
 
-    outputs = {"samples": count, "radii": list(radii)}
+    outputs = {"radii": list(radii)}
     checks = [
         check_each("dilation-contraction-excess", contractions),
         check_each("dilation-tail-bound-excess", tails),
@@ -511,7 +501,6 @@ def _suite_toeplitz(rng, degree, count) -> tuple[dict, list[Check]]:
         drops += _schedule_drops(F, nvars, [0, 1, 2, 3], values)
 
     outputs = {
-        "endpoint_degree": degree,
         "endpoint_value": endpoint,
         "endpoint_closed_form": closed,
         "shift_schedule": schedule,
@@ -538,9 +527,7 @@ def _suite_diagonal(rng, dim, pairs) -> tuple[dict, list[Check]]:
         dist_inf = float(np.max(np.abs(w - wt)))
         gaps.append((abs(dist_op - dist_inf), _operator_norm_rounding(dim) * dist_op + 2 * _U * dist_inf))
         rows.append({"uniform_distance": dist_inf, "operator_distance": dist_op})
-    outputs = {"dim": dim, "pairs": pairs, "table": rows}
-    checks = [check_each("diagonal-distance-identity-gap", gaps)]
-    return outputs, checks
+    return {"table": rows}, [check_each("diagonal-distance-identity-gap", gaps)]
 
 
 def _suite_dirichlet(rng, count) -> tuple[dict, list[Check]]:
@@ -566,7 +553,7 @@ def _suite_dirichlet(rng, count) -> tuple[dict, list[Check]]:
     # subtraction, the two norms of d entries and the division, 2 d + 10
     semigroup_bound = _gamma(2 * E.dim + 10 + 3 * _EPSILON_SHIFT_ROUNDING + _epsilon_shift_sum_rounding(E, a + b))
 
-    outputs = {"samples": count, "epsilon_grid": eps_grid, "epsilon_norms": norms}
+    outputs = {"epsilon_grid": eps_grid, "epsilon_norms": norms}
     checks = [
         check_each("product-evaluation-consistency", gaps),
         check_each("epsilon-shift-monotonicity-violation", rises),
@@ -624,7 +611,6 @@ def _suite_recover(rng, sigma) -> tuple[dict, list[Check]]:
         checks.append(check_at_most(f"recovery-error-envelope-{int(R)}", errors[-1], envelope))
 
     outputs = {
-        "sigma": sigma,
         "frequencies": list(D.frequencies),
         "frequency": n,
         "window_half_lengths": radii,
@@ -708,15 +694,6 @@ def _degree(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
-
-
-def _one_value(values: list | None, flag: str, default):
-    """The single value given to a comma-list flag, or ``default`` if none was."""
-    if not values:
-        return default
-    if len(values) > 1:
-        raise ValueError(f"{flag} takes one value here, got {len(values)}: {values}")
-    return values[0]
 
 
 def _reject_unused(args, command: str, *names: str) -> None:
@@ -804,6 +781,9 @@ def _cmd_product(args) -> RunReport:
 
 
 def _cmd_norm(args) -> RunReport:
+    """The norm of a series file.  The grids of ``hp`` and ``hinf`` span the
+    variables the series uses (at least one): further variables change
+    neither norm."""
     series = load_series(args.file)
     inputs = {"file": str(args.file), "which": args.which}
     outputs: dict = {}
@@ -812,26 +792,23 @@ def _cmd_norm(args) -> RunReport:
     elif args.which == "hp":
         if not isinstance(series, PowerSeries):
             raise SeriesFormatError("hp norms need a power series file")
-        nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
-        M = _one_value(args.grid, "--grid", 2 * series.total_degree + 1)
-        radius = _one_value(args.radius, "--radius", 1.0)
-        grid = TorusGrid(nvars=nvars, points_per_var=M, radius=radius)
+        nvars = max(series.nvars_used, 1)
+        M = 2 * series.total_degree + 1 if args.grid is None else args.grid
+        grid = TorusGrid(nvars=nvars, points_per_var=M, radius=args.radius)
         outputs["value"] = hp_norm(series, args.p, grid)
-        inputs.update({"p": args.p, "nvars": nvars, "grid": M, "radius": radius})
+        inputs.update({"p": args.p, "nvars": nvars, "grid": M, "radius": args.radius})
     else:  # hinf
         if not isinstance(series, PowerSeries):
             raise SeriesFormatError("hinf estimates need a power series file")
-        nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
-        Ms = args.grid or [64, 128, 256]
-        radii = args.radius or [0.9, 0.99, 0.999]
+        nvars = max(series.nvars_used, 1)
         schedule = [
             TorusGrid(nvars=nvars, points_per_var=M, radius=r)
-            for M in Ms
-            for r in radii
+            for M in args.grid
+            for r in args.radius
         ]
         outputs["value"] = hinf_norm(series, schedule)
         outputs["estimate_kind"] = "grid lower bound"
-        inputs.update({"nvars": nvars, "grids": Ms, "radii": radii})
+        inputs.update({"nvars": nvars, "grids": args.grid, "radii": args.radius})
     return RunReport(command=f"norm {args.which}", inputs=inputs, outputs=outputs)
 
 
@@ -841,16 +818,13 @@ def _cmd_mulnorm(args) -> RunReport:
     series = load_series(args.file)
     if not isinstance(series, PowerSeries) or series.kind != "operator":
         raise SeriesFormatError("mulnorm needs an operator-valued power series file")
-    if args.degrees:
-        _reject_unused(args, "mulnorm --degrees", "degree")
-    degrees = args.degrees or list(range(0, (8 if args.degree is None else args.degree) + 1))
     nvars = max(series.nvars_used, 1) if args.nvars is None else args.nvars
     base = TruncationParams(nvars=nvars, max_degree=0, dim=series.dim)
-    values = multiplier_norm_schedule(series, degrees, base)
-    drops = _schedule_drops(series, nvars, degrees, values)
+    values = multiplier_norm_schedule(series, args.degrees, base)
+    drops = _schedule_drops(series, nvars, args.degrees, values)
     return RunReport(
         command="mulnorm",
-        inputs={"file": str(args.file), "nvars": nvars, "degrees": degrees},
+        inputs={"file": str(args.file), "nvars": nvars, "degrees": args.degrees},
         outputs={"schedule": values},
         checks=[check_each("schedule-monotonicity-violation", drops)],
     )
@@ -863,7 +837,8 @@ def _cmd_recover(args) -> RunReport:
     if not isinstance(series, DirichletSeries):
         raise SeriesFormatError("recover needs a Dirichlet series file")
     # the default grid needs a finite R; recover_coefficient names a bad one
-    points = _one_value(args.grid, "--grid", max(4001, int(12 * args.R)) if math.isfinite(args.R) else 4001)
+    default = max(4001, int(12 * args.R)) if math.isfinite(args.R) else 4001
+    points = default if args.grid is None else args.grid
     got = recover_coefficient(series, args.frequency, args.sigma, args.R, points)
     err = float(np.linalg.norm(got - series.coefficient(args.frequency)))
     envelope = _recovery_envelope(series, args.frequency, args.sigma, args.R, points)
@@ -899,14 +874,11 @@ def _cmd_verify(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-#: Options several subcommands share.  Each subparser offers only those its
-#: command reads, so argparse rejects the rest.
+#: Options several subcommands share, with one type.  Each subparser offers
+#: only those its command reads, and declares the others it reads itself, so
+#: argparse rejects the rest.
 _SHARED_OPTIONS = {
     "nvars": {"type": int, "help": "number of variables"},
-    "degree": {"type": _degree, "help": "total-degree bound"},
-    "p": {"type": float, "default": 2.0, "help": "norm exponent (default 2)"},
-    "grid": {"type": _int_list, "help": "grid points per variable (comma list for schedules)"},
-    "radius": {"type": _float_list, "help": "grid radius in (0, 1] (comma list for schedules)"},
     "seed": {"type": int, "default": 0, "help": "random seed (default 0)"},
 }
 
@@ -939,42 +911,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", type=Path)
 
     sp = command(
-        sub, "product", _cmd_product, ("nvars", "degree"),
+        sub, "product", _cmd_product, ("nvars",),
         help="operator * vector product, checked against the full product within a stated bound",
     )
     sp.add_argument("left", type=Path, help="operator-valued series file")
     sp.add_argument("right", type=Path, help="vector-valued series file")
+    sp.add_argument("--degree", type=_degree, help="total-degree bound")
     sp.add_argument("--max-frequency", type=int, default=None, dest="max_frequency")
 
     norms = sub.add_parser("norm", help="h2 / hp / hinf norms").add_subparsers(
         dest="which", required=True
     )
-    for which, shared in (
-        ("h2", ()),
-        ("hp", ("nvars", "p", "grid", "radius")),
-        ("hinf", ("nvars", "grid", "radius")),
-    ):
-        command(norms, which, _cmd_norm, shared, help=f"{which} norm").add_argument(
-            "file", type=Path
-        )
+    command(norms, "h2", _cmd_norm, (), help="h2 norm").add_argument("file", type=Path)
+    sp = command(norms, "hp", _cmd_norm, (), help="hp norm on one grid over the variables the series uses")
+    sp.add_argument("file", type=Path)
+    sp.add_argument("--p", type=float, default=2.0, help="norm exponent (default 2)")
+    sp.add_argument("--grid", type=int, help="grid points per variable (default 2 * degree + 1)")
+    sp.add_argument("--radius", type=float, default=1.0, help="grid radius in (0, 1] (default 1)")
+    sp = command(norms, "hinf", _cmd_norm, (), help="hinf grid lower bound over the variables the series uses")
+    sp.add_argument("file", type=Path)
+    sp.add_argument("--grid", type=_int_list, default=[64, 128, 256], help="comma list of grid points per variable")
+    sp.add_argument("--radius", type=_float_list, default=[0.9, 0.99, 0.999], help="comma list of grid radii in (0, 1]")
 
     sp = command(
-        sub, "mulnorm", _cmd_mulnorm, ("nvars", "degree"),
+        sub, "mulnorm", _cmd_mulnorm, ("nvars",),
         help="compression-norm schedule, checked nondecreasing within its stated error bounds",
     )
     sp.add_argument("file", type=Path, help="operator-valued power series file")
     sp.add_argument(
         "--degrees",
         type=_int_list,
-        default=None,
-        help="explicit comma list of degree checkpoints",
+        default=list(range(9)),
+        help="comma list of degree checkpoints (default 0,1,...,8)",
     )
 
     sp = command(
-        sub, "recover", _cmd_recover, ("grid",),
+        sub, "recover", _cmd_recover, (),
         help="vertical-line coefficient recovery, checked within its error envelope",
     )
     sp.add_argument("file", type=Path, help="Dirichlet series file")
+    sp.add_argument("--grid", type=int, help="trapezoid grid points (default max(4001, 12 R))")
     sp.add_argument("--frequency", type=int, required=True)
     sp.add_argument("--sigma", type=float, default=2.0)
     sp.add_argument("--R", type=float, default=1e4, help="integration half-length")

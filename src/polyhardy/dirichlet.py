@@ -95,7 +95,7 @@ def bohr(F: PowerSeries) -> DirichletSeries:
     shared.
     """
     freqs = _frequencies(F._columns, F._keys)
-    return DirichletSeries._wrap(F.kind, F.dim, freqs, F._coeffs, values=F._values)
+    return DirichletSeries._wrap(F.kind, F.dim, freqs, F._coeffs)
 
 
 def bohr_inverse(D: DirichletSeries) -> PowerSeries:
@@ -105,7 +105,7 @@ def bohr_inverse(D: DirichletSeries) -> PowerSeries:
     like :func:`bohr`, the coefficient stack is shared.
     """
     rows, columns = _factor(D._keys)
-    return PowerSeries._wrap(D.kind, D.dim, rows, D._coeffs, columns, D._values)
+    return PowerSeries._wrap(D.kind, D.dim, rows, D._coeffs, columns)
 
 
 def dirichlet_product(

@@ -431,10 +431,13 @@ def _point_evaluation_bound_rounding(z: np.ndarray) -> float:
 
 
 def _kernel_vector(x: Iterable[complex]) -> np.ndarray:
-    """``x`` as a 1-d complex array; ``ValueError`` unless it is a nonempty vector."""
+    """``x`` as a 1-d complex array; ``ValueError`` unless it is a nonempty,
+    finite vector."""
     x = np.atleast_1d(np.asarray(x, dtype=np.complex128))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty vector")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return x
 
 
@@ -464,8 +467,6 @@ def cole_gamelin_kernel(
     underflows (``_cole_gamelin_kernel_rounding``).
     """
     x = _kernel_vector(x)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
     z = _polydisk_point(z, "kernel base point")
     amplitude = float(np.prod(np.sqrt(1.0 - np.abs(z) ** 2)))
     _, exponents = _simplex_table(z.size, _index(degree, "degree", 0))
@@ -492,18 +493,16 @@ def cole_gamelin_kernel_value(
 
     Available for every p >= 1 (the series expansion is only built for
     p = 2, where Parseval applies); used for inequality spot checks.
-    ``x`` must be a nonempty vector, and ``z`` and ``zeta`` one-dimensional
-    and of the same length.
+    ``x`` must be a finite, nonempty vector, and ``z`` and ``zeta`` points
+    of the open polydisk of the same length.
     """
     x = _kernel_vector(x)
-    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    z = _polydisk_point(z, "z")
+    zeta = _polydisk_point(zeta, "zeta")
     p = float(p)
     if not p >= 1:
         raise ValueError("p must be at least 1")
-    if not (np.isfinite(x).all() and (np.abs(z) < 1.0).all() and (np.abs(zeta) < 1.0).all()):
-        raise ValueError(f"x must be finite, z and zeta in the open polydisk; got z={z}, zeta={zeta}")
-    if z.ndim != 1 or z.shape != zeta.shape:
-        raise ValueError("z and zeta must be one-dimensional and of the same length")
+    if z.shape != zeta.shape:
+        raise ValueError("z and zeta must be of the same length")
     factors = (1.0 - np.abs(z) ** 2) ** (1.0 / p) / (1.0 - np.conj(z) * zeta) ** (2.0 / p)
     return x * np.prod(factors)

@@ -295,7 +295,7 @@ class MultiIndex:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
     def __repr__(self) -> str:
-        if len(self) > 16:
+        if self._items and self._items[-1][0] >= 16:
             return f"MultiIndex.from_items({list(self._items)!r})"
         return f"MultiIndex({list(self.exponents)!r})"
 
@@ -398,11 +398,17 @@ def _rows_of_keys(keys: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
     """One int64 exponent row per key over the increasing positions that
     ``keys`` use, and those positions; the inverse of ``_keys_of_rows``.
 
-    A position, an exponent or a total degree beyond the int64 range
-    raises ``OverflowError``, so degree sums of the rows never wrap.
+    A position or an exponent beyond the int64 range raises
+    ``OverflowError`` naming it and its key, and so does a total degree
+    beyond it, so degree sums of the rows never wrap.
     """
     triples = [(t, pos, e) for t, alpha in enumerate(keys) for pos, e in alpha._items]
-    owner, positions, exponents = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    try:
+        owner, positions, exponents = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    except OverflowError:
+        t, pos, e = next(triple for triple in triples if max(triple) > MAX_FREQUENCY)
+        what = f"exponent {e} at position {pos}" if e > MAX_FREQUENCY else f"position {pos}"
+        raise OverflowError(f"{what} of multi-index {keys[t]!r} exceeds the 64-bit range") from None
     columns, col = np.unique(positions, return_inverse=True)
     rows = np.zeros((len(keys), len(columns)), dtype=np.int64)
     rows[owner, col] = exponents

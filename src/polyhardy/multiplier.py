@@ -10,8 +10,9 @@ assembling the matrix: as the square root of the largest eigenvalue of
 each compression's Gram matrix, summed from the nonzero blocks row by row
 in degree order, with a stated error bound.  The coefficient-space
 Euclidean norm *is* the H_2 norm, which is why p = 2 is the one exponent
-with an exact finite matrix picture; for other p a randomized
-Rayleigh-quotient estimator is provided instead.
+with an exact finite matrix picture.  For every 1 <= p < infinity the
+multiplier norm on H_p equals the sup norm of the symbol, so the grid
+maximum ``hardy.hinf_norm`` is a lower bound at every p.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_exponent, operator_norm
-from .hardy import TorusGrid, _cells, _check_finite, _grid_coefficients, _grid_values, hp_norm
-from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table, simplex
+from .hardy import TorusGrid, _cells, _check_finite, _grid_coefficients, _grid_values
+from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table
 from .series import (
     PowerSeries,
     TruncationParams,
@@ -41,7 +42,6 @@ __all__ = [
     "CompressionMatrix",
     "assemble_compression",
     "diagonal_example",
-    "hp_rayleigh_lower_bound",
     "multiplier_norm_schedule",
     "operator_norm",
     "pointwise_vs_symbolic",
@@ -341,42 +341,3 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     """
     return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
-
-def hp_rayleigh_lower_bound(
-    F: PowerSeries,
-    p: float,
-    trunc: TruncationParams,
-    grid: TorusGrid,
-    num_samples: int = 16,
-    seed: int = 0,
-) -> float:
-    """Randomized lower bound for the H_p multiplier norm, p != 2 included.
-
-    Maximizes the Rayleigh quotient ``||F G||_p / ||G||_p`` over random
-    polynomials G supported in the truncation simplex.  This is an
-    estimator, not a certified norm: it never exceeds ``||M_F||`` (up to
-    grid error) but can undershoot.
-    """
-    if F.kind != "operator":
-        raise ValueError("the symbol must be operator-valued")
-    num_samples = _index(num_samples, "num_samples", 1)
-    product_degree = F.total_degree + trunc.max_degree
-    if grid.radius != 1.0 or grid.points_per_var < product_degree + 1:
-        raise ValueError(
-            f"estimator grid must have radius 1 and at least {product_degree + 1} "
-            "points per variable so the H_p quadratures see the full product"
-        )
-    window = replace(trunc, max_degree=product_degree)
-    rng = np.random.default_rng(seed)
-    basis = simplex(trunc.nvars, trunc.max_degree)
-    best = 0.0
-    for _ in range(num_samples):
-        coeffs = rng.standard_normal((len(basis), trunc.dim)) + 1j * rng.standard_normal(
-            (len(basis), trunc.dim)
-        )
-        G = PowerSeries("vector", trunc.dim, dict(zip(basis, coeffs)))
-        denom = hp_norm(G, p, grid)
-        if denom == 0.0:
-            continue
-        best = max(best, hp_norm(op_vec_product(F, G, window), p, grid) / denom)
-    return best

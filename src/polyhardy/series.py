@@ -41,7 +41,6 @@ windows are carried explicitly via :class:`TruncationParams`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
@@ -126,7 +125,7 @@ class _SparseSeries:
     are zero.
     """
 
-    __slots__ = ("_kind", "_dim", "_keys", "_columns", "_coeffs", "_values", "_terms")
+    __slots__ = ("_kind", "_dim", "_keys", "_columns", "_coeffs", "_terms")
 
     def __init__(
         self,
@@ -142,25 +141,23 @@ class _SparseSeries:
         stack = np.array([_as_coefficient(value, kind, dim) for _, value in items], np.complex128)
         stack = stack.reshape(-1, *_coefficient_shape(kind, dim))
         keys, stack = _nonzero(*_merge(keys, stack))
-        self._init(kind, dim, keys, stack, columns, list(stack))
+        self._init(kind, dim, keys, stack, columns)
 
-    def _init(self, kind, dim, keys, coeffs, columns=None, values=None):
+    def _init(self, kind, dim, keys, coeffs, columns=None):
         """Hold distinct key arrays and a read-only stack of nonzero, finite
         coefficients in the same order; exponent-row columns that no key
-        uses are dropped.  ``values``, when given, are the per-term arrays
-        ``terms`` hands out (equal to the rows of ``coeffs``), so that
-        series sharing a stack also share them."""
+        uses are dropped."""
         if columns is not None:
             used = keys.any(axis=0)
             if not used.all():
                 columns, keys = columns[used], keys[:, used]
         self._kind, self._dim, self._keys, self._columns = kind, dim, keys, columns
-        self._coeffs, self._values, self._terms = coeffs, values, None
+        self._coeffs, self._terms = coeffs, None
         return self
 
     @classmethod
-    def _wrap(cls, kind: Kind, dim: int, keys, coeffs, columns=None, values=None):
-        return cls.__new__(cls)._init(kind, dim, keys, coeffs, columns, values)
+    def _wrap(cls, kind: Kind, dim: int, keys, coeffs, columns=None):
+        return cls.__new__(cls)._init(kind, dim, keys, coeffs, columns)
 
     @classmethod
     def _from_stack(cls, kind: Kind, dim: int, keys: np.ndarray, stack: np.ndarray, columns=None):
@@ -189,11 +186,10 @@ class _SparseSeries:
     @property
     def terms(self) -> Mapping:
         """Read-only map from keys to coefficients, in the order the arrays
-        hold them; built from the key arrays on first access."""
+        hold them; built from the key arrays on first access.  Each
+        coefficient is a read-only view of a row of the stack."""
         if self._terms is None:
-            if self._values is None:
-                self._values = list(self._coeffs)
-            self._terms = MappingProxyType(dict(zip(self._decode(), self._values)))
+            self._terms = MappingProxyType(dict(zip(self._decode(), self._coeffs)))
         return self._terms
 
     @property
@@ -623,15 +619,13 @@ def truncate(F: PowerSeries, trunc: TruncationParams) -> PowerSeries:
     """Drop terms beyond the window; idempotent.  A window whose ``dim`` is
     not that of ``F`` raises ``ValueError``.
 
-    The kept coefficients are shared with ``F``, not copied one by one:
-    they are already finite, nonzero and read-only, and the arrays
-    ``F.terms`` hands out, if it has built them, are handed out again.
+    The kept coefficients are taken as one gather of ``F``'s stack, not
+    checked one by one: they are already finite and nonzero.
     """
     _check_window(F, trunc)
     rows = F._keys
     outside = rows[:, F._columns >= trunc.nvars].any(axis=1)
     keep = ~outside & (rows.sum(axis=1) <= min(trunc.max_degree, _INT64_MAX))
-    values = None if F._values is None else list(itertools.compress(F._values, keep.tolist()))
     coeffs = F._coeffs[keep]
     coeffs.setflags(write=False)
-    return PowerSeries._wrap(F.kind, F.dim, rows[keep], coeffs, F._columns, values)
+    return PowerSeries._wrap(F.kind, F.dim, rows[keep], coeffs, F._columns)

@@ -117,14 +117,14 @@ class TestMulnorm:
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = tmp_path / "symbol.json"
         save_series(PowerSeries.operator(3, {MultiIndex([1]): A * (3.15e9 / operator_norm(A))}), path)
-        status, report = run(["mulnorm", path, "--degree", "15"], capsys)
+        status, report = run(["mulnorm", path, "--degrees", ",".join(map(str, range(16)))], capsys)
         schedule = report["outputs"]["schedule"]
         assert max(a - b for a, b in zip(schedule[1:], schedule[2:])) > 1e-9
         assert status == 0
 
     def test_tolerance_is_the_bound_of_the_shown_drop(self, files, capsys):
         series, paths = files
-        _, report = run(["mulnorm", paths["F"], "--degree", "4"], capsys)
+        _, report = run(["mulnorm", paths["F"], "--degrees", "0,1,2,3,4"], capsys)
         schedule = report["outputs"]["schedule"]
         bounds = _schedule_error_bound(series["F"], 2, range(5), schedule)
         drops = [a - b for a, b in zip(schedule, schedule[1:])]
@@ -142,7 +142,7 @@ class TestMulnorm:
             return [*values[:-1], values[-2] - 10 * (bounds[-2] + bounds[-1])]
 
         monkeypatch.setattr(cli, "multiplier_norm_schedule", dropping)
-        status, report = run(["mulnorm", files[1]["F"], "--degree", "4"], capsys)
+        status, report = run(["mulnorm", files[1]["F"], "--degrees", "0,1,2,3,4"], capsys)
         assert status == 1
         assert not report["checks"][0]["pass"]
 
@@ -366,7 +366,7 @@ class TestUnusedFlags:
             (["product", "F", "G", "--max-frequency", "5"], "--max-frequency"),
             (["product", "DF", "DG", "--nvars", "2"], "--nvars"),
             (["product", "DF", "DG", "--degree", "2"], "--degree"),
-            (["mulnorm", "F", "--degrees", "1,2", "--degree", "4"], "--degree"),
+            (["mulnorm", "F", "--degree", "4"], "--degree"),
             (["mulnorm", "F", "--grid", "7"], "--grid"),
             (["recover", "DG", "--frequency", "2", "--nvars", "2"], "--nvars"),
             *[
@@ -378,7 +378,7 @@ class TestUnusedFlags:
                 (["example-sot", flag, "1"], flag)
                 for flag in ("--p", "--grid", "--radius", "--tol", "--nvars")
             ],
-            (["mulnorm", "F", "--degree", "-1"], "argument --degree:"),
+            (["product", "F", "G", "--degree", "2.5"], "argument --degree:"),
             (["mulnorm", "F", "--degrees", ","], "argument --degrees:"),
             (["norm", "hinf", "G", "--grid", ","], "argument --grid:"),
             (["norm", "hinf", "G", "--radius", ","], "argument --radius:"),
@@ -388,6 +388,8 @@ class TestUnusedFlags:
             (["product", "F", "G", "--tol", "5"], "--tol"),
             (["mulnorm", "F", "--tol", "5"], "--tol"),
             (["recover", "DG", "--frequency", "2", "--tol", "5"], "--tol"),
+            (["norm", "hp", "G", "--nvars", "2"], "--nvars"),
+            (["norm", "hinf", "G", "--nvars", "2"], "--nvars"),
         ],
     )
     def test_exit_2_naming_the_flag(self, files, capsys, argv, flag):
@@ -401,6 +403,14 @@ class TestUnusedFlags:
         path.write_text('{"kind": "vector", "dim": 1, "terms": [{"alpha": [1000000], "coeff": [[1.0, 0.0]]}]}')
         assert main(["transform", str(path)]) == 2
         assert "exponent 1000000" in capsys.readouterr().err
+
+    def test_exponent_beyond_int64_in_a_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"kind": "vector", "dim": 1, "terms": [{"alpha": [1180591620717411303424], "coeff": [[1.0, 0.0]]}]}')
+        assert main(["transform", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "exponent 1180591620717411303424 at position 0 of multi-index" in err
+        assert "exceeds the 64-bit range" in err
 
     def test_verify_help_offers_no_unread_flags(self, capsys):
         """A suite runs at fixed sizes, so ``--seed`` is its only input."""
@@ -425,13 +435,18 @@ class TestZeroValuedFlags:
 
     def test_mulnorm_degree_zero_is_one_checkpoint(self, files, capsys):
         _, paths = files
-        status, report = run(["mulnorm", paths["F"], "--degree", "0"], capsys)
+        status, report = run(["mulnorm", paths["F"], "--degrees", "0"], capsys)
         assert status == 0
         assert report["inputs"]["degrees"] == [0]
 
     @pytest.mark.parametrize(
         "argv",
-        [["mulnorm", "F"], ["norm", "hp", "G"], ["norm", "hinf", "G"], ["product", "F", "G"]],
+        [
+            ["mulnorm", "F"],
+            ["mulnorm", "F", "--degrees", "0"],
+            ["product", "F", "G", "--degree", "0"],
+            ["product", "F", "G"],
+        ],
     )
     def test_nvars_zero_is_rejected(self, files, capsys, argv):
         _, paths = files

@@ -652,9 +652,9 @@ class TestColeGamelinKernel:
         with pytest.raises(ValueError, match=r"finite .*got \[.*nan"):
             point_evaluation_bound(point)
         origin = [0.0] * len(point)
-        with pytest.raises(ValueError, match=r"got z=\[.*nan.*\], zeta=\[0"):
+        with pytest.raises(ValueError, match=r"^z must be finite .*got \[.*nan"):
             cole_gamelin_kernel_value([1.0], point, origin)
-        with pytest.raises(ValueError, match=r"got z=\[0.*\], zeta=\[.*nan"):
+        with pytest.raises(ValueError, match=r"^zeta must be finite .*got \[.*nan"):
             cole_gamelin_kernel_value([1.0], origin, point)
 
     @pytest.mark.parametrize("x", [[[1.0], [2.0]], []])

@@ -20,7 +20,6 @@ from polyhardy import (
     bohr,
     diagonal_example,
     hinf_norm,
-    hp_rayleigh_lower_bound,
     multiindex_to_index,
     multiplier_norm_schedule,
     op_vec_product,
@@ -498,23 +497,3 @@ class TestPointwiseBits:
         with pytest.raises(ValueError, match=r"not finite at 1 of 3 nodes; the first, node 0"):
             pointwise_vs_symbolic(F, G, TorusGrid(1, 3))
 
-
-class TestRayleighEstimator:
-    def test_lower_bounds_known_sup(self):
-        F = PowerSeries.operator(1, {MultiIndex(): [[1.0]], MultiIndex([1]): [[1.0]]})
-        window = TruncationParams(nvars=1, max_degree=6, dim=1)
-        grid = TorusGrid(nvars=1, points_per_var=32, radius=1.0)
-        estimate = hp_rayleigh_lower_bound(F, 4.0, window, grid, num_samples=8, seed=0)
-        assert 1.0 < estimate <= 2.0 + 1e-9
-
-    def test_grid_resolution_enforced(self):
-        F = PowerSeries.operator(1, {MultiIndex([1]): [[1.0]]})
-        window = TruncationParams(nvars=1, max_degree=6, dim=1)
-        with pytest.raises(ValueError):
-            hp_rayleigh_lower_bound(F, 4.0, window, TorusGrid(1, 4, 1.0))
-
-    def test_non_integer_sample_count_is_named(self):
-        F = PowerSeries.operator(1, {MultiIndex([1]): [[1.0]]})
-        window = TruncationParams(nvars=1, max_degree=2, dim=1)
-        with pytest.raises(TypeError, match="num_samples"):
-            hp_rayleigh_lower_bound(F, 4.0, window, TorusGrid(1, 8, 1.0), num_samples=2.5)

@@ -517,7 +517,8 @@ class TestScalingsShareOneArrayPath:
         kept = [(a, c) for a, c in F.terms.items() if a.degree <= max_degree and len(a) <= nvars]
         got = truncate(F, window)
         assert_same_bits(got, PowerSeries(F.kind, F.dim, kept))
-        assert all(got.terms[a] is c for a, c in kept)
+        # one gather of F's stack; each coefficient handed out is a view of it
+        assert all(np.shares_memory(got.terms[a], got._coeffs) for a, _ in kept)
 
     def test_overflowing_scalar_multiple_raises(self):
         F = PowerSeries.vector(1, {MultiIndex(): [1e300], MultiIndex([1]): [1.0]})
@@ -545,7 +546,7 @@ class TestHeldArrays:
         assert_same_bits(G, F)
         assert G._terms is not None  # cached
         assert G._coeffs is F._coeffs
-        assert all(a is b for a, b in zip(G.terms.values(), F.terms.values()))
+        assert all(np.shares_memory(a, b) for a, b in zip(G.terms.values(), F.terms.values()))
 
     @given(series(PowerSeries, small_indices), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
@@ -621,6 +622,25 @@ class TestHeldArrays:
             PowerSeries.vector(1, {MultiIndex([2**63]): [1.0]})
         F = PowerSeries.vector(1, {MultiIndex([2**62, 2**62 - 1]): [1.0]})
         assert F.total_degree == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (MultiIndex([2**63]), r"exponent 9223372036854775808 at position 0 of multi-index MultiIndex\(\[9223372036854775808\]\)"),
+            (MultiIndex([0, 2**63 - 1]), None),
+            (MultiIndex.from_items([(2**70, 1)]), r"position 1180591620717411303424 of multi-index MultiIndex.from_items\(\[\(1180591620717411303424, 1\)\]\)"),
+            (MultiIndex.from_items([(2**63 - 1, 1)]), None),
+        ],
+        ids=["exponent", "largest-exponent", "position", "largest-position"],
+    )
+    def test_exponent_or_position_beyond_int64_is_named(self, key, message):
+        # a key beyond int64 is named with its key; one at the edge is held
+        terms = {MultiIndex([1]): [2.0], key: [1.0]}
+        if message is None:
+            assert PowerSeries.vector(1, terms).terms[key] == 1.0
+        else:
+            with pytest.raises(OverflowError, match=message + " exceeds the 64-bit range"):
+                PowerSeries.vector(1, terms)
 
     def test_weighted_degrees_are_exact_past_int64(self):
         alpha = MultiIndex.from_items([(40, 2**60)])
