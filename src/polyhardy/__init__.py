@@ -60,6 +60,7 @@ from .hardy import (
     hinf_norm,
     hp_norm,
     point_evaluation_bound,
+    pointwise_vs_symbolic,
 )
 from .multiplier import (
     CompressionMatrix,
@@ -67,7 +68,6 @@ from .multiplier import (
     diagonal_example,
     multiplier_norm_schedule,
     operator_norm,
-    pointwise_vs_symbolic,
 )
 from .seriesio import (
     SeriesFormatError,

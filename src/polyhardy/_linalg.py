@@ -1,9 +1,11 @@
-"""Largest-singular-value computation, and the rounding calculus every
-stated bound is written in.
+"""Largest-singular-value computation, row norms, and the rounding
+calculus every stated bound is written in.
 
 The operator norm of a finite matrix is its largest singular value,
 taken from LAPACK's backward-stable SVD through numpy; the same matrix
-always gives the same value.
+always gives the same value.  ``_row_norms`` takes the Euclidean norm of
+each row of a stack of coefficient gaps, bit for bit numpy's one-vector
+norm, for the checks in ``hardy`` and ``cli``.
 
 Every rounding bound the package states is written with Higham's
 ``gamma_k = k u / (1 - k u)`` (*Accuracy and Stability of Numerical
@@ -37,6 +39,17 @@ def _scale_exponent(values: np.ndarray) -> int:
     so that 2^-e and 2^e are doubles; 0 when every entry is zero."""
     largest = max(float(np.abs(part).max(initial=0.0)) for part in (values.real, values.imag))
     return min(max(math.frexp(largest)[1], -1022), 1023)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex 2-d array, bit for bit.
+
+    For one complex vector numpy computes ``sqrt(re . re + im . im)`` with
+    two real dots, and ``np.vecdot`` takes the same dot per row; the
+    batched ``np.linalg.norm(rows, axis=1)`` sums ``|x_i|^2`` instead and
+    can round differently.
+    """
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
 
 def operator_norm(matrix) -> float:

@@ -4,8 +4,9 @@ verification suites, all emitting machine-readable run reports.
 Every invocation produces a JSON report on stdout (and to ``--out`` when
 given) listing the command, its inputs, its outputs, and a list of
 checks, and the process exit status is 0 exactly when every check
-passed.  Human-readable pass/fail lines go to stderr so stdout stays
-scriptable.  Each verification suite runs at fixed sizes, so its seed
+passed: 1 when a check failed, 2 for bad input or an ``--out`` path
+that cannot be written.  Human-readable pass/fail lines go to stderr so
+stdout stays scriptable.  Each verification suite runs at fixed sizes, so its seed
 is its only input.
 
 No tolerance is set by the user.  Each check is of one of two kinds:
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._linalg import _U, _gamma, _operator_norm_rounding, operator_norm
+from ._linalg import _U, _gamma, _operator_norm_rounding, _row_norms, operator_norm
 from .dirichlet import (
     DirichletSeries,
     _EPSILON_SHIFT_ROUNDING, _epsilon_shift_sum_rounding, _evaluate_dirichlet_rounding, _recover_coefficient_rounding,
@@ -59,6 +60,7 @@ from .hardy import (
     hinf_norm,
     hp_norm,
     point_evaluation_bound,
+    pointwise_vs_symbolic,
 )
 from .multiindex import (
     MultiIndex,
@@ -70,12 +72,10 @@ from .multiindex import (
     multiindex_to_index,
 )
 from .multiplier import (
-    _row_norms,
     _schedule_error_bound,
     assemble_compression,
     diagonal_example,
     multiplier_norm_schedule,
-    pointwise_vs_symbolic,
 )
 from .series import (
     PowerSeries,
@@ -983,7 +983,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     payload = json.dumps(report.as_dict(), indent=2)
     print(payload)
     if args.out is not None:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -10,10 +10,14 @@ M`` of every term, from its exponent row, so the fold is one in-order
 the box of cells the exponents reach, ``min(e + 1, M)`` along a variable
 whose largest exponent is e, and the inverse DFT zero-pads each axis to
 M as it transforms it, so a grid much finer than the degree runs 1-D
-passes only over lines that can be nonzero.  The grid tensor is laid
-out coefficient axes first and node axes last, so the transform runs
-over the trailing axes and per-node arithmetic broadcasts over
-contiguous rows of node values.
+passes only over lines that can be nonzero.  Grid values have one
+layout, here and in every function that reads them: a C-contiguous
+``(*coefficient shape, num_nodes)`` array, coefficient axes first and
+the node axis last, in ``grid.nodes()`` order.  The transforms run over
+the trailing axes, node norms reduce the leading ones, and node k's
+value is ``values[..., k]``.  The pointwise product of an operator
+symbol and a vector series, sampled on a grid and compared with the
+symbolic product (``pointwise_vs_symbolic``), is taken the same way.
 Quadrature exactness, not evaluation, is what needs enough points per
 variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
 the grid exceeds twice the degree (discrete orthogonality), which lets
@@ -21,12 +25,11 @@ the tests compare it against Parseval with no quadrature error in the
 way.  The sup norm is estimated from below by grid maxima over a
 schedule of grids.  For an operator symbol the node norms are largest
 singular values.  Every node gets a certified ceiling in one batched
-pass: the smaller of its Frobenius norm and its Schatten-4 norm
-``||M^H M||_F^(1/2)``, each widened by a stated rounding allowance.  A
-node gets an SVD only while its ceiling exceeds the maximum found so
-far.  Since sigma_max <= ||.||_S4 <= ||.||_F, a skipped node cannot
-raise the maximum, so the result is bit for bit the maximum over all
-nodes.
+pass: its Schatten-4 norm ``||M^H M||_F^(1/2)``, widened by a stated
+rounding allowance.  A node gets an SVD only while its ceiling exceeds
+the maximum found so far.  Since sigma_max <= ||.||_S4, a skipped node
+cannot raise the maximum, so the result is bit for bit the maximum over
+all nodes.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _U, _scale_exponent, operator_norm
+from ._linalg import _U, _row_norms, _scale_exponent, operator_norm
 from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
-from .series import PowerSeries, _coefficient_shape, _monomials, _polydisk_point, _scaled
+from .series import (
+    PowerSeries, TruncationParams, _check_op_vec, _coefficient_shape, _monomials, _polydisk_point,
+    _scaled, op_vec_product,
+)
 
 __all__ = [
     "TorusGrid",
@@ -50,6 +56,7 @@ __all__ = [
     "hinf_norm",
     "hp_norm",
     "point_evaluation_bound",
+    "pointwise_vs_symbolic",
 ]
 
 
@@ -150,7 +157,7 @@ def _cells(
 
 
 def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
-    """Values of F at ``grid.nodes()``, shape ``(num_nodes, *coefficient shape)``.
+    """Values of F at ``grid.nodes()``, shape ``(*coefficient shape, num_nodes)``.
 
     At M-th roots of unity ``w^alpha`` depends only on ``alpha mod M``, so
     one inverse DFT of ``r^|alpha| c_alpha`` folded into cell ``alpha mod M``
@@ -172,10 +179,10 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     The tensor is laid out coefficient axes first, ``(*shape, b_1, ..., b_N)``,
     and transformed over its trailing grid axes, so each coefficient entry
     is one contiguous block of node values; every 1-D transform sees the
-    same numbers as on a node-first tensor.  The result is a node-first
-    view of that node-last tensor: its ``np.moveaxis(values, 0, -1)`` is
-    the contiguous ``(*shape, num_nodes)`` array.  A value beyond the
-    double range comes out infinite or NaN with no warning.
+    same numbers as on a node-first tensor.  The result is that tensor with
+    its grid axes flattened, the C-contiguous ``(*shape, num_nodes)`` array
+    of the module's one layout.  A value beyond the double range comes out
+    infinite or NaN with no warning.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
@@ -197,90 +204,73 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # callers name such nodes (_check_finite)
         values = np.fft.ifftn(folded, s=(M,) * grid.nvars, axes=range(rank, folded.ndim))
         values *= grid.num_nodes
-    return values.reshape(*shape, grid.num_nodes).transpose(node_first)
+    return values.reshape(*shape, grid.num_nodes)
 
 
 def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Unit-grid means of ``values * w^(-alpha)``, at row ``alpha mod M`` of
-    a flattened ``M^N`` tensor (see ``_cells``); ``values`` has one row per
-    node in ``grid.nodes()`` order."""
-    tensor = values.reshape((grid.points_per_var,) * grid.nvars + values.shape[1:])
-    return (np.fft.fftn(tensor, axes=range(grid.nvars)) / grid.num_nodes).reshape(values.shape)
+    """Unit-grid means of ``values * w^(-alpha)``, at position ``alpha mod
+    M`` of the last axis, a flattened ``M^N`` tensor (see ``_cells``);
+    ``values`` holds node k's value at ``values[..., k]``."""
+    rank = values.ndim - 1
+    tensor = values.reshape(values.shape[:rank] + (grid.points_per_var,) * grid.nvars)
+    coefficients = np.fft.fftn(tensor, axes=range(rank, tensor.ndim)) / grid.num_nodes
+    return coefficients.reshape(values.shape)
 
 
 def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
-    """Upper bounds on ``operator_norm`` of each ``(d, d)`` node matrix.
+    """Upper bounds on ``operator_norm`` of each node matrix of the
+    ``(d, d, num_nodes)`` grid values.
 
-    A node's ceiling is the smaller of two certified bounds on LAPACK's
-    sigma_hat <= sigma_max (1 + p(d) eps) (LAPACK Users' Guide), widened
-    by one allowance delta = 16 (d^2 + 2) eps, which leaves room for p(d)
-    up to about 15 (d^2 + 2) and for the roundings counted below.
+    A node's ceiling is a certified bound on LAPACK's sigma_hat <=
+    sigma_max (1 + p(d) eps) (LAPACK Users' Guide): its Schatten-4 norm,
+    ``sigma_max <= (sum sigma_i^4)^(1/4) = ||M^H M||_F^(1/2)``, widened by
+    one allowance delta = 16 (d^2 + 2) eps, which leaves room for p(d) up
+    to about 15 (d^2 + 2) and for the roundings counted below.  It equals
+    sigma_max for rank one and is never above d^(1/4) sigma_max.
 
-    *Frobenius*, ``sigma_max <= ||M||_F``: numpy's ``sqrt(sum |m_ij|^2)``
-    returns f_hat with ||M||_F <= (f_hat + d 2^-537)(1 + gamma_{d^2+2})
-    (the ``d 2^-537`` covers squares that underflow), so the ceiling is
-    (f_hat + d 2^-537)(1 + delta).  An all-zero node has sigma_hat = 0
-    and ceiling 0.
-
-    *Schatten-4*, ``sigma_max <= (sum sigma_i^4)^(1/4) = ||M^H M||_F^(1/2)``:
-    equal to sigma_max for rank one and never above d^(1/4) sigma_max,
-    where the Frobenius norm reaches d^(1/2) sigma_max.  Each node is
-    scaled by the power of two 2^-e with e the ``frexp`` exponent of its
-    largest entry, clipped to [-1022, 1023]; that is exact except where an
-    entry turns subnormal, and puts the largest entry of S = 2^-e M in
-    [2^-52, 2), so the Gram S^H S cannot overflow.  Each Gram entry is a
-    d-term complex dot product, off by at most gamma_{d+2} (|S|^T |S|)_ij
-    (Higham, Lemma 3.5), so the computed Gram is off by at most
-    gamma_{d+2} ||S||_F^2 <= gamma_{d+2} sqrt(d) ||S^H S||_F in Frobenius
-    norm (sum sigma_i^2 <= sqrt(d) (sum sigma_i^4)^(1/2)).  numpy's norm
-    of the computed Gram, g_hat, adds gamma_{d^2+2}; the fourth root
-    halves both, and the square root and the widening are two more
-    roundings.  Entries, Gram products and squares that land in the
-    subnormal range are off by absolute amounts, below d^2 2^-860 of
-    ||S^H S||_F because the largest entry of S is at least 2^-52.  All of
-    it fits in delta, so sigma_hat <= 2^e sqrt(g_hat)(1 + delta), plus
-    2^-1073 for the rounding of a result in the subnormal range (of
-    ``ldexp`` or of LAPACK).  The Gram is one broadcast over the
-    node-last ``(d, d, N)`` tensor, which ``_grid_values`` returns as it
-    is; a non-finite Gram (from an entry whose modulus exceeds the double
-    range) loses to the Frobenius ceiling in ``np.fmin``.
+    Each node is scaled by the power of two 2^-e with e the ``frexp``
+    exponent of its largest real or imaginary part, clipped to
+    [-1022, 1023]; that is exact except where an entry turns subnormal,
+    and puts the largest part of S = 2^-e M in [2^-52, 2), so every entry
+    of S has modulus below 2^(3/2) and the Gram S^H S of finite values
+    cannot overflow.  Each Gram entry is a d-term complex dot product, off
+    by at most gamma_{d+2} (|S|^T |S|)_ij (Higham, Lemma 3.5), so the
+    computed Gram is off by at most gamma_{d+2} ||S||_F^2 <= gamma_{d+2}
+    sqrt(d) ||S^H S||_F in Frobenius norm (sum sigma_i^2 <= sqrt(d)
+    (sum sigma_i^4)^(1/2)).  numpy's norm of the computed Gram, g_hat,
+    adds gamma_{d^2+2}; the fourth root halves both, and the square root
+    and the widening are two more roundings.  Entries, Gram products and
+    squares that land in the subnormal range are off by absolute amounts,
+    below d^2 2^-860 of ||S^H S||_F because the largest entry of S is at
+    least 2^-52.  All of it fits in delta, so sigma_hat <= 2^e sqrt(g_hat)
+    (1 + delta), plus 2^-1073 for the rounding of a result in the
+    subnormal range (of ``ldexp`` or of LAPACK).  A ceiling beyond the
+    double range overflows in the final ``ldexp`` to inf, never NaN.  An
+    all-zero node has sigma_hat = 0 and ceiling 0; a node with a
+    non-finite entry has a NaN or infinite ceiling.  The Gram is one broadcast over the tensor as it
+    is.
     """
-    d = values.shape[-1]
+    d = values.shape[0]
     delta = 16 * (d * d + 2) * (2 * _U)
-    nodes = values.transpose(1, 2, 0)  # (d, d, N)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ceilings are kept
-        frob = np.linalg.norm(nodes, axis=(0, 1))
-        frobenius = np.where(nodes.any(axis=(0, 1)), (frob + d * 2.0**-537) * (1 + delta), 0.0)
-        e = np.clip(np.frexp(np.abs(nodes).max(axis=(0, 1)))[1], -1022, 1023)
-        scaled = nodes * np.ldexp(1.0, -e)
+        largest = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=(0, 1))
+        e = np.clip(np.frexp(largest)[1], -1022, 1023)
+        scaled = values * np.ldexp(1.0, -e)
         gram = (scaled.conj()[:, :, None, :] * scaled[:, None, :, :]).sum(axis=0)
         schatten = np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(0, 1))) * (1 + delta), e)
-    return np.fmin(frobenius, schatten + 2.0**-1073)
-
-
-def _node_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each node's vector, bit for bit the
-    ``np.linalg.norm(values, axis=1)`` of contiguous node-first rows.
-
-    numpy sums a contiguous row of fewer than 8 squares in order, which is
-    also the order in which it reduces the coefficient axis of the
-    node-last tensor, so short rows use that tensor as it is; longer rows
-    it sums pairwise, so they are normed on a contiguous node-first copy.
-    """
-    if values.shape[1] >= 8:
-        values = np.ascontiguousarray(values)
-    return np.linalg.norm(values, axis=1)
+    return np.where(largest == 0, 0.0, schatten + 2.0**-1073)
 
 
 def _check_finite(what: str, values: np.ndarray, grid: TorusGrid) -> None:
-    """Raise ``ValueError`` if a node's value in ``values`` (one row per
-    node of ``grid.nodes()``) is not finite, naming the first such node."""
-    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    """Raise ``ValueError`` if a node's value in ``values`` (node k's at
+    ``values[..., k]``, in ``grid.nodes()`` order) is not finite, naming
+    the first such node."""
+    finite = np.isfinite(values).all(axis=tuple(range(values.ndim - 1)))
     bad = np.flatnonzero(~finite)
     if bad.size:
         raise ValueError(
             f"{what} are not finite at {bad.size} of {grid.num_nodes} "
-            f"nodes; the first, node {bad[0]} of grid.nodes(), is {values[bad[0]]}"
+            f"nodes; the first, node {bad[0]} of grid.nodes(), is {values[..., bad[0]]}"
         )
 
 
@@ -304,7 +294,7 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("hp_norm is defined for vector series")
     values = _grid_values(F, grid)
     with np.errstate(over="ignore"):  # taken again below
-        mean = np.mean(_node_norms(values) ** p)
+        mean = np.mean(np.linalg.norm(values, axis=0) ** p)
         result = float(mean ** (1.0 / p))
     if not _in_range(result, mean):
         norms, scale = _scaled_node_norms(values, grid)
@@ -319,7 +309,7 @@ def _scaled_node_norms(values: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray,
     value is not finite."""
     _check_finite("grid values", values, grid)
     e = _scale_exponent(values)
-    return _node_norms(values * 2.0**-e), 2.0**e
+    return np.linalg.norm(values * 2.0**-e, axis=0), 2.0**e
 
 
 def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
@@ -332,10 +322,10 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     For an operator symbol the pointwise norm is ``operator_norm``, but
     it runs only on nodes that could raise the maximum: each grid's nodes
     whose ceiling from ``_sigma_ceilings`` exceeds the maximum so far (the
-    smaller of the Frobenius and Schatten-4 norms, each widened by a
-    stated rounding allowance, all nodes in one batched pass) are visited
-    by descending ceiling, and the visit stops at the first ceiling at
-    most the maximum so far.  Every skipped node's computed norm is at
+    Schatten-4 norm, widened by a stated rounding allowance, all nodes in
+    one batched pass over the ``(d, d, num_nodes)`` grid values) are
+    visited by descending ceiling, and the visit stops at the first
+    ceiling at most the maximum so far.  Every skipped node's computed norm is at
     most its ceiling, so the result equals the maximum of
     ``operator_norm`` over all nodes bit for bit.
 
@@ -354,7 +344,7 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
         values = _grid_values(F, grid)
         if F.kind == "vector":
             with np.errstate(over="ignore"):  # taken again below
-                top = float(np.max(_node_norms(values)))
+                top = float(np.max(np.linalg.norm(values, axis=0)))
             if not _in_range(top):
                 norms, scale = _scaled_node_norms(values, grid)
                 top = float(np.max(norms)) * scale
@@ -367,7 +357,7 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
         for k in candidates[np.argsort(-ceilings[candidates], kind="stable")].tolist():
             if ceilings[k] <= best:
                 break
-            best = max(best, operator_norm(values[k]))
+            best = max(best, operator_norm(values[..., k]))
     return best
 
 
@@ -392,9 +382,39 @@ def fourier_coefficient(
         raise ValueError(
             f"multi-index uses {len(alpha)} variables but the grid has {grid.nvars}"
         )
-    values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()])
+    values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()], -1)
     rows, columns = _rows_of_keys([alpha])
-    return _grid_coefficients(values, grid)[_cells(columns, rows, grid)[0][0]]
+    return _grid_coefficients(values, grid).take(_cells(columns, rows, grid)[0][0], axis=-1)
+
+
+def pointwise_vs_symbolic(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> float:
+    """Largest coefficient gap between the sampled and symbolic products.
+
+    Samples ``w -> F(w) @ G(w)`` on the unit-radius grid, extracts each
+    Fourier coefficient over the symbolic product support, and returns
+    the max Euclidean distance to the convolution coefficients.  For
+    polynomial inputs on an exact-resolution grid this is pure rounding
+    noise (<= 1e-10 by contract).  Non-finite sampled values raise
+    ``ValueError``; a non-finite gap is returned, not passed over.
+    """
+    _check_op_vec(F, G)
+    needed = F.total_degree + G.total_degree + 1
+    if grid.radius != 1.0:
+        raise ValueError("consistency check requires the unit-radius grid")
+    if grid.points_per_var < needed:
+        raise ValueError(
+            f"grid resolution insufficient: need at least {needed} points per "
+            f"variable, got {grid.points_per_var}"
+        )
+
+    window = TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
+    product = op_vec_product(F, G, window)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sampled = np.einsum("ijk,jk->ik", _grid_values(F, grid), _grid_values(G, grid))
+    _check_finite("sampled values F(w) G(w)", sampled, grid)
+    extracted = _grid_coefficients(sampled, grid).T
+    gaps = extracted[_cells(product._columns, product._keys, grid)[0]] - product._coeffs
+    return float(np.max(_row_norms(gaps), initial=0.0))
 
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:

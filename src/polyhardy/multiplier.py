@@ -12,7 +12,9 @@ in degree order, with a stated error bound.  The coefficient-space
 Euclidean norm *is* the H_2 norm, which is why p = 2 is the one exponent
 with an exact finite matrix picture.  For every 1 <= p < infinity the
 multiplier norm on H_p equals the sup norm of the symbol, so the grid
-maximum ``hardy.hinf_norm`` is a lower bound at every p.
+maximum ``hardy.hinf_norm`` is a lower bound at every p.  This module
+works in coefficient space only; the sampled check of the product on a
+torus grid, ``hardy.pointwise_vs_symbolic``, lives with the grids.
 """
 
 from __future__ import annotations
@@ -24,18 +26,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_exponent, operator_norm
-from .hardy import TorusGrid, _cells, _check_finite, _grid_coefficients, _grid_values
 from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table
 from .series import (
     PowerSeries,
     TruncationParams,
-    _check_op_vec,
     _check_window,
     _group,
     _union,
     _widen,
     _window_pairs,
-    op_vec_product,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "diagonal_example",
     "multiplier_norm_schedule",
     "operator_norm",
-    "pointwise_vs_symbolic",
 ]
 
 
@@ -297,47 +295,3 @@ def diagonal_example(w: Iterable[complex]) -> np.ndarray:
     out = np.diag(w)
     out.setflags(write=False)
     return out
-
-
-def pointwise_vs_symbolic(
-    F: PowerSeries, G: PowerSeries, grid: TorusGrid
-) -> float:
-    """Largest coefficient gap between the sampled and symbolic products.
-
-    Samples ``w -> F(w) @ G(w)`` on the unit-radius grid, extracts each
-    Fourier coefficient over the symbolic product support, and returns
-    the max Euclidean distance to the convolution coefficients.  For
-    polynomial inputs on an exact-resolution grid this is pure rounding
-    noise (<= 1e-10 by contract).  Non-finite sampled values raise
-    ``ValueError``; a non-finite gap is returned, not passed over.
-    """
-    _check_op_vec(F, G)
-    needed = F.total_degree + G.total_degree + 1
-    if grid.radius != 1.0:
-        raise ValueError("consistency check requires the unit-radius grid")
-    if grid.points_per_var < needed:
-        raise ValueError(
-            f"grid resolution insufficient: need at least {needed} points per "
-            f"variable, got {grid.points_per_var}"
-        )
-
-    window = TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
-    product = op_vec_product(F, G, window)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        sampled = np.einsum("kij,kj->ki", _grid_values(F, grid), _grid_values(G, grid), order="C")
-    _check_finite("sampled values F(w) G(w)", sampled, grid)
-    extracted = _grid_coefficients(sampled, grid)
-    gaps = extracted[_cells(product._columns, product._keys, grid)[0]] - product._coeffs
-    return float(np.max(_row_norms(gaps), initial=0.0))
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a complex 2-d array, bit for bit.
-
-    For one complex vector numpy computes ``sqrt(re . re + im . im)`` with
-    two real dots, and ``np.vecdot`` takes the same dot per row; the
-    batched ``np.linalg.norm(rows, axis=1)`` sums ``|x_i|^2`` instead and
-    can round differently.
-    """
-    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-

@@ -108,6 +108,16 @@ class TestDiagonalDistance:
         suite = run_verify("diagonal", seed=3)
         assert (report["inputs"], report["outputs"]["table"]) == (suite.inputs, suite.outputs["table"])
 
+    @pytest.mark.parametrize("out", ["missing/report.json", "."])
+    def test_unwritable_out_exits_2_naming_it(self, tmp_path, capsys, out):
+        # a missing directory, and a directory: after the report is shown
+        path = tmp_path / out
+        assert main(["verify", "diagonal", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"]
+        assert f"error: cannot write --out {path}: " in captured.err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestMulnorm:
     def test_large_symbol_passes(self, tmp_path, capsys):

@@ -185,7 +185,7 @@ class TestHinfNorm:
 
     def test_non_finite_grid_values_rejected(self):
         F = PowerSeries.operator(1, {MultiIndex(): [[1e308]], MultiIndex([1]): [[1e308]]})
-        # The FFT gives inf + nan*j at w = 1, whose Frobenius ceiling is NaN,
+        # The FFT gives inf + nan*j at w = 1, whose ceiling is NaN,
         # and 0 at w = -1, whose zero ceiling alone would end the search.
         with pytest.raises(ValueError, match=r"not finite at 1 of 2 nodes; the first, node 0 "):
             hinf_norm(F, [TorusGrid(1, 2)])
@@ -266,7 +266,7 @@ class TestLargeFiniteValues:
         assert math.isclose(hp_norm(PowerSeries.vector(1, {MultiIndex(): [c]}), p, self.GRID), c, rel_tol=1e-15)
 
 
-#: Entries from subnormal to 1e3 in modulus, so Frobenius squares can underflow.
+#: Entries from subnormal to 1e3 in modulus, so squares and Gram products can underflow.
 _entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -275,7 +275,7 @@ def operator_symbols(draw):
     """Operator symbols of dim 1-4 on 1-2 variables, with a schedule.
 
     Besides generic coefficients: rank-one symbols, where sigma_max equals
-    the Frobenius norm at every node (the tight case for the pruning
+    the Schatten-4 norm at every node (the tight case for the pruning
     allowance); one monomial times one matrix, where every node of a
     unit-radius grid ties; and the zero symbol.
     """
@@ -307,7 +307,7 @@ def operator_symbols(draw):
 
 
 class TestPrunedOperatorSup:
-    """An operator ``hinf_norm`` takes SVDs only where a node's Frobenius
+    """An operator ``hinf_norm`` takes SVDs only where a node's Schatten-4
     ceiling exceeds the maximum so far, and must still equal the maximum
     over every node bit for bit."""
 
@@ -316,7 +316,7 @@ class TestPrunedOperatorSup:
     def test_equals_unpruned_maximum(self, drawn):
         F, schedule = drawn
         unpruned = max(
-            float(np.max(np.linalg.norm(polyhardy.hardy._grid_values(F, g), 2, axis=(1, 2))))
+            float(np.max(np.linalg.norm(polyhardy.hardy._grid_values(F, g), 2, axis=(0, 1))))
             for g in schedule
         )
         assert hinf_norm(F, schedule) == unpruned
@@ -337,10 +337,10 @@ class TestPrunedOperatorSup:
         value, calls = self.count_svds(monkeypatch, F, [grid])
         assert calls < grid.num_nodes // 4
         values = polyhardy.hardy._grid_values(F, grid)
-        assert value == max(operator_norm(m) for m in values)
+        assert value == max(operator_norm(values[..., k]) for k in range(grid.num_nodes))
 
     def test_generic_symbol_needs_at_most_ten_svds(self, monkeypatch):
-        # the Frobenius ceiling alone left 165 of the 1 600 nodes to LAPACK
+        # a Frobenius ceiling would leave 165 of the 1 600 nodes to LAPACK
         F = random_power_series(np.random.default_rng(0), "operator", 3, 2, 3, 8)
         assert self.count_svds(monkeypatch, F, [TorusGrid(2, 40)])[1] <= 10
 
@@ -385,7 +385,7 @@ class TestSigmaCeilings:
     @given(node_stacks())
     @settings(max_examples=500, deadline=None)
     def test_bounds_every_node(self, values):
-        ceilings = polyhardy.hardy._sigma_ceilings(values)
+        ceilings = polyhardy.hardy._sigma_ceilings(np.moveaxis(values, 0, -1))
         assert ceilings.shape == (len(values),)
         for ceiling, matrix in zip(ceilings, values):
             assert ceiling >= operator_norm(matrix)
@@ -395,8 +395,28 @@ class TestSigmaCeilings:
         u, v = np.array([1.0, 2j, -0.5]), np.array([0.25, 1.0, 1j])
         values = np.outer(u, v.conj())[None] * np.array([1.0, 1e-300, 1e300])[:, None, None]
         sigmas = np.array([operator_norm(m) for m in values])
-        ceilings = polyhardy.hardy._sigma_ceilings(values)
+        ceilings = polyhardy.hardy._sigma_ceilings(np.moveaxis(values, 0, -1))
         assert np.all(sigmas <= ceilings) and np.all(ceilings <= sigmas * (1 + 1e-13))
+
+    def test_entry_beyond_the_modulus_range_has_a_finite_ceiling(self):
+        # the square of |1e308 + 1e308j| = 1.4e308, in a Frobenius norm or an
+        # unscaled Gram, overflows; scaled by its largest part the node is
+        # finite.  |1.5e308 (1 + i)| overflows np.abs itself, and a Gram
+        # scaled by that inf modulus would be inf - inf = NaN, a ceiling no
+        # node can exceed; scaled by the largest part the ceiling is inf
+        big, huge = 1e308 + 1e308j, 1.5e308 * (1 + 1j)
+        nodes = [[[big, 0], [0, 1]], [[0.5, 0], [0, 0]], np.zeros((2, 2)), [[huge, huge], [huge, huge.conjugate()]]]
+        values = np.stack(np.array(nodes, dtype=np.complex128), axis=-1)
+        ceilings = polyhardy.hardy._sigma_ceilings(values)
+        assert np.isfinite(ceilings[:3]).all() and ceilings[2] == 0.0 and ceilings[3] == np.inf
+        for k in range(3):
+            assert ceilings[k] >= operator_norm(values[..., k])
+
+    def test_hinf_norm_of_an_entry_beyond_the_modulus_range(self):
+        F = PowerSeries.operator(2, {MultiIndex(): [[1e308 + 1e308j, 0.0], [0.0, 1.0]]})
+        values = polyhardy.hardy._grid_values(F, TorusGrid(1, 3))
+        want = max(operator_norm(values[..., k]) for k in range(3))
+        assert math.isfinite(want) and hinf_norm(F, [TorusGrid(1, 3)]) == want
 
 
 def grid_value_error(F, grid):
@@ -738,7 +758,7 @@ class TestGridFoldBits:
     def test_grid_values_equal_per_term_fold(self, drawn):
         F, grid = drawn
         got = polyhardy.hardy._grid_values(F, grid)
-        want = grid_values_by_term(F, grid)
+        want = np.moveaxis(grid_values_by_term(F, grid), 0, -1)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_aliased_cells_sum_in_term_order(self):
@@ -748,20 +768,26 @@ class TestGridFoldBits:
         )
         grid = TorusGrid(1, 3)
         got = polyhardy.hardy._grid_values(F, grid)
-        assert got.tobytes() == grid_values_by_term(F, grid).tobytes()
+        assert got.tobytes() == np.moveaxis(grid_values_by_term(F, grid), 0, -1).tobytes()
 
     def test_values_view_the_node_last_tensor(self):
         F = random_power_series(np.random.default_rng(1), "operator", 3, 2, 3, 8)
         values = polyhardy.hardy._grid_values(F, TorusGrid(2, 5))
-        assert values.shape == (25, 3, 3) and np.moveaxis(values, 0, -1).flags.c_contiguous
+        assert values.shape == (3, 3, 25) and values.flags.c_contiguous
 
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_vector_norms_equal_node_first_rows(self, dim):
-        # rows of 8 or more squares are summed pairwise, shorter ones in order
+        # each node's squares are summed in coefficient order, also from 8
+        # on, where numpy would sum a contiguous row of them pairwise
         F = random_power_series(np.random.default_rng(dim), "vector", dim, 2, 4, 10)
         grid = TorusGrid(2, 9, 0.9)
-        want = np.linalg.norm(grid_values_by_term(F, grid), axis=1)
-        got = polyhardy.hardy._node_norms(polyhardy.hardy._grid_values(F, grid))
+        rows = grid_values_by_term(F, grid)
+        squares = (rows.conj() * rows).real
+        total = squares[:, 0]
+        for j in range(1, dim):
+            total = total + squares[:, j]
+        want = np.sqrt(total)
+        got = np.linalg.norm(polyhardy.hardy._grid_values(F, grid), axis=0)
         assert got.tobytes() == want.tobytes()
         assert hp_norm(F, 3.0, grid) == float(np.mean(want**3.0) ** (1.0 / 3.0))
         assert hinf_norm(F, [grid]) == float(np.max(want))
