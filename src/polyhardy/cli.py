@@ -878,7 +878,7 @@ def _cmd_verify(args) -> RunReport:
 #: only those its command reads, and declares the others it reads itself, so
 #: argparse rejects the rest.
 _SHARED_OPTIONS = {
-    "nvars": {"type": int, "help": "number of variables"},
+    "nvars": {"type": int, "help": "window variables (default: those used); fewer drop the others' terms, as if set to 0"},
     "seed": {"type": int, "default": 0, "help": "random seed (default 0)"},
 }
 

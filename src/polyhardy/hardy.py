@@ -19,8 +19,10 @@ value is ``values[..., k]``.  The pointwise product of an operator
 symbol and a vector series, sampled on a grid and compared with the
 symbolic product (``pointwise_vs_symbolic``), is taken the same way.
 Quadrature exactness, not evaluation, is what needs enough points per
-variable: for polynomials at radius 1 the H_2 quadrature is *exact* once
-the grid exceeds twice the degree (discrete orthogonality), which lets
+variable: for polynomials at radius 1 the H_2 quadrature is *exact*, up
+to rounding, once the grid has more points per variable than that
+variable's largest exponent, and the H_2k quadrature once it has more
+than k times it (discrete orthogonality, see ``hp_norm``), which lets
 the tests compare it against Parseval with no quadrature error in the
 way.  The sup norm is estimated from below by grid maxima over a
 schedule of grids.  For an operator symbol the node norms are largest
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _U, _row_norms, _scale_exponent, operator_norm
+from ._linalg import _U, _in_range, _reduce_scaled, _row_norms, _scale_down, operator_norm
 from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
 from .series import (
     PowerSeries, TruncationParams, _check_op_vec, _coefficient_shape, _monomials, _polydisk_point,
@@ -101,9 +103,9 @@ def h2_norm(F) -> float:
     this norm, so both sides give the same number.  One sum of squares
     over all T*d entries of the coefficient stack the series holds, so
     the relative error is at most gamma_{T*d+2} (``_h2_norm_rounding``);
-    the empty series has norm 0.  A norm outside the range of
-    ``_in_range`` is taken once more on scaled coefficients; one beyond
-    the double range is ``inf``.
+    the empty series has norm 0.  A norm outside ``_in_range`` is taken
+    once more on scaled coefficients (the range rule of ``_linalg``); one
+    beyond the double range is ``inf``.
     """
     if F.kind != "vector":
         raise ValueError(
@@ -111,30 +113,7 @@ def h2_norm(F) -> float:
         )
     with np.errstate(over="ignore"):  # taken again below
         norm = float(np.linalg.norm(F._coeffs))
-    if not _in_range(norm):
-        e = _scale_exponent(F._coeffs)
-        norm = float(np.linalg.norm(F._coeffs * 2.0**-e)) * 2.0**e
-    return norm
-
-
-def _in_range(norm: float, mean: float = 1.0) -> bool:
-    """Whether a norm taken directly is kept: the one rule by which
-    ``h2_norm``, ``hp_norm`` and ``hinf_norm`` (vector) take it once more.
-
-    Each norm is a root of a sum or mean of squares or p-th powers, and
-    is kept when it is finite and at least 2^-484 and the mean of p-th
-    powers behind it (``hp_norm``) is at least 2^-969.  Then no square or
-    power overflowed, and each sum or mean of them (at the largest node,
-    for node norms) is at least 2^-969, so each one that fell below the
-    normal doubles moves it by at most 2^-1075, a relative 2^-106: far
-    below one rounding.  Otherwise it is taken once
-    more on the values times 2^-e, the power of two that brings their
-    largest part into [1/2, 1), which is exact except where an entry
-    turns subnormal, and scaled back by 2^e; for p-th powers the node
-    norms are further divided by their largest m, so that the largest
-    power is 1 and no p underflows the mean to 0, and scaled back by m.
-    """
-    return 2.0**-484 <= norm < math.inf and mean >= 2.0**-969
+    return norm if _in_range(norm) else float(_reduce_scaled(np.linalg.norm, F._coeffs))
 
 
 def _h2_norm_rounding(F) -> int:
@@ -228,9 +207,9 @@ def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
     to about 15 (d^2 + 2) and for the roundings counted below.  It equals
     sigma_max for rank one and is never above d^(1/4) sigma_max.
 
-    Each node is scaled by the power of two 2^-e with e the ``frexp``
-    exponent of its largest real or imaginary part, clipped to
-    [-1022, 1023]; that is exact except where an entry turns subnormal,
+    Each node is scaled by the power of two 2^-e of ``_linalg``'s range
+    rule for its largest real or imaginary part (``_scale_down`` over the
+    node's axes); that is exact except where an entry turns subnormal,
     and puts the largest part of S = 2^-e M in [2^-52, 2), so every entry
     of S has modulus below 2^(3/2) and the Gram S^H S of finite values
     cannot overflow.  Each Gram entry is a d-term complex dot product, off
@@ -246,19 +225,18 @@ def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
     (1 + delta), plus 2^-1073 for the rounding of a result in the
     subnormal range (of ``ldexp`` or of LAPACK).  A ceiling beyond the
     double range overflows in the final ``ldexp`` to inf, never NaN.  An
-    all-zero node has sigma_hat = 0 and ceiling 0; a node with a
-    non-finite entry has a NaN or infinite ceiling.  The Gram is one broadcast over the tensor as it
-    is.
+    all-zero node has sigma_hat = 0 and ceiling 0 (every other node has a
+    scaled Gram diagonal entry of at least 2^-104, so a positive ceiling);
+    a node with a non-finite entry has a NaN or infinite ceiling.  The
+    Gram is one broadcast over the tensor as it is.
     """
     d = values.shape[0]
     delta = 16 * (d * d + 2) * (2 * _U)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ceilings are kept
-        largest = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=(0, 1))
-        e = np.clip(np.frexp(largest)[1], -1022, 1023)
-        scaled = values * np.ldexp(1.0, -e)
+        scaled, e = _scale_down(values, axis=(0, 1))
         gram = (scaled.conj()[:, :, None, :] * scaled[:, None, :, :]).sum(axis=0)
-        schatten = np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(0, 1))) * (1 + delta), e)
-    return np.where(largest == 0, 0.0, schatten + 2.0**-1073)
+        ceilings = np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(0, 1))) * (1 + delta), e)
+    return np.where(ceilings == 0, 0.0, ceilings + 2.0**-1073)
 
 
 def _check_finite(what: str, values: np.ndarray, grid: TorusGrid) -> None:
@@ -277,13 +255,19 @@ def _check_finite(what: str, values: np.ndarray, grid: TorusGrid) -> None:
 def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     """Grid H_p norm: ``(mean over nodes of ||F(r w)||^p)^(1/p)``.
 
-    At radius 1 this is the trapezoid-exact torus integral for
-    polynomials whenever points_per_var exceeds the relevant aliasing
-    degree (2*deg for p = 2); at radius < 1 it is the norm of the
-    uniformly dilated restriction.  A result outside the range of
-    ``_in_range`` is taken once more on scaled node norms
-    (``_scaled_node_norms``), which raises ``ValueError`` if a node value
-    is not finite.
+    At radius 1 and even p = 2k this is the torus integral of a
+    polynomial, up to rounding, once points_per_var M exceeds k D_j for
+    every variable j, where D_j is the largest exponent of variable j in
+    F (for p = 2, once M > D_j): ||F(w)||^(2k) is a trigonometric
+    polynomial of frequency at most k D_j in variable j, and the M-point
+    mean of one of frequency below M is its constant term.  At other p it
+    is a quadrature with no stated error; at radius < 1 it is the norm of
+    the uniformly dilated restriction.  A result or mean outside
+    ``_in_range`` is taken once more on scaled node values (the range rule
+    of ``_linalg``), with the node norms divided by their largest, m, so
+    that the largest p-th power is 1 and no p underflows the mean to 0,
+    and scaled back by m; that raises ``ValueError`` if a node value is
+    not finite.
     """
     p = float(p)
     if not p >= 1:
@@ -297,19 +281,15 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         mean = np.mean(np.linalg.norm(values, axis=0) ** p)
         result = float(mean ** (1.0 / p))
     if not _in_range(result, mean):
-        norms, scale = _scaled_node_norms(values, grid)
-        m = float(np.max(norms)) or 1.0  # 1 for the zero series, whose norms are all 0
-        result = float(np.mean((norms / m) ** p) ** (1.0 / p)) * m * scale
+        _check_finite("grid values", values, grid)
+
+        def power_mean(scaled):
+            norms = np.linalg.norm(scaled, axis=0)
+            m = float(np.max(norms)) or 1.0  # 1 for the zero series, whose norms are all 0
+            return float(np.mean((norms / m) ** p) ** (1.0 / p)) * m
+
+        result = float(_reduce_scaled(power_mean, values))
     return result
-
-
-def _scaled_node_norms(values: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, float]:
-    """The node norms of ``values`` times 2^-e, and 2^e, for the power of
-    two of ``_in_range``; ``ValueError`` (``_check_finite``) if a node
-    value is not finite."""
-    _check_finite("grid values", values, grid)
-    e = _scale_exponent(values)
-    return np.linalg.norm(values * 2.0**-e, axis=0), 2.0**e
 
 
 def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
@@ -327,14 +307,16 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
     visited by descending ceiling, and the visit stops at the first
     ceiling at most the maximum so far.  Every skipped node's computed norm is at
     most its ceiling, so the result equals the maximum of
-    ``operator_norm`` over all nodes bit for bit.
+    ``operator_norm`` over all nodes bit for bit.  A finite node whose
+    norm is beyond the doubles has ceiling and ``operator_norm`` inf,
+    never NaN, so it makes the result inf.
 
     A node value that is not finite, of either kind, raises
     ``ValueError`` naming the first such node.  It leaves its node norm
     (vector) or ceiling (operator) NaN or infinite, so the values are
     looked at only when the largest ceiling is not finite, or the
-    largest node norm is outside the range of ``_in_range``; that norm is
-    then taken once more on scaled node norms (``_scaled_node_norms``).
+    largest node norm is outside ``_in_range``; that norm is then taken
+    once more on scaled node values (the range rule of ``_linalg``).
     """
     grids = list(grid_schedule)
     if not grids:
@@ -346,8 +328,8 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
             with np.errstate(over="ignore"):  # taken again below
                 top = float(np.max(np.linalg.norm(values, axis=0)))
             if not _in_range(top):
-                norms, scale = _scaled_node_norms(values, grid)
-                top = float(np.max(norms)) * scale
+                _check_finite("grid values", values, grid)
+                top = float(_reduce_scaled(lambda v: np.max(np.linalg.norm(v, axis=0)), values))
             best = max(best, top)
             continue
         ceilings = _sigma_ceilings(values)

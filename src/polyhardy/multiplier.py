@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_exponent, operator_norm
+from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_down, operator_norm
 from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table
 from .series import (
     PowerSeries,
@@ -68,7 +68,10 @@ def assemble_compression(
 
     For every vector series G supported in the simplex, the matrix sends
     the stacked coefficients of G to those of the truncated product
-    ``truncate(F * G, trunc)`` -- exactly, by construction.
+    ``truncate(F * G, trunc)`` -- exactly, by construction.  A window on
+    fewer variables than F uses drops F's terms in the others: the matrix
+    is that of ``truncate(F, trunc)``, the compression of F with those
+    variables set to 0.
     """
     basis, i, j, rows = _compression_pairs(F, trunc)
     n, d = len(basis), trunc.dim
@@ -159,12 +162,13 @@ def multiplier_norm_schedule(
     order.  For dense symbols c grows like n; with a full symbol at 406
     rows the scattered additions cost more than the SVD they replace.
 
-    *Scaling.*  The coefficients are first multiplied by the power of two
-    2^-e that brings their largest real or imaginary part into [1/2, 1)
-    (e clipped to [-1022, 1023]); that is exact except where an entry
-    turns subnormal, and the Gram can neither overflow nor underflow
-    wholesale.  The result is scaled back by 2^e, and a norm beyond the
-    double range comes out as ``inf``, as the SVD's does.
+    *Scaling.*  The Gram squares the coefficients, so by the range rule of
+    ``_linalg`` they are always first multiplied by the power of two 2^-e
+    that brings their largest real or imaginary part into [1/2, 1)
+    (``_scale_down``); that is exact except where an entry turns
+    subnormal, and the Gram can neither overflow nor underflow wholesale.
+    The result is scaled back by 2^e, and a norm beyond the double range
+    comes out as ``inf``, as the SVD's does.
 
     *Error bound.*  With u = 2^-53, gamma_k = k u / (1 - k u), d = ``dim``
     and S_beta = 2^-e a_beta: each Gram entry is a sum of at most T d
@@ -187,7 +191,10 @@ def multiplier_norm_schedule(
 
     Only ``nvars`` and ``dim`` of ``trunc_base`` are read: the degree of
     each compression comes from ``degrees``, and ``trunc_base.max_degree``
-    is ignored.
+    is ignored.  A window on fewer variables than F uses drops F's terms
+    in the others, as ``assemble_compression`` does: the schedule is that
+    of ``truncate(F, trunc)``, the compression of F with those variables
+    set to 0.
     """
     degrees = [_index(D, "degrees", 0) for D in degrees]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
@@ -198,8 +205,8 @@ def multiplier_norm_schedule(
     n, d = len(basis), trunc_base.dim
     # the terms that occur, at most n, so that their products are no larger than the Gram
     used, i = np.unique(i, return_inverse=True)
-    e = _scale_exponent(F._coeffs)
-    blocks = F._coeffs.take(used, axis=0) * math.ldexp(1.0, -e)
+    scaled, e = _scale_down(F._coeffs)
+    blocks = scaled.take(used, axis=0)
     products = np.matmul(blocks.conj().transpose(0, 2, 1)[:, None], blocks)
     # blocks by row, each row's by column
     order = np.lexsort((j, rows))
@@ -263,8 +270,7 @@ def _schedule_error_bound(F: PowerSeries, nvars: int, degrees, values) -> list[f
     is the largest singular value of that degree's compression.  The
     eigensolve at degree D has order ``n = C(nvars + D, nvars) dim``; the
     scale 2^e and N depend on ``F`` alone, so they are taken once."""
-    e = _scale_exponent(F._coeffs)
-    scaled = F._coeffs * math.ldexp(1.0, -e)
+    scaled, e = _scale_down(F._coeffs)
     gamma = _gamma(F.num_terms * F.dim + 2)
     N = float(np.sum(np.sqrt(np.sum(np.abs(scaled) ** 2, axis=(1, 2)))))
     bounds = []

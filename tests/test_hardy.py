@@ -149,6 +149,40 @@ class TestHpNorm:
             hp_norm(F, 2.0, grid)
 
 
+class TestH2Quadrature:
+    """At radius 1 the M-point mean of ||G(w)||^2 is the Parseval sum once
+    M exceeds the largest exponent D of every variable, and not before."""
+
+    @staticmethod
+    def gaps(M_of):
+        """For 60 seeded vector series with D >= 1: the gap between
+        ``hp_norm(G, 2)`` on the unit grid of ``M_of(D)`` points per
+        variable and ``h2_norm(G)``, and its tolerance: the node-value
+        bound of ``grid_value_error``, the rounding of the node norms, power,
+        mean and root (gamma_{dim + n + 3}, as in ``TestCoarseGrid``) and
+        the stated rounding of ``h2_norm``."""
+        rng = np.random.default_rng(0)
+        out = []
+        while len(out) < 60:
+            G = random_power_series(rng, "vector", int(rng.integers(1, 4)), int(rng.integers(1, 3)), 4, 6)
+            D = max((e for a in G.terms for e in a.exponents), default=0)
+            if D == 0:
+                continue
+            grid = TorusGrid(max(G.nvars_used, 1), M_of(D))
+            h2 = h2_norm(G)
+            error, S = grid_value_error(G, grid)
+            tol = error + 2 * _gamma(G.dim + grid.num_nodes + 3) * S + _gamma(_h2_norm_rounding(G)) * h2
+            out.append((abs(hp_norm(G, 2.0, grid) - h2), tol))
+        return out
+
+    def test_exact_past_the_largest_exponent(self):
+        for gap, tol in self.gaps(lambda D: D + 1):
+            assert gap <= tol
+
+    def test_misses_at_the_largest_exponent(self):
+        assert max(gap / tol for gap, tol in self.gaps(lambda D: D)) > 1e6
+
+
 class TestHinfNorm:
     def test_constant_operator_attains_spectral_norm(self):
         rng = np.random.default_rng(2)
@@ -417,6 +451,13 @@ class TestSigmaCeilings:
         values = polyhardy.hardy._grid_values(F, TorusGrid(1, 3))
         want = max(operator_norm(values[..., k]) for k in range(3))
         assert math.isfinite(want) and hinf_norm(F, [TorusGrid(1, 3)]) == want
+
+    def test_hinf_norm_beyond_the_double_range_is_inf(self):
+        """Both node values are finite, but the norm of each is beyond the
+        doubles: each ceiling is inf, and so is each node's operator_norm,
+        where LAPACK's SVD alone gives NaN."""
+        F = PowerSeries.operator(2, {MultiIndex(): [[1.5e308 + 1.5e308j, 0], [0, 1]], MultiIndex([1]): np.diag([0, 0.5])})
+        assert hinf_norm(F, [TorusGrid(1, 2)]) == math.inf
 
 
 def grid_value_error(F, grid):

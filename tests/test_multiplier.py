@@ -65,6 +65,29 @@ class TestOperatorNorm:
         M = rng.standard_normal((15, 15))
         assert operator_norm(M) == operator_norm(M)
 
+    def test_entry_whose_modulus_overflows_is_inf(self):
+        """|1.5e308 (1 + i)| is beyond the doubles, and LAPACK's SVD of the
+        matrix, scaled by that overflowed modulus, is NaN."""
+        assert operator_norm([[1.5e308 + 1.5e308j, 0], [0, 1]]) == math.inf
+
+    def test_never_nan_and_numpys_bits_where_finite(self):
+        """Random complex matrices of order 1-4, with real and imaginary
+        parts in (-2, 2), at every power-of-two scale 2^-1074 .. 2^1023:
+        the value taken directly is ``np.linalg.norm(M, 2)``, and only a
+        value that is not finite is taken again."""
+        rng = np.random.default_rng(0)
+        taken_again = 0
+        for e in range(-1074, 1024):
+            for n in (1, 2, 3, 4):
+                M = (rng.uniform(-2, 2, (n, n)) + 1j * rng.uniform(-2, 2, (n, n))) * 2.0**e
+                value, direct = operator_norm(M), float(np.linalg.norm(M, 2))
+                assert not math.isnan(value)
+                if math.isfinite(direct):
+                    assert value.hex() == direct.hex()
+                else:
+                    taken_again += 1
+        assert taken_again > 0  # some entry's modulus overflows
+
 
 def compression_loop_oracle(F, trunc):
     """Reference assembly: for each basis column gamma and symbol term beta,
@@ -381,6 +404,28 @@ class TestNormSchedule:
         base = TruncationParams(nvars=1, max_degree=0, dim=2)
         assert multiplier_norm_schedule(F, [0, 1], base) == [0.0, 0.0]
         assert multiplier_norm_schedule(F, [], base) == []
+
+
+class TestNarrowWindow:
+    """A window on fewer variables than the symbol uses drops the terms in
+    the others: the compression and its schedule are those of the
+    truncated symbol, F with those variables set to 0."""
+
+    def test_equals_the_truncated_symbol_bit_for_bit(self):
+        cases = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            F = random_power_series(rng, "operator", int(rng.integers(1, 3)), int(rng.integers(2, 4)), 3, 5)
+            for nvars in range(1, F.nvars_used):
+                window = TruncationParams(nvars=nvars, max_degree=3, dim=F.dim)
+                narrow = truncate(F, window)
+                assert narrow.num_terms < F.num_terms
+                got, want = assemble_compression(F, window), assemble_compression(narrow, window)
+                assert got.matrix.tobytes() == want.matrix.tobytes() and got.basis == want.basis
+                schedule = multiplier_norm_schedule(F, [0, 1, 2, 3], window)
+                assert [v.hex() for v in schedule] == [v.hex() for v in multiplier_norm_schedule(narrow, [0, 1, 2, 3], window)]
+                cases += 1
+        assert cases >= 40
 
 
 class TestDiagonalExample:

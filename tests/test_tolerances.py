@@ -10,10 +10,11 @@ appends to it; of a ``check_each`` pair written out as a tuple, only its
 second element is the bound.  Parseval's two checks keep their 1e-10:
 they rest on numpy's FFT, for which no bound is stated.
 
-Higham's gamma_k and the unit roundoff are defined once, in
-``_linalg``, and each function that states a rounding bound has one
-evaluator beside it, whose value on fixed inputs is pinned here to its
-docstring's formula.
+Higham's gamma_k, the unit roundoff and the range rule (the power of two
+by which a norm's values are scaled, and when a norm is taken again) are
+defined once, in ``_linalg``, and each function that states a rounding
+bound has one evaluator beside it, whose value on fixed inputs is pinned
+here to its docstring's formula.
 """
 
 import ast
@@ -152,6 +153,26 @@ def roundoff_definitions() -> list[tuple[str, str]]:
 
 def test_gamma_and_the_unit_roundoff_are_defined_once():
     assert roundoff_definitions() == [("src/polyhardy/_linalg.py", "_U"), ("src/polyhardy/_linalg.py", "_gamma")]
+
+
+def power_of_two_rule() -> list[tuple[str, str]]:
+    """File and name of each use of ``frexp`` and each definition of
+    ``_in_range`` in ``src/polyhardy/`` and ``tests/``: the exponent of the
+    power of two by which a norm's values are scaled, and the test of when
+    a norm is taken again on them."""
+    found = []
+    for path in sorted([*(ROOT / "src" / "polyhardy").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "_in_range":
+                found.append((where, node.name))
+            elif "frexp" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append((where, "frexp"))
+    return sorted(found)
+
+
+def test_the_power_of_two_rule_is_defined_once():
+    assert power_of_two_rule() == [("src/polyhardy/_linalg.py", "_in_range"), ("src/polyhardy/_linalg.py", "frexp")]
 
 
 def test_gamma_is_highams():
