@@ -18,10 +18,10 @@ it: a private ``_<function>_rounding`` where it depends on the inputs,
 a ``_<FUNCTION>_ROUNDING`` constant where it does not (Higham's gamma_k
 and the unit roundoff are ``_linalg._gamma`` and ``_linalg._U``).  The
 checks here add only the rounding of their own arithmetic.  The only literal tolerances left are
-the 1e-10 of ``verify parseval``'s two checks, which rest on numpy's
-FFT, for which no bound is stated.  The three identities that
-``product``, ``mulnorm`` and ``recover`` check have one check each,
-shared with the suite that checks the same thing:
+the 1e-10 of ``verify parseval``'s two checks, which rest on the grid
+transform (``hardy._dft``), for which no bound is stated yet.  The
+three identities that ``product``, ``mulnorm`` and ``recover`` check
+have one check each, shared with the suite that checks the same thing:
 ``_product_gap`` (``product`` and ``verify dirichlet``), ``_schedule_drops``
 (``mulnorm`` and ``verify toeplitz``) and ``_recovery_envelope``
 (``recover`` and ``verify recover``).
@@ -649,10 +649,11 @@ def run_verify(suite: str, seed: int = 0) -> RunReport:
     0, or checks a value against the error bounds the library states,
     evaluated for its sample (``check_each`` of per-sample ``(value,
     bound)`` pairs).  The one exception is ``parseval``: its two checks
-    keep the literal 1e-10, as they rest on numpy's FFT, for which no
-    bound is stated.  Each bound is evaluated by the private evaluator
-    beside the library function that states it (see the module
-    docstring); a suite adds only the rounding of its own arithmetic.
+    keep the literal 1e-10, as they rest on the grid transform
+    (``hardy._dft``), for which no bound is stated yet.  Each bound is
+    evaluated by the private evaluator beside the library function that
+    states it (see the module docstring); a suite adds only the rounding
+    of its own arithmetic.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")

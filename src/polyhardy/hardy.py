@@ -2,15 +2,17 @@
 
 The H_2 norm is the exact Parseval sum of squared coefficient norms.
 The H_p norms are tensor-grid quadratures over scaled roots of unity.
-Grid values are one inverse DFT of the folded coefficients, exact for
-every grid size; Fourier coefficients are one forward DFT of the values.
-Folding and extraction go by one index array: the flat cell ``alpha mod
-M`` of every term, from its exponent row, so the fold is one in-order
-``np.add.at`` and the extraction one fancy index.  The fold fills only
-the box of cells the exponents reach, ``min(e + 1, M)`` along a variable
-whose largest exponent is e, and the inverse DFT zero-pads each axis to
-M as it transforms it, so a grid much finer than the degree runs 1-D
-passes only over lines that can be nonzero.  Grid values have one
+Grid values are an inverse DFT of the folded coefficients, exact for
+every grid size, and Fourier coefficients a forward DFT of the values;
+both run through ``_dft``, one product per variable with a cached
+matrix of M-th roots of unity (``np.fft`` only for an axis whose matrix
+would be too large).  Folding and extraction go by one index array: the
+flat cell ``alpha mod M`` of every term, from its exponent row, so the
+fold is one in-order ``np.add.at`` and the extraction one fancy index.
+The fold fills only the box of cells the exponents reach, ``min(e + 1,
+M)`` along a variable whose largest exponent is e, and each axis's
+product maps that box's length to M, so a grid much finer than the
+degree transforms only lines that can be nonzero.  Grid values have one
 layout, here and in every function that reads them: a C-contiguous
 ``(*coefficient shape, num_nodes)`` array, coefficient axes first and
 the node axis last, in ``grid.nodes()`` order.  The transforms run over
@@ -36,6 +38,7 @@ all nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -135,33 +138,95 @@ def _cells(
     return (rows % M) @ strides[columns], rows.sum(axis=1)
 
 
+#: Most entries, and most columns, of a DFT matrix ``_dft`` multiplies by;
+#: an axis that would need more goes through ``np.fft`` (see ``_grid_values``).
+_DFT_MATRIX_CAP = 2**14
+_DFT_MATRIX_WIDTH = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _dft_matrix(M: int, b: int, sign: int) -> np.ndarray:
+    """The read-only ``M x b`` matrix ``roots[(m j) mod M]`` of the M-th roots
+    of unity ``roots[n] = exp(sign 2 pi i n / M)``.
+
+    Each root is taken at its angle reduced to [-pi, pi], so roots n and
+    M - n are conjugates and every root is within about 13 u of the exact
+    one (the angle within gamma_3 pi, cos and sin within an ulp); the
+    quarter turns 1, i, -1 and -i (times ``sign``) are exact."""
+    n = np.arange(M)
+    roots = np.exp(sign * 1j * (2 * np.pi * ((n + M // 2) % M - M // 2) / M))
+    quarter = 4 * n % M == 0
+    roots[quarter] = np.array([1, complex(0, sign), -1, complex(0, -sign)])[4 * n[quarter] // M]
+    matrix = roots[np.multiply.outer(n, np.arange(b)) % M]
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _dft(values: np.ndarray, box: tuple[int, ...], M: int, sign: int) -> np.ndarray:
+    """The M-point DFT ``y_m = sum_j x_j roots[(m j) mod M]`` (roots as in
+    ``_dft_matrix``, unscaled) along every grid axis of ``values``, whose
+    last axis is a C-ordered box ``b_1 x ... x b_N`` with every ``b_k <=
+    M``, zero-padded to ``M^N``; the result is the C-contiguous
+    ``(*values.shape[:-1], M^N)`` array.
+
+    The axes go from the last to the first, each as one matmul by its
+    ``M x b_k`` matrix: broadcast over ``values.reshape(*lead,
+    prod(box[:k]), b_k, -1)``, whose trailing axes already hold M, and for
+    the last axis, whose lines are the rows of ``values``, one product of
+    those rows with the matrix's transpose.  An axis whose matrix would
+    have more than ``_DFT_MATRIX_WIDTH`` columns or ``_DFT_MATRIX_CAP``
+    entries goes through ``np.fft`` with ``n = M`` instead.
+    """
+    lead = values.shape[:-1]
+    for k in reversed(range(len(box))):
+        b = box[k]
+        if b > _DFT_MATRIX_WIDTH or M * b > _DFT_MATRIX_CAP:
+            lines = values.reshape(*lead, math.prod(box[:k]), b, -1)
+            if sign > 0:
+                values = np.fft.ifft(lines, n=M, axis=-2, norm="forward")
+            else:
+                values = np.fft.fft(lines, n=M, axis=-2)
+        elif k == len(box) - 1:
+            values = values.reshape(-1, b) @ _dft_matrix(M, b, sign).T
+        else:
+            values = _dft_matrix(M, b, sign) @ values.reshape(*lead, math.prod(box[:k]), b, -1)
+    return values.reshape(*lead, -1)
+
+
 def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     """Values of F at ``grid.nodes()``, shape ``(*coefficient shape, num_nodes)``.
 
     At M-th roots of unity ``w^alpha`` depends only on ``alpha mod M``, so
-    one inverse DFT of ``r^|alpha| c_alpha`` folded into cell ``alpha mod M``
-    of an ``M^N`` tensor gives every node value exactly, for every M.  The
-    fold is one in-order ``np.add.at`` over the cell of each term, so terms
-    that share a cell are summed in ``terms`` order.
+    the inverse DFT (``_dft``, sign +1) of ``r^|alpha| c_alpha`` folded into
+    cell ``alpha mod M`` of an ``M^N`` tensor gives every node value
+    exactly, for every M.  The fold is one in-order ``np.add.at`` over the
+    cell of each term, so terms that share a cell are summed in ``terms``
+    order.
 
     Only the box ``b_1 x ... x b_N`` of cells that can be nonzero is
     formed, with ``b_k = min(largest exponent of variable k + 1, M)`` and
-    ``b_k = 1`` for a variable the series does not use; ``np.fft.ifftn``
-    with ``s = (M,) * N`` zero-pads each axis only as it transforms that
-    axis, so each 1-D pass runs only over lines that can be nonzero.  The
-    lines it does transform hold the numbers of the full tensor's, so the
-    values are its bytes wherever the transform of a zero line is +0,
-    which holds for every M below 89 (for some prime M from 89 up,
-    numpy's Bluestein path returns -0 there, so only the sign of an exact
-    zero may differ).
+    ``b_k = 1`` for a variable the series does not use.  Each axis is one
+    matmul by the ``M x b_k`` matrix of roots, M b_k multiply-adds per
+    line, so a grid much finer than the degree transforms only lines that
+    can be nonzero.  An axis goes through ``np.fft`` instead, which
+    zero-pads each line to M at O(M log M), when its matrix would have more
+    than 64 columns or more than 2^14 entries (``_DFT_MATRIX_WIDTH``,
+    ``_DFT_MATRIX_CAP``).  The entry cap keeps the matrix of a one-variable
+    grid of degree 10^4 (M = 2 10^4 + 1) from taking 3.2 GB, and the cache
+    of matrices under 16 MB.  Both bounds sit near the crossover, which
+    moves with b_k against log M.  With one BLAS thread, on two complex
+    entries per node: three variables at M = 64 and b_k = 13 took 1.9 ms
+    by matmul and 6.5 ms by FFT; at M = 121 and b_k = 61, 60 and 98 ms;
+    at M = 64 and b_k = 64, still under both bounds, 14 and 9.1 ms; two
+    variables at M = 128 and b_k = 128 0.94 and 0.32 ms; one variable at
+    M = 2001 and b_k = 1001 3.2 and 0.09 ms.
 
-    The tensor is laid out coefficient axes first, ``(*shape, b_1, ..., b_N)``,
-    and transformed over its trailing grid axes, so each coefficient entry
-    is one contiguous block of node values; every 1-D transform sees the
-    same numbers as on a node-first tensor.  The result is that tensor with
-    its grid axes flattened, the C-contiguous ``(*shape, num_nodes)`` array
-    of the module's one layout.  A value beyond the double range comes out
-    infinite or NaN with no warning.
+    The tensor is laid out coefficient axes first, ``(*shape, b_1, ...,
+    b_N)``, and transformed over its trailing grid axes, so each
+    coefficient entry is one contiguous block of node values.  The result
+    is that tensor with its grid axes flattened, the C-contiguous
+    ``(*shape, num_nodes)`` array of the module's one layout.  A value
+    beyond the double range comes out infinite or NaN with no warning.
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
@@ -177,23 +242,21 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
     rank = len(shape)
     node_first = (rank, *range(rank))  # axes of a (*shape, num_nodes) array, node axis first
-    folded = np.zeros(shape + box, dtype=np.complex128)
+    folded = np.zeros((*shape, math.prod(box)), dtype=np.complex128)
     scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coeffs
-    np.add.at(folded.reshape(*shape, -1).transpose(node_first), cells, scaled)
+    np.add.at(folded.transpose(node_first), cells, scaled)
     with np.errstate(over="ignore", invalid="ignore"):  # callers name such nodes (_check_finite)
-        values = np.fft.ifftn(folded, s=(M,) * grid.nvars, axes=range(rank, folded.ndim))
-        values *= grid.num_nodes
-    return values.reshape(*shape, grid.num_nodes)
+        return _dft(folded, box, M, 1)
 
 
 def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Unit-grid means of ``values * w^(-alpha)``, at position ``alpha mod
     M`` of the last axis, a flattened ``M^N`` tensor (see ``_cells``);
-    ``values`` holds node k's value at ``values[..., k]``."""
-    rank = values.ndim - 1
-    tensor = values.reshape(values.shape[:rank] + (grid.points_per_var,) * grid.nvars)
-    coefficients = np.fft.fftn(tensor, axes=range(rank, tensor.ndim)) / grid.num_nodes
-    return coefficients.reshape(values.shape)
+    ``values`` holds node k's value at ``values[..., k]``.  The forward
+    DFT (``_dft``, sign -1) over the full tensor, divided by the node
+    count."""
+    M = grid.points_per_var
+    return _dft(values, (M,) * grid.nvars, M, -1) / grid.num_nodes
 
 
 def _sigma_ceilings(values: np.ndarray) -> np.ndarray:

@@ -205,13 +205,21 @@ class MultiIndex:
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, int]]) -> "MultiIndex":
-        """Build from sparse ``(position, exponent)`` pairs."""
+        """Build from sparse ``(position, exponent)`` pairs.
+
+        A position above ``2**63 - 2`` raises ``OverflowError`` naming it:
+        the length, the last position plus one, must fit in an index."""
         merged: dict[int, int] = {}
         for pos, e in items:
             pos = operator.index(pos)
             e = operator.index(e)
             if pos < 0:
                 raise ValueError("positions must be non-negative")
+            if pos >= MAX_FREQUENCY:
+                raise OverflowError(
+                    f"position {pos} exceeds the 64-bit range: a multi-index's length, "
+                    f"its last position + 1, is at most {MAX_FREQUENCY}"
+                )
             if e < 0:
                 raise ValueError("exponents must be non-negative")
             if e:
@@ -394,22 +402,37 @@ def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:
     return result
 
 
+def _renumber(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing distinct entries of the 1-d array ``values`` and the
+    place of each entry among them, as ``np.unique(values,
+    return_inverse=True)`` returns them: one sort, a mask of the entries
+    that differ from their left neighbour, and one ``np.searchsorted``."""
+    ordered = np.sort(values)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _rows_of_keys(keys: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
     """One int64 exponent row per key over the increasing positions that
     ``keys`` use, and those positions; the inverse of ``_keys_of_rows``.
 
-    A position or an exponent beyond the int64 range raises
-    ``OverflowError`` naming it and its key, and so does a total degree
-    beyond it, so degree sums of the rows never wrap.
+    An exponent beyond the int64 range raises ``OverflowError`` naming it
+    and its key, and so does a total degree beyond it, so degree sums of
+    the rows never wrap (every position fits: ``MultiIndex.from_items``
+    holds it below ``2**63 - 1``).
     """
     triples = [(t, pos, e) for t, alpha in enumerate(keys) for pos, e in alpha._items]
     try:
         owner, positions, exponents = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     except OverflowError:
-        t, pos, e = next(triple for triple in triples if max(triple) > MAX_FREQUENCY)
-        what = f"exponent {e} at position {pos}" if e > MAX_FREQUENCY else f"position {pos}"
-        raise OverflowError(f"{what} of multi-index {keys[t]!r} exceeds the 64-bit range") from None
-    columns, col = np.unique(positions, return_inverse=True)
+        t, pos, e = next(triple for triple in triples if triple[2] > MAX_FREQUENCY)
+        raise OverflowError(
+            f"exponent {e} at position {pos} of multi-index {keys[t]!r} exceeds the 64-bit range"
+        ) from None
+    columns, col = _renumber(positions)
     rows = np.zeros((len(keys), len(columns)), dtype=np.int64)
     rows[owner, col] = exponents
     near = rows.sum(axis=1, dtype=np.float64) >= 2.0**62
@@ -473,7 +496,7 @@ def _factor(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pos, exps = zip(*_trial_division(int(freqs[t])))
         found.append((np.full(sum(exps), t), np.repeat(pos, exps)))
     owner, positions = map(np.concatenate, zip(*found))
-    columns, col = np.unique(positions, return_inverse=True)
+    columns, col = _renumber(positions)
     counts = np.bincount(owner * len(columns) + col, minlength=len(freqs) * len(columns))
     return counts.reshape(len(freqs), len(columns)), columns.astype(np.int64)
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._linalg import _U, _gamma, _operator_norm_rounding, _scale_down, operator_norm
-from .multiindex import MultiIndex, _index, _simplex_shape, _simplex_table
+from .multiindex import MultiIndex, _index, _renumber, _simplex_shape, _simplex_table
 from .series import (
     PowerSeries,
     TruncationParams,
@@ -204,7 +204,7 @@ def multiplier_norm_schedule(
     basis, i, j, rows = _compression_pairs(F, replace(trunc_base, max_degree=degrees[-1]))
     n, d = len(basis), trunc_base.dim
     # the terms that occur, at most n, so that their products are no larger than the Gram
-    used, i = np.unique(i, return_inverse=True)
+    used, i = _renumber(i)
     scaled, e = _scale_down(F._coeffs)
     blocks = scaled.take(used, axis=0)
     products = np.matmul(blocks.conj().transpose(0, 2, 1)[:, None], blocks)

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
-from polyhardy import MultiIndex
+from polyhardy import MultiIndex, hardy
 from polyhardy.cli import _random_power_series as random_power_series  # noqa: F401
 
 #: Non-dyadic values, so products round, and none so small that they underflow.
@@ -130,12 +130,24 @@ def grid_cell(alpha, grid) -> tuple[int, ...]:
     return tuple(e % grid.points_per_var for e in exps) + (0,) * (grid.nvars - len(exps))
 
 
+def grid_box(F, grid) -> tuple[int, ...]:
+    """The box ``hardy._grid_values`` folds into: ``min(e + 1, M)`` along a
+    variable whose largest exponent is e, 1 along one F does not use."""
+    box = [1] * grid.nvars
+    for alpha in F.terms:
+        for pos, e in alpha.items():
+            box[pos] = max(box[pos], min(e + 1, grid.points_per_var))
+    return tuple(box)
+
+
 def grid_values_by_term(F, grid) -> np.ndarray:
-    """Reference grid values: ``r^|alpha| c_alpha`` added to cell ``alpha mod M``
-    one term at a time, then one inverse DFT, rows in ``grid.nodes()`` order."""
+    """Reference grid values, shape ``(*coefficient shape, num_nodes)``:
+    ``r^|alpha| c_alpha`` added to cell ``alpha mod M`` of ``grid_box``,
+    one term at a time, then the module's transform ``hardy._dft``; so it
+    checks the fold, not the transform."""
     shape = (F.dim,) if F.kind == "vector" else (F.dim, F.dim)
-    folded = np.zeros((grid.points_per_var,) * grid.nvars + shape, dtype=np.complex128)
+    box = grid_box(F, grid)
+    folded = np.zeros((*box, *shape), dtype=np.complex128)
     for alpha, coeff in F.terms.items():
         folded[grid_cell(alpha, grid)] += grid.radius**alpha.degree * coeff
-    values = np.fft.ifftn(folded, axes=range(grid.nvars)) * grid.num_nodes
-    return values.reshape(grid.num_nodes, *shape)
+    return hardy._dft(np.moveaxis(folded.reshape(-1, *shape), 0, -1), box, grid.points_per_var, 1)

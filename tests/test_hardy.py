@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import polyhardy.hardy
 from conftest import (
+    NON_DYADIC,
     assert_same_bits,
     distance,
+    grid_box,
     grid_values_by_term,
     random_power_series,
     simplex_by_compositions,
@@ -37,10 +39,16 @@ from polyhardy import (
 )
 from polyhardy._linalg import _gamma, _operator_norm_rounding
 from polyhardy.hardy import (
+    _DFT_MATRIX_CAP,
+    _DFT_MATRIX_WIDTH,
+    _cells,
     _cole_gamelin_kernel_rounding,
+    _grid_coefficients,
+    _grid_values,
     _h2_norm_rounding,
     _point_evaluation_bound_rounding,
 )
+from polyhardy.series import _values_at
 
 
 class TestTorusGrid:
@@ -219,7 +227,7 @@ class TestHinfNorm:
 
     def test_non_finite_grid_values_rejected(self):
         F = PowerSeries.operator(1, {MultiIndex(): [[1e308]], MultiIndex([1]): [[1e308]]})
-        # The FFT gives inf + nan*j at w = 1, whose ceiling is NaN,
+        # The transform gives inf + nan*j at w = 1, whose ceiling is NaN,
         # and 0 at w = -1, whose zero ceiling alone would end the search.
         with pytest.raises(ValueError, match=r"not finite at 1 of 2 nodes; the first, node 0 "):
             hinf_norm(F, [TorusGrid(1, 2)])
@@ -460,24 +468,47 @@ class TestSigmaCeilings:
         assert hinf_norm(F, [TorusGrid(1, 2)]) == math.inf
 
 
-def grid_value_error(F, grid):
-    """Bound on the gap between the library's value of F at a grid node and
-    ``evaluate_power`` there, as a multiple of S = sum ||c_alpha||.
+def transform_count(box, M) -> int:
+    """The k of the gamma_k, relative to the sum of the moduli of its
+    inputs, that one ``_dft`` over ``box`` adds: per axis a complex inner
+    product of n terms, gamma_{n+2} (Higham, Lemma 3.5), and roots within
+    13 u (``_dft_matrix``), with n = b_k for a matrix product.  An axis
+    past the matrix bounds goes through ``np.fft``, whose error is O(u log
+    M) relative to the 2-norm (Higham, Section 24.1); it is counted as a
+    direct sum of all n = M terms, which is above that."""
+    return sum(
+        (M if b > _DFT_MATRIX_WIDTH or M * b > _DFT_MATRIX_CAP else b) + 15 for b in box
+    )
 
-    Grid route: a cell sums at most T folded terms, each scaled by
-    r^|alpha| (gamma_{T + 2}); each of the ceil(log2 num_nodes) FFT stages
-    multiplies by a twiddle and adds (gamma_5 per stage); the final
-    scaling by num_nodes is one more rounding.  Direct route: a node
-    coordinate r exp(2 pi i k / M) is within 20u of the exact point (its
-    angle is below 2 pi), a monomial of degree D takes at most D complex
-    products (3u each), and the T-term sum adds gamma_T, so
-    gamma_{T + 23 D + 3}.  Both bounds hold componentwise against the
-    coordinate sums of |c_alpha|, hence in norm against S.
+
+def grid_values_count(F, grid) -> int:
+    """The k of the gamma_k, relative to ``S = sum ||c_alpha|| r^|alpha|``,
+    within which ``_grid_values`` gives each node value: the fold's cell
+    sums of at most T terms, ``r^|alpha|`` and its product with the
+    coefficient (two roundings), and the transform."""
+    return F.num_terms + 2 + transform_count(grid_box(F, grid), grid.points_per_var)
+
+
+def modulus_sum(F, radius) -> float:
+    """``S = sum ||c_alpha|| r^|alpha|``, a bound on every node value's norm."""
+    return sum(float(np.linalg.norm(c)) * radius**alpha.degree for alpha, c in F.terms.items())
+
+
+def grid_value_error(F, grid):
+    """Bound on the gap between ``_grid_values``' value of F at a grid node
+    and the direct sum ``_values_at`` (``evaluate_power``) there, and ``S =
+    sum ||c_alpha|| r^|alpha|``.
+
+    Grid route: ``grid_values_count``.  Direct route: ``evaluate_power``'s
+    gamma_{3(D + T)} for exponents below 100, and the node itself, each
+    coordinate ``r exp(2 pi i k / M)`` within 22 u (the angle within
+    gamma_3 2 pi, exp and the radius), which moves a monomial of degree
+    |alpha| by gamma_{22 |alpha|}.  Both bounds hold componentwise against
+    the sums of |c_alpha| r^|alpha|, hence in norm against S.
     """
     T, D = F.num_terms, F.total_degree
-    stages = math.ceil(math.log2(grid.num_nodes))
-    S = sum(float(np.linalg.norm(c, 2 if c.ndim == 2 else None)) for c in F.terms.values())
-    return (_gamma(T + 3 + 5 * stages) + _gamma(T + 23 * D + 3)) * S, S
+    S = modulus_sum(F, grid.radius)
+    return _gamma(grid_values_count(F, grid) + 3 * (D + T) + 22 * D) * S, S
 
 
 class TestCoarseGrid:
@@ -777,18 +808,19 @@ _PARTS = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
 
 @st.composite
-def folded_series(draw):
-    """A vector or operator series on 1-3 variables with exponents up to 9,
-    and a grid of 1-24 points per variable (cells often collide below 10
+def folded_series(draw, values=_PARTS, least_points=1):
+    """A vector or operator series on 1-3 variables with exponents up to 9
+    and coefficient parts from ``values``, and a grid of
+    ``least_points``-24 points per variable (cells often collide below 10
     points, and above the largest exponent the fold fills only a box of
     the grid) at a radius in (0, 1]."""
     kind = draw(st.sampled_from(["vector", "operator"]))
     dim = draw(st.integers(min_value=1, max_value=3))
     nvars = draw(st.integers(min_value=1, max_value=3))
     keys = st.lists(st.integers(0, 9), max_size=nvars).map(MultiIndex)
-    F = PowerSeries(kind, dim, draw(terms(keys, kind, dim, max_size=8, values=_PARTS)))
+    F = PowerSeries(kind, dim, draw(terms(keys, kind, dim, max_size=8, values=values)))
     radius = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-3]) | st.floats(min_value=1e-3, max_value=1.0))
-    return F, TorusGrid(nvars, draw(st.integers(min_value=1, max_value=24)), radius)
+    return F, TorusGrid(nvars, draw(st.integers(min_value=least_points, max_value=24)), radius)
 
 
 class TestGridFoldBits:
@@ -799,7 +831,7 @@ class TestGridFoldBits:
     def test_grid_values_equal_per_term_fold(self, drawn):
         F, grid = drawn
         got = polyhardy.hardy._grid_values(F, grid)
-        want = np.moveaxis(grid_values_by_term(F, grid), 0, -1)
+        want = grid_values_by_term(F, grid)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_aliased_cells_sum_in_term_order(self):
@@ -809,7 +841,7 @@ class TestGridFoldBits:
         )
         grid = TorusGrid(1, 3)
         got = polyhardy.hardy._grid_values(F, grid)
-        assert got.tobytes() == np.moveaxis(grid_values_by_term(F, grid), 0, -1).tobytes()
+        assert got.tobytes() == grid_values_by_term(F, grid).tobytes()
 
     def test_values_view_the_node_last_tensor(self):
         F = random_power_series(np.random.default_rng(1), "operator", 3, 2, 3, 8)
@@ -822,13 +854,76 @@ class TestGridFoldBits:
         # on, where numpy would sum a contiguous row of them pairwise
         F = random_power_series(np.random.default_rng(dim), "vector", dim, 2, 4, 10)
         grid = TorusGrid(2, 9, 0.9)
-        rows = grid_values_by_term(F, grid)
-        squares = (rows.conj() * rows).real
-        total = squares[:, 0]
+        values = grid_values_by_term(F, grid)
+        squares = (values.conj() * values).real
+        total = squares[0]
         for j in range(1, dim):
-            total = total + squares[:, j]
+            total = total + squares[j]
         want = np.sqrt(total)
         got = np.linalg.norm(polyhardy.hardy._grid_values(F, grid), axis=0)
         assert got.tobytes() == want.tobytes()
         assert hp_norm(F, 3.0, grid) == float(np.mean(want**3.0) ** (1.0 / 3.0))
         assert hinf_norm(F, [grid]) == float(np.max(want))
+
+
+class TestGridTransform:
+    """The matrix products of ``_dft`` against direct evaluation, on both
+    sides of the matrix bounds, and the cap on the cached matrices."""
+
+    def assert_values_match_direct_sums(self, F, grid):
+        bound, _ = grid_value_error(F, grid)
+        got = _grid_values(F, grid)
+        want = np.moveaxis(_values_at(F, grid.nodes()), 0, -1)
+        gaps = np.sqrt((abs(got - want) ** 2).reshape(-1, grid.num_nodes).sum(axis=0))
+        assert gaps.max(initial=0.0) <= bound
+
+    @given(folded_series(values=NON_DYADIC))
+    @settings(max_examples=200, deadline=None)
+    def test_values_equal_direct_sums(self, drawn):
+        self.assert_values_match_direct_sums(*drawn)
+
+    @pytest.mark.parametrize("M, degree", [(257, 99), (200, 79), (2**14 + 1, 1), (40, 39)])
+    def test_values_past_the_matrix_bounds_equal_direct_sums(self, M, degree):
+        # past the cap (257 x 100, 16385 x 2 entries), past the width (80
+        # columns), and inside both (40 x 40)
+        F = random_power_series(np.random.default_rng(M), "vector", 2, 1, degree, 60)
+        self.assert_values_match_direct_sums(F, TorusGrid(1, M, 0.99))
+
+    @given(folded_series(values=NON_DYADIC, least_points=10))
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_of_values_recover_the_series(self, drawn):
+        # with more points than any exponent no cell aliases, so the means
+        # are r^|alpha| c_alpha at alpha's cell and 0 elsewhere; the forward
+        # transform runs over the full M^N tensor and the division adds one
+        # rounding
+        F, grid = drawn
+        M = grid.points_per_var
+        count = grid_values_count(F, grid) + transform_count((M,) * grid.nvars, M) + 1
+        got = _grid_coefficients(_grid_values(F, grid), grid)
+        want = np.zeros_like(got)
+        cells = _cells(F._columns, F._keys, grid)[0].tolist()
+        for cell, (alpha, c) in zip(cells, F.terms.items()):
+            want[..., cell] = grid.radius**alpha.degree * c
+        gaps = np.sqrt((abs(got - want) ** 2).reshape(-1, grid.num_nodes).sum(axis=0))
+        assert gaps.max(initial=0.0) <= _gamma(count) * modulus_sum(F, grid.radius)
+
+    def test_no_cached_matrix_passes_the_cap(self, monkeypatch):
+        sizes = []
+        cached = polyhardy.hardy._dft_matrix
+
+        def recorded(M, b, sign):
+            matrix = cached(M, b, sign)
+            sizes.append(matrix.shape)
+            return matrix
+
+        monkeypatch.setattr(polyhardy.hardy, "_dft_matrix", recorded)
+        rng = np.random.default_rng(3)
+        one = PowerSeries.vector(1, {MultiIndex(): [1.0], MultiIndex([10**4]): [1.0]})
+        for F, grid in [
+            (one, TorusGrid(1, 2 * 10**4 + 1)),  # norm hp's default grid for degree 10^4
+            (random_power_series(rng, "vector", 2, 1, 300, 20), TorusGrid(1, 1024)),
+            (random_power_series(rng, "operator", 2, 2, 60, 20), TorusGrid(2, 121)),
+            (random_power_series(rng, "vector", 3, 3, 5, 20), TorusGrid(3, 11)),
+        ]:
+            _grid_coefficients(_grid_values(F, grid), grid)
+        assert sizes and all(M * b <= 2**14 and b <= 64 for M, b in sizes)

@@ -16,6 +16,7 @@ from polyhardy.multiindex import (
     MAX_FREQUENCY,
     SIEVE_LIMIT,
     MultiIndex,
+    _renumber,
     graded_lex_key,
     index_to_multiindex,
     max_frequency_for_simplex,
@@ -68,6 +69,13 @@ class TestMultiIndexBasics:
         alpha = MultiIndex.from_items([(3, 1), (0, 2)])
         assert alpha == MultiIndex([2, 0, 0, 1])
         assert alpha.items() == ((0, 2), (3, 1))
+
+    def test_from_items_names_a_position_past_the_length_range(self):
+        # len() of the largest position's key is 2^63 - 1, the largest index
+        assert len(MultiIndex.from_items([(2**63 - 2, 1)])) == MAX_FREQUENCY
+        for position in (2**63 - 1, 2**70):
+            with pytest.raises(OverflowError, match=f"position {position} exceeds the 64-bit range"):
+                MultiIndex.from_items([(0, 1), (position, 1)])
 
 
 #: Primes from an implementation independent of the package's sieve.
@@ -385,6 +393,16 @@ class TestArrayBohrMap:
         got = bohr_inverse(DirichletSeries("vector", 1, {n: [1.0] for n in freqs}))
         assert [dict(alpha.items()) for alpha in got.terms] == [sympy_items(n) for n in freqs]
         assert list(bohr(got).terms) == freqs
+
+
+class TestRenumber:
+    @pytest.mark.parametrize("size, high", [(0, 1), (1, 1), (700, 40), (700, 2**62), (50, 3)])
+    def test_equals_np_unique(self, size, high):
+        values = np.random.default_rng(size).integers(0, high, size)
+        distinct, inverse = _renumber(values)
+        want_distinct, want_inverse = np.unique(values, return_inverse=True)
+        assert distinct.dtype == want_distinct.dtype and inverse.dtype == want_inverse.dtype
+        assert np.array_equal(distinct, want_distinct) and np.array_equal(inverse, want_inverse)
 
 
 class TestTrustedConstruction:

@@ -29,6 +29,7 @@ from polyhardy import (
     truncate,
 )
 from polyhardy._linalg import _U, _gamma, _operator_norm_rounding, _row_norms
+from polyhardy.hardy import _dft
 from polyhardy.multiplier import _schedule_error_bound
 
 
@@ -473,14 +474,16 @@ class TestPointwiseVsSymbolic:
 
 
 def pointwise_by_term(F, G, grid):
-    """Reference ``pointwise_vs_symbolic``: per-term grid values, and a
-    running maximum of one ``np.linalg.norm`` per product term."""
+    """Reference ``pointwise_vs_symbolic``: per-term grid values, the
+    module's transform, and a running maximum of one ``np.linalg.norm`` per
+    product term."""
     product = op_vec_product(
         F, G, TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
     )
-    sampled = np.einsum("kij,kj->ki", grid_values_by_term(F, grid), grid_values_by_term(G, grid))
-    shape = (grid.points_per_var,) * grid.nvars + (F.dim,)
-    extracted = np.fft.fftn(sampled.reshape(shape), axes=range(grid.nvars)) / grid.num_nodes
+    sampled = np.einsum("ijk,jk->ik", grid_values_by_term(F, grid), grid_values_by_term(G, grid))
+    M = grid.points_per_var
+    extracted = _dft(sampled, (M,) * grid.nvars, M, -1) / grid.num_nodes
+    extracted = extracted.T.reshape(*(M,) * grid.nvars, F.dim)
     residual = 0.0
     for alpha, coeff in product.terms.items():
         residual = max(residual, float(np.linalg.norm(extracted[grid_cell(alpha, grid)] - coeff)))

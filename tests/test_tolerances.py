@@ -8,7 +8,7 @@ the library states, so a nonzero float literal in the tolerance of a
 that is a name is followed to the values the function assigns, adds or
 appends to it; of a ``check_each`` pair written out as a tuple, only its
 second element is the bound.  Parseval's two checks keep their 1e-10:
-they rest on numpy's FFT, for which no bound is stated.
+they rest on the grid transform, for which no bound is stated yet.
 
 Higham's gamma_k, the unit roundoff and the range rule (the power of two
 by which a norm's values are scaled, and when a norm is taken again) are
@@ -45,8 +45,8 @@ CLI = ROOT / "src" / "polyhardy" / "cli.py"
 
 #: check name -> why its literal stays
 ALLOWED = {
-    "parseval-vs-quadrature-max-rel-gap": "numpy's FFT states no bound",
-    "pointwise-vs-symbolic-max-residual": "numpy's FFT states no bound",
+    "parseval-vs-quadrature-max-rel-gap": "the grid transform states no bound yet",
+    "pointwise-vs-symbolic-max-residual": "the grid transform states no bound yet",
 }
 
 #: the position and keyword of the tolerance argument of each check maker
