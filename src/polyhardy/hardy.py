@@ -427,7 +427,7 @@ def fourier_coefficient(
         raise ValueError(
             f"multi-index uses {len(alpha)} variables but the grid has {grid.nvars}"
         )
-    values = np.stack([np.asarray(sampler(w), dtype=np.complex128) for w in grid.nodes()], -1)
+    values = np.moveaxis(np.array([sampler(w) for w in grid.nodes()], dtype=np.complex128), 0, -1)
     rows, columns = _rows_of_keys([alpha])
     return _grid_coefficients(values, grid).take(_cells(columns, rows, grid)[0][0], axis=-1)
 

@@ -575,6 +575,23 @@ class TestFourierCoefficient:
         with pytest.raises(ValueError):
             fourier_coefficient(lambda w: np.array([1.0]), MultiIndex(), grid)
 
+    def test_scalar_and_operator_samplers(self):
+        grid = TorusGrid(nvars=2, points_per_var=5, radius=1.0)
+        assert fourier_coefficient(lambda w: 3 * w[0] ** 2, [2], grid) == pytest.approx(3.0, abs=1e-15)
+        got = fourier_coefficient(lambda w: [[w[1], 1.0], [0.0, 2 * w[0]]], [0, 1], grid)
+        np.testing.assert_allclose(got, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+
+    def test_sampler_called_once_per_node_in_order(self):
+        grid = TorusGrid(nvars=2, points_per_var=3, radius=1.0)
+        seen = []
+        fourier_coefficient(lambda w: seen.append(w) or 1.0, MultiIndex(), grid)
+        assert np.array_equal(seen, list(grid.nodes()))
+
+    def test_ragged_sampler_outputs_raise(self):
+        grid = TorusGrid(nvars=1, points_per_var=4, radius=1.0)
+        with pytest.raises(ValueError):
+            fourier_coefficient(lambda w: np.ones(1 + int(w[0].real > 0)), MultiIndex(), grid)
+
 
 def evaluate_power_on_torus(F, w):
     """Plain monomial sum at a torus node (independent of the library's

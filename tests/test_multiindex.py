@@ -16,7 +16,9 @@ from polyhardy.multiindex import (
     MAX_FREQUENCY,
     SIEVE_LIMIT,
     MultiIndex,
+    _frequencies,
     _renumber,
+    _rows_of_keys,
     graded_lex_key,
     index_to_multiindex,
     max_frequency_for_simplex,
@@ -394,6 +396,19 @@ class TestArrayBohrMap:
         assert [dict(alpha.items()) for alpha in got.terms] == [sympy_items(n) for n in freqs]
         assert list(bohr(got).terms) == freqs
 
+
+    @pytest.mark.parametrize("near", [False, True])
+    def test_frequencies_of_a_batch_equal_the_scalar_map(self, near):
+        # ordinary rows, with or without rows near 2^63 (which take the scalar path)
+        rng = np.random.default_rng(29)
+        keys = [MultiIndex(e) for e in rng.integers(0, 5, (300, 5))] + [MultiIndex(), MultiIndex([0, 0, 0, 0, 1])]
+        if near:
+            keys[::40] = [MultiIndex(e) for e in self.INSIDE[:4] * 2]
+        rows, columns = _rows_of_keys(keys)
+        got = _frequencies(columns, rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == [multiindex_to_index(a) for a in keys]
+        assert (got.max() >= 2**62) == near
 
 class TestRenumber:
     @pytest.mark.parametrize("size, high", [(0, 1), (1, 1), (700, 40), (700, 2**62), (50, 3)])

@@ -42,7 +42,15 @@ from polyhardy import (
     weighted_degree,
 )
 from polyhardy._linalg import _gamma
-from polyhardy.series import _RADIAL_DILATE_ROUNDING, _evaluate_power_rounding, _product_rounding
+from polyhardy.series import (
+    _RADIAL_DILATE_ROUNDING,
+    _TAG_SORT_MIN,
+    _codes,
+    _evaluate_power_rounding,
+    _group,
+    _kept_pairs,
+    _product_rounding,
+)
 
 
 def dense_convolution_oracle(F, G, max_degree):
@@ -647,3 +655,94 @@ class TestHeldArrays:
         F = PowerSeries.vector(1, {alpha: [1.0], MultiIndex([3]): [2.0]})
         assert F.max_weighted_degree == weighted_degree(alpha) == 41 * 2**60
         assert list(radial_dilate(F, 0.5).terms) == [MultiIndex([3])]
+
+
+def numpy_grouping(keys):
+    """``_group``'s result by numpy's stable sorts: ``np.argsort(kind="stable")``
+    of 1-d keys or ``np.lexsort`` of rows, and where each run of equal keys starts."""
+    if keys.ndim == 1:
+        order = np.argsort(keys, kind="stable")
+    else:
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    changed = ordered[1:] != ordered[:-1]
+    if keys.ndim == 2:
+        changed = changed.any(axis=1)
+    return order, np.flatnonzero(np.concatenate([[True], changed])) if len(keys) else np.zeros(0, np.intp)
+
+
+def assert_groups_like_numpy(keys, tagged):
+    """``_group(keys)`` equals ``numpy_grouping``; ``tagged`` says whether the
+    int64 tag sort serves these keys (at least ``_TAG_SORT_MIN`` of them,
+    and tags within int64)."""
+    assert (len(keys) >= _TAG_SORT_MIN and _codes(keys) is not None) == tagged
+    order, starts = _group(keys)
+    want_order, want_starts = numpy_grouping(keys)
+    assert np.array_equal(order, want_order) and np.array_equal(starts, want_starts)
+
+
+class TestStableOrder:
+    """``series._group`` sorts int64 tags ``code * n + index`` from
+    ``_TAG_SORT_MIN`` keys on; the order and runs are exactly those of
+    numpy's stable sorts, on both sides of that count and of the int64
+    tag bound."""
+
+    SIZES = [0, 1, 2, 63, _TAG_SORT_MIN - 1, _TAG_SORT_MIN, _TAG_SORT_MIN + 1, 1500]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("width, high", [(0, 1), (1, 5), (4, 3), (5, 8), (3, 2**17), (3, 2**20)])
+    def test_rows_group_like_lexsort(self, n, width, high):
+        keys = np.random.default_rng(n * 7 + width).integers(0, high, (n, width))
+        # radices of at most ``high``: 2^60 n passes 2^63, 2^51 n does not
+        assert_groups_like_numpy(keys, n >= _TAG_SORT_MIN and high**width * n <= 2**63)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("high", [3, 10**6, 2**40])
+    def test_frequencies_group_like_stable_argsort(self, n, high):
+        keys = np.random.default_rng(n + high % 97).integers(1, high, n)
+        assert_groups_like_numpy(keys, n >= _TAG_SORT_MIN)
+
+    @pytest.mark.parametrize("n", [_TAG_SORT_MIN, 1024])
+    def test_tag_bound_of_rows(self, n):
+        # radices 2^27 and 2^(36 - log2 n) give (largest code + 1) * n = 2^63 exactly
+        rng = np.random.default_rng(n)
+        radices = [2**27, 2**36 // n]
+        keys = np.column_stack([rng.integers(0, 2, n) * (r // 2) for r in radices])
+        keys[:2] = np.array(radices) - 1  # the largest row, twice
+        assert_groups_like_numpy(keys, True)
+        keys[0, 1] += 1  # one more in the last radix: the tags would pass 2^63
+        assert_groups_like_numpy(keys, False)
+
+    @pytest.mark.parametrize("n", [1, _TAG_SORT_MIN - 1, _TAG_SORT_MIN, 2000])
+    def test_tag_bound_of_frequencies(self, n):
+        rng = np.random.default_rng(n)
+        largest = 2**63 // 2 ** (n - 1).bit_length() - 1  # (largest + 1) * n <= 2^63
+        keys = rng.choice(np.array([1, 2, largest // 3, largest], dtype=np.int64), n)
+        assert_groups_like_numpy(keys, n >= _TAG_SORT_MIN)
+        keys[-1] = 2**63 - 1  # the largest frequency: tags would pass 2^63
+        assert_groups_like_numpy(keys, False)
+
+    @pytest.mark.parametrize("n", [0, 1, 100, _TAG_SORT_MIN, 3000])
+    def test_kept_pairs_like_the_stable_argsort_construction(self, n):
+        rng = np.random.default_rng(n)
+        scalars = rng.integers(0, 12, n)
+        thresholds = rng.integers(-1, 14, 40)
+        order = np.argsort(scalars, kind="stable")
+        counts = np.searchsorted(scalars[order], thresholds, side="right")
+        want_i = np.repeat(np.arange(len(thresholds)), counts)
+        want_j = order[np.arange(len(want_i)) - np.repeat(np.cumsum(counts) - counts, counts)]
+        i, j = _kept_pairs(thresholds, scalars)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+    def test_large_merges_sum_as_numpy_grouping_does(self):
+        # 600 keys over at most 27 distinct rows, past the tag switch
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 3, (600, 3))
+        values = rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2))
+        got = PowerSeries.vector(2, [(MultiIndex(row), v) for row, v in zip(rows, values)])
+        order, starts = numpy_grouping(rows)
+        sums = np.add.reduceat(values[order], starts)
+        firsts = order[starts]
+        want = {MultiIndex(rows[firsts[k]]): sums[k] for k in np.argsort(firsts)}
+        assert list(got.terms) == list(want)
+        assert all(np.array_equal(got.terms[k], v) for k, v in want.items())
