@@ -26,9 +26,10 @@ directly once it is long enough.
 Series hold multi-indices as int64 exponent rows over the positions
 they use.  On those rows the Bohr map runs as arrays: building
 frequencies is one product of prime powers after a floating-point bound
-on each frequency's size.  When no row is near 2^63 the product reads
-the rows as they are (20 -> 14 us on 200 rows of 5 columns, against
-masking them); rows near 2^63 take the exact scalar path.  Factoring
+on each frequency's size.  The product reads the rows as they are
+(20 -> 14 us on 200 rows of 5 columns, against masking the rows near
+2^63), and the possibly wrapped entries of rows near 2^63 are replaced
+by the exact scalar path.  Factoring
 divides out each frequency's power of two, gathers
 ``table[rem >> 1]`` for every odd remainder above 1 at once, then
 scatters one count per (row, position) pair.  The scalar functions
@@ -455,24 +456,23 @@ def _frequencies(columns: np.ndarray, rows: np.ndarray) -> np.ndarray:
     int64 products wrap silently, so no product is formed before
     ``sum e * log2 p`` of every row is bounded in floating point.  A row
     whose bound stays below 62.99 bits has a frequency below 2^63, so
-    each of its prime powers and partial products fits.  When every row
-    is below it, the common case, the frequencies are one product of
-    the ``(T, c)`` prime powers with nothing masked: on 200 rows of 5
-    columns this took 14 us against 20 us for the masked form below.  (A
-    loop over the columns was as fast there, but took 30 against 10 us
-    on 50 rows of 21 columns.)  Otherwise the rows near or past 2^63
-    (the rounding of the bound is below 1e-12 bits) have their exponents
-    masked to 0 in that product and go through the exact scalar
-    ``multiindex_to_index``, which raises its ``OverflowError`` for the
-    first of them, in row order, that leaves the range.
+    each of its prime powers and partial products fits.  The frequencies
+    are one product of the ``(T, c)`` prime powers with nothing masked:
+    on 200 rows of 5 columns this took 14 us against 20 us for masking
+    the exponents of the rows near 2^63 to 0 first.  (A loop over the
+    columns was as fast there, but took 30 against 10 us on 50 rows of
+    21 columns.)  The entries of the rows near or past 2^63 (the
+    rounding of the bound is below 1e-12 bits) may have wrapped; each is
+    overwritten by the exact scalar ``multiindex_to_index``, which raises
+    its ``OverflowError`` for the first of them, in row order, that
+    leaves the range.
     """
     _ensure_count(int(columns[-1]) + 1 if len(columns) else 0)
     prime = np.asarray(_prime)[columns]
     near = rows @ np.log2(prime) >= 62.99
-    if not near.any():
-        return np.multiply.reduce(prime ** rows, axis=1)
-    freqs = np.prod(prime ** np.where(near[:, None], 0, rows), axis=1)
-    freqs[near] = [multiindex_to_index(a) for a in _keys_of_rows(columns, rows[near])]
+    freqs = np.multiply.reduce(prime ** rows, axis=1)
+    if near.any():
+        freqs[near] = [multiindex_to_index(a) for a in _keys_of_rows(columns, rows[near])]
     return freqs
 
 

@@ -396,7 +396,6 @@ class TestArrayBohrMap:
         assert [dict(alpha.items()) for alpha in got.terms] == [sympy_items(n) for n in freqs]
         assert list(bohr(got).terms) == freqs
 
-
     @pytest.mark.parametrize("near", [False, True])
     def test_frequencies_of_a_batch_equal_the_scalar_map(self, near):
         # ordinary rows, with or without rows near 2^63 (which take the scalar path)
@@ -409,6 +408,7 @@ class TestArrayBohrMap:
         assert got.dtype == np.int64
         assert got.tolist() == [multiindex_to_index(a) for a in keys]
         assert (got.max() >= 2**62) == near
+
 
 class TestRenumber:
     @pytest.mark.parametrize("size, high", [(0, 1), (1, 1), (700, 40), (700, 2**62), (50, 3)])
