@@ -17,11 +17,12 @@ stated bound is evaluated in one place, beside the function that states
 it: a private ``_<function>_rounding`` where it depends on the inputs,
 a ``_<FUNCTION>_ROUNDING`` constant where it does not (Higham's gamma_k
 and the unit roundoff are ``_linalg._gamma`` and ``_linalg._U``).  The
-checks here add only the rounding of their own arithmetic.  The only literal tolerances left are
-the 1e-10 of ``verify parseval``'s two checks, which rest on the grid
-transform (``hardy._dft``), for which no bound is stated yet.  The
-three identities that ``product``, ``mulnorm`` and ``recover`` check
-have one check each, shared with the suite that checks the same thing:
+checks here add only the rounding of their own arithmetic, and no check
+takes a literal tolerance: ``verify parseval``'s two checks, which rest
+on the grid transform ``hardy._dft``, read the bounds ``hardy`` states
+for ``hp_norm`` and ``pointwise_vs_symbolic``.  The three identities
+that ``product``, ``mulnorm`` and ``recover`` check have one check
+each, shared with the suite that checks the same thing:
 ``_product_gap`` (``product`` and ``verify dirichlet``), ``_schedule_drops``
 (``mulnorm`` and ``verify toeplitz``) and ``_recovery_envelope``
 (``recover`` and ``verify recover``).
@@ -54,7 +55,8 @@ from .dirichlet import (
 )
 from .hardy import (
     TorusGrid,
-    _closeness, _cole_gamelin_kernel_rounding, _h2_norm_rounding, _point_evaluation_bound_rounding,
+    _closeness, _cole_gamelin_kernel_rounding, _h2_norm_rounding, _hp_norm_rounding, _point_evaluation_bound_rounding,
+    _pointwise_vs_symbolic_rounding,
     cole_gamelin_kernel,
     h2_norm,
     hinf_norm,
@@ -90,6 +92,7 @@ from .series import (
 )
 from .seriesio import (
     SeriesFormatError,
+    _coeff_to_json,
     load_series,
     series_to_dict,
 )
@@ -321,29 +324,43 @@ def _suite_bohr(rng, limit, pairs, product_pairs) -> tuple[dict, list[Check]]:
 
 
 def _suite_parseval(rng, nvars, degree, dim, count) -> tuple[dict, list[Check]]:
+    """The H_2 isometry and M_F as pointwise multiplication on the torus,
+    each against the rounding the library states.
+
+    With 2 degree + 1 points per variable the grid mean of ||G(w)||^2 is
+    the Parseval sum exactly (``hp_norm``), so ``hp_norm(G, 2)`` and
+    ``h2_norm(G)`` differ by rounding alone: within the bound
+    ``_hp_norm_rounding`` gives for the quadrature plus ``h2_norm``'s
+    gamma_k times the norm, relative to which the gap is taken; the gap's
+    subtraction and division, and this bound's arithmetic, add 8 to k.
+    The sampled and symbolic products agree in exact arithmetic, so the
+    gap of ``pointwise_vs_symbolic`` is checked against the bound it
+    states (``_pointwise_vs_symbolic_rounding``).
+    """
     grid = TorusGrid(nvars=nvars, points_per_var=2 * degree + 1, radius=1.0)
 
-    worst_rel = 0.0
+    gaps = []
     for _ in range(count):
         G = _random_power_series(rng, "vector", dim, nvars, degree, 6)
         exact = h2_norm(G)
-        quad = hp_norm(G, 2.0, grid)
+        quad = hp_norm(G, 2, grid)
         if exact > 0:
-            worst_rel = max(worst_rel, abs(quad - exact) / exact)
+            bound = _hp_norm_rounding(G, 2, grid, quad) / exact + _gamma(_h2_norm_rounding(G) + 8)
+            gaps.append((abs(quad - exact) / exact, bound))
 
-    worst_residual = 0.0
+    residuals = []
     for _ in range(count):
         F = _random_power_series(rng, "operator", 2, 2, 2, 4)
         G = _random_power_series(rng, "vector", 2, 2, 2, 4)
         g = TorusGrid(
             nvars=2, points_per_var=F.total_degree + G.total_degree + 1, radius=1.0
         )
-        worst_residual = max(worst_residual, pointwise_vs_symbolic(F, G, g))
+        residuals.append((pointwise_vs_symbolic(F, G, g), _pointwise_vs_symbolic_rounding(F, G, g)))
 
     outputs = {"grid_points_per_var": grid.points_per_var}
     checks = [
-        check_at_most("parseval-vs-quadrature-max-rel-gap", worst_rel, 1e-10),
-        check_at_most("pointwise-vs-symbolic-max-residual", worst_residual, 1e-10),
+        check_each("parseval-vs-quadrature-max-rel-gap", gaps),
+        check_each("pointwise-vs-symbolic-max-residual", residuals),
     ]
     return outputs, checks
 
@@ -648,12 +665,10 @@ def run_verify(suite: str, seed: int = 0) -> RunReport:
     No parameter sets a tolerance.  Every check is exact, with tolerance
     0, or checks a value against the error bounds the library states,
     evaluated for its sample (``check_each`` of per-sample ``(value,
-    bound)`` pairs).  The one exception is ``parseval``: its two checks
-    keep the literal 1e-10, as they rest on the grid transform
-    (``hardy._dft``), for which no bound is stated yet.  Each bound is
-    evaluated by the private evaluator beside the library function that
-    states it (see the module docstring); a suite adds only the rounding
-    of its own arithmetic.
+    bound)`` pairs), with no exception.  Each bound is evaluated by the
+    private evaluator beside the library function that states it (see the
+    module docstring); a suite adds only the rounding of its own
+    arithmetic.
     """
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
@@ -853,7 +868,7 @@ def _cmd_recover(args) -> RunReport:
             "grid_points": points,
         },
         outputs={
-            "recovered": np.stack([got.real, got.imag], axis=-1).tolist(),
+            "recovered": _coeff_to_json(got),
             "error_vs_stored": err,
         },
         checks=[check_at_most("recovery-error-envelope", err, envelope)],

@@ -12,7 +12,13 @@ fold is one in-order ``np.add.at`` and the extraction one fancy index.
 The fold fills only the box of cells the exponents reach, ``min(e + 1,
 M)`` along a variable whose largest exponent is e, and each axis's
 product maps that box's length to M, so a grid much finer than the
-degree transforms only lines that can be nonzero.  Grid values have one
+degree transforms only lines that can be nonzero.  The matrix products
+state their rounding once (``_dft_rounding``, a gamma_k relative to the
+sum of the moduli of the inputs), so every node value is within
+``gamma_k S``, ``S = sum ||c_alpha|| r^|alpha|`` (``_grid_values_rounding``),
+and ``hp_norm`` and ``pointwise_vs_symbolic`` state bounds built on it,
+which ``verify parseval`` checks against; an axis through ``np.fft`` has
+no stated bound, and its evaluators raise.  Grid values have one
 layout, here and in every function that reads them: a C-contiguous
 ``(*coefficient shape, num_nodes)`` array, coefficient axes first and
 the node axis last, in ``grid.nodes()`` order.  The transforms run over
@@ -45,11 +51,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _U, _in_range, _reduce_scaled, _row_norms, _scale_down, operator_norm
+from ._linalg import _U, _gamma, _in_range, _reduce_scaled, _row_norms, _scale_down, operator_norm
 from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
 from .series import (
     PowerSeries, TruncationParams, _check_op_vec, _coefficient_shape, _monomials, _polydisk_point,
-    _scaled, op_vec_product,
+    _product_rounding, _scaled, op_vec_product,
 )
 
 __all__ = [
@@ -138,10 +144,27 @@ def _cells(
     return (rows % M) @ strides[columns], rows.sum(axis=1)
 
 
+def _fold_box(F: PowerSeries, grid: TorusGrid) -> tuple[int, ...]:
+    """The box ``b_1 x ... x b_N`` that ``_grid_values`` folds F into:
+    ``b_k = min(largest exponent of variable k + 1, M)``, and ``b_k = 1``
+    for a variable F does not use."""
+    box = [1] * grid.nvars
+    for column, top in zip(F._columns.tolist(), F._keys.max(axis=0, initial=0).tolist()):
+        box[column] = min(top + 1, grid.points_per_var)
+    return tuple(box)
+
+
 #: Most entries, and most columns, of a DFT matrix ``_dft`` multiplies by;
 #: an axis that would need more goes through ``np.fft`` (see ``_grid_values``).
 _DFT_MATRIX_CAP = 2**14
 _DFT_MATRIX_WIDTH = 64
+
+
+def _fft_axis(M: int, b: int) -> bool:
+    """Whether ``_dft`` takes an axis of b cells to M points through
+    ``np.fft``: its matrix would pass ``_DFT_MATRIX_WIDTH`` columns or
+    ``_DFT_MATRIX_CAP`` entries."""
+    return b > _DFT_MATRIX_WIDTH or M * b > _DFT_MATRIX_CAP
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,7 +203,7 @@ def _dft(values: np.ndarray, box: tuple[int, ...], M: int, sign: int) -> np.ndar
     lead = values.shape[:-1]
     for k in reversed(range(len(box))):
         b = box[k]
-        if b > _DFT_MATRIX_WIDTH or M * b > _DFT_MATRIX_CAP:
+        if _fft_axis(M, b):
             lines = values.reshape(*lead, math.prod(box[:k]), b, -1)
             if sign > 0:
                 values = np.fft.ifft(lines, n=M, axis=-2, norm="forward")
@@ -191,6 +214,30 @@ def _dft(values: np.ndarray, box: tuple[int, ...], M: int, sign: int) -> np.ndar
         else:
             values = _dft_matrix(M, b, sign) @ values.reshape(*lead, math.prod(box[:k]), b, -1)
     return values.reshape(*lead, -1)
+
+
+def _dft_rounding(box: tuple[int, ...], M: int) -> int:
+    """The index k of the rounding ``_dft`` adds over ``box``: each entry
+    of the result is within ``gamma_k sum_j |x_j|`` of the exact transform,
+    the sum over the box of the entries x_j it is formed from, with ``k =
+    sum_k (b_k + 15)``.
+
+    Each axis is a complex inner product of b_k terms, within gamma_{b_k +
+    2} of the sum of the moduli of its terms (Higham, Section 3.6), with
+    roots within 13 u (``_dft_matrix``), and the axes compose, as
+    ``gamma_a + gamma_b + gamma_a gamma_b <= gamma_{a+b}`` and each
+    partial result's modulus is at most the sum of the moduli it came
+    from.  No bound is stated for an axis through ``np.fft``: Higham's
+    Theorem 24.2 is normwise, relative to ``||y||_2 = sqrt(M) ||x||_2``,
+    and for radix 2 only, while pocketfft takes a prime M such as 257 by
+    Bluestein's algorithm.  So a box with such an axis (``_fft_axis``)
+    raises ``ValueError``."""
+    if any(_fft_axis(M, b) for b in box):
+        raise ValueError(
+            f"_dft states no rounding bound for an axis through np.fft (more than {_DFT_MATRIX_WIDTH} "
+            f"columns or {_DFT_MATRIX_CAP} entries), got {M} points from box {box}"
+        )
+    return sum(box) + 15 * len(box)
 
 
 def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
@@ -227,16 +274,18 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     is that tensor with its grid axes flattened, the C-contiguous
     ``(*shape, num_nodes)`` array of the module's one layout.  A value
     beyond the double range comes out infinite or NaN with no warning.
+
+    *Rounding.*  Each node value is within ``gamma_k S`` of F at the exact
+    node, in norm (Frobenius for operators), with ``S = sum ||c_alpha||
+    r^|alpha|`` (``_modulus_sum``) and k the fold's roundings plus
+    ``_dft_rounding`` of the box (``_grid_values_rounding``).
     """
     if F.nvars_used > grid.nvars:
         raise ValueError(
             f"grid covers {grid.nvars} variables but the series uses {F.nvars_used}"
         )
     shape = _coefficient_shape(F.kind, F.dim)
-    M = grid.points_per_var
-    box = np.ones(grid.nvars, dtype=np.int64)
-    box[F._columns] = np.minimum(F._keys.max(axis=0, initial=0) + 1, M)
-    box = tuple(box.tolist())
+    box = _fold_box(F, grid)
     cells, degrees = _cells(F._columns, F._keys, grid, box)
     # Python float powers, one per degree: the ``r ** |alpha|`` each term took
     powers = np.array([grid.radius**k for k in range(degrees.max(initial=-1) + 1)])
@@ -246,7 +295,34 @@ def _grid_values(F: PowerSeries, grid: TorusGrid) -> np.ndarray:
     scaled = powers[degrees].reshape(-1, *(1,) * rank) * F._coeffs
     np.add.at(folded.transpose(node_first), cells, scaled)
     with np.errstate(over="ignore", invalid="ignore"):  # callers name such nodes (_check_finite)
-        return _dft(folded, box, M, 1)
+        return _dft(folded, box, grid.points_per_var, 1)
+
+
+def _modulus_sum(F: PowerSeries, radius: float) -> float:
+    """``S = sum ||c_alpha|| r^|alpha|`` (Frobenius norms for operators),
+    which bounds the norm of F everywhere on the torus of radius r."""
+    entries = F._coeffs.reshape(-1, F.dim ** (F._coeffs.ndim - 1))  # one row per term
+    norms = np.sqrt(np.vecdot(entries, entries).real)
+    return float(norms @ radius ** F._keys.sum(axis=1))
+
+
+def _grid_values_rounding(F: PowerSeries, grid: TorusGrid) -> int:
+    """The index k of the rounding ``_grid_values`` states: each node value
+    is within ``gamma_k S`` of F at the exact node, in norm, for S of
+    ``_modulus_sum``.
+
+    The fold's cell sums take T - 1 roundings for T terms, none when every
+    side of the fold box (``_fold_box``) is below M, as then no exponent
+    reaches M and each cell holds one term; ``r^|alpha|`` (Python's float
+    power, within an ulp) and its product with the coefficient take three,
+    none at radius 1; and the transform takes ``_dft_rounding`` of the fold
+    box.  Each bound holds entry by entry against the sums of ``|c_alpha|
+    r^|alpha|``, hence in norm against S.  Raises ``ValueError`` where
+    ``_dft_rounding`` does."""
+    M = grid.points_per_var
+    box = _fold_box(F, grid)
+    folded = max(F.num_terms - 1, 0) if max(box) == M else 0
+    return folded + 3 * (grid.radius != 1.0) + _dft_rounding(box, M)
 
 
 def _grid_coefficients(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -331,6 +407,24 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     that the largest p-th power is 1 and no p underflows the mean to 0,
     and scaled back by m; that raises ``ValueError`` if a node value is
     not finite.
+
+    *Rounding.*  For p a power of two, the value is within ``gamma_k
+    hp_norm + gamma_{g+1} S`` of the same mean over the exact node values,
+    with g and S those of ``_grid_values`` (``_grid_values_rounding``,
+    ``_modulus_sum``) and ``k = (d + 3)/2 + (n + 2)/p + 8`` for d entries
+    per coefficient and n nodes (``_hp_norm_rounding``).  The mean is a
+    norm of the node norms for p >= 1, so it moves by at most the largest
+    node value's error, gamma_g S.  Each node norm is within
+    gamma_{(d+3)/2} (d squares and their sum, then the root), relative;
+    the p-th power multiplies that by p and adds an ulp (two roundings),
+    the mean of n positive terms adds gamma_n, and the root at the exact
+    exponent 1/p divides the whole by p and adds an ulp.  The retake on
+    scaled values adds three roundings, for the division by and product
+    with m and for the scaling.  One more makes the bound relative to the
+    computed value, and one each covers second-order terms and the
+    rounding of the bound; the 1 added to g covers the rounding of S.  At
+    any other p the exponent 1/p is rounded, which moves the root by a
+    relative u |log hp_norm|, and no bound is stated.
     """
     p = float(p)
     if not p >= 1:
@@ -353,6 +447,20 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
 
         result = float(_reduce_scaled(power_mean, values))
     return result
+
+
+def _hp_norm_rounding(F: PowerSeries, p: float, grid: TorusGrid, norm: float) -> float:
+    """The rounding ``hp_norm`` states for its value ``norm`` of F at p on
+    ``grid``: ``gamma_k norm + gamma_{g+1} S``, with g of
+    ``_grid_values_rounding``, S of ``_modulus_sum`` and ``k = (d + 3)/2 +
+    (n + 2)/p + 8``.  Stated for p a power of two only, whose reciprocal
+    is a double, so any other p raises ``ValueError``."""
+    p = float(p)
+    numerator, denominator = p.as_integer_ratio()
+    if denominator != 1 or numerator.bit_count() != 1:
+        raise ValueError(f"hp_norm states no rounding bound for p other than a power of two, got {p}")
+    k = (F.dim + 3) / 2 + (grid.num_nodes + 2) / p + 8
+    return _gamma(k) * norm + _gamma(_grid_values_rounding(F, grid) + 1) * _modulus_sum(F, grid.radius)
 
 
 def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
@@ -437,10 +545,29 @@ def pointwise_vs_symbolic(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> fl
 
     Samples ``w -> F(w) @ G(w)`` on the unit-radius grid, extracts each
     Fourier coefficient over the symbolic product support, and returns
-    the max Euclidean distance to the convolution coefficients.  For
-    polynomial inputs on an exact-resolution grid this is pure rounding
-    noise (<= 1e-10 by contract).  Non-finite sampled values raise
+    the max Euclidean distance to the convolution coefficients.  The grid
+    must have more points per variable than the product's degree, so in
+    exact arithmetic the gap is 0.  Non-finite sampled values raise
     ``ValueError``; a non-finite gap is returned, not passed over.
+
+    *Rounding.*  The gap is at most ``(gamma_{f+1} S_F h_G + gamma_{g+1}
+    h_F S_G + gamma_k h_F h_G) (1 + gamma_{d+3})``, with f and g the
+    ``_grid_values_rounding`` of F and G, S their ``_modulus_sum``, h
+    their H_2 norms (Frobenius for F), and ``k = d + 4 + t + q`` for t the
+    ``_dft_rounding`` of the full ``M^N`` box and q the
+    ``series._product_rounding`` of F and G
+    (``_pointwise_vs_symbolic_rounding``).  The sampled product is off by
+    at most ``||F(w) - F_hat(w)|| ||G_hat(w)|| + ||F(w)|| ||G(w) -
+    G_hat(w)||`` plus the d-term products' gamma_{d+2} ``||F(w)||
+    ||G(w)||``, and the extracted coefficient by the mean of that over the
+    nodes, plus gamma_t of the mean of ``||F(w)|| ||G(w)||`` for the
+    transform and one rounding for the division.  On this grid the means
+    of ``||F(w)||``, ``||G(w)||`` and ``||F(w)|| ||G(w)||`` are at most
+    h_F, h_G and h_F h_G (Cauchy-Schwarz, and the exact grid mean of the
+    squares), and each symbolic coefficient is within ``gamma_q sum ||a||
+    ||b|| <= gamma_q h_F h_G`` over its pairs (Cauchy-Schwarz again).  One
+    rounding each covers second-order terms and the rounding of S and h;
+    the difference and its norm add d + 3, relative.
     """
     _check_op_vec(F, G)
     needed = F.total_degree + G.total_degree + 1
@@ -460,6 +587,20 @@ def pointwise_vs_symbolic(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> fl
     extracted = _grid_coefficients(sampled, grid).T
     gaps = extracted[_cells(product._columns, product._keys, grid)[0]] - product._coeffs
     return float(np.max(_row_norms(gaps), initial=0.0))
+
+
+def _pointwise_vs_symbolic_rounding(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> float:
+    """The bound ``pointwise_vs_symbolic`` states for its gap on ``grid``:
+    ``(gamma_{f+1} S_F h_G + gamma_{g+1} h_F S_G + gamma_k h_F h_G) (1 +
+    gamma_{d+3})``, ``k = d + 4 + t + q``, as its docstring defines them."""
+    M = grid.points_per_var
+    h_F, h_G = float(np.linalg.norm(F._coeffs)), float(np.linalg.norm(G._coeffs))
+    k = F.dim + 4 + _dft_rounding((M,) * grid.nvars, M) + _product_rounding(F, G)
+    return (
+        _gamma(_grid_values_rounding(F, grid) + 1) * _modulus_sum(F, 1.0) * h_G
+        + _gamma(_grid_values_rounding(G, grid) + 1) * h_F * _modulus_sum(G, 1.0)
+        + _gamma(k) * h_F * h_G
+    ) * (1 + _gamma(F.dim + 3))
 
 
 def point_evaluation_bound(z: Iterable[complex], p: float = 2.0) -> float:

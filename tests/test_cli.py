@@ -519,11 +519,18 @@ MUTANTS = [
     # every nonzero shift 1 + 10 tol times too large: a shift twice is off once
     ("epsilon-shift-semigroup-rel-gap", "dirichlet",
      "epsilon_shift", lambda f, tol: lambda D, eps: _scaled(f(D, eps), 1 + 10 * tol) if eps else D),
+    # the gap is relative to the H_2 norm, so every quadrature 1 + 10 tol times too large
+    ("parseval-vs-quadrature-max-rel-gap", "parseval",
+     "hp_norm", lambda f, tol: lambda G, p, grid: f(G, p, grid) * (1 + 10 * tol)),
+    ("pointwise-vs-symbolic-max-residual", "parseval",
+     "pointwise_vs_symbolic", lambda f, tol: lambda F, G, grid: f(F, G, grid) + 10 * tol),
 ]
 
 #: Checks whose mutant above is off by less than 1e-12, so that a fixed
 #: slack of 1e-12 would miss it.
-FINER_THAN_1E12 = {"kernel-norm-gap", "dilation-contraction-excess", "diagonal-distance-identity-gap"}
+FINER_THAN_1E12 = {
+    "kernel-norm-gap", "dilation-contraction-excess", "diagonal-distance-identity-gap", "parseval-vs-quadrature-max-rel-gap",
+}
 
 
 class TestVerify:

@@ -29,7 +29,7 @@ from polyhardy import (
     truncate,
 )
 from polyhardy._linalg import _U, _gamma, _operator_norm_rounding, _row_norms
-from polyhardy.hardy import _dft
+from polyhardy.hardy import _dft, _pointwise_vs_symbolic_rounding
 from polyhardy.multiplier import _schedule_error_bound
 
 
@@ -459,7 +459,7 @@ class TestPointwiseVsSymbolic:
         grid = TorusGrid(
             nvars=2, points_per_var=F.total_degree + G.total_degree + 1, radius=1.0
         )
-        assert pointwise_vs_symbolic(F, G, grid) <= 1e-10
+        assert pointwise_vs_symbolic(F, G, grid) <= _pointwise_vs_symbolic_rounding(F, G, grid)
 
     def test_insufficient_grid_reported(self):
         rng = np.random.default_rng(13)

@@ -7,8 +7,7 @@ the library states, so a nonzero float literal in the tolerance of a
 ``check_each`` pair is a fixed slack that nothing derives.  An argument
 that is a name is followed to the values the function assigns, adds or
 appends to it; of a ``check_each`` pair written out as a tuple, only its
-second element is the bound.  Parseval's two checks keep their 1e-10:
-they rest on the grid transform, for which no bound is stated yet.
+second element is the bound.  No check is exempt.
 
 Higham's gamma_k, the unit roundoff and the range rule (the power of two
 by which a norm's values are scaled, and when a norm is taken again) are
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyhardy import DirichletSeries, MultiIndex, PowerSeries
+from polyhardy import DirichletSeries, MultiIndex, PowerSeries, TorusGrid
 from polyhardy._linalg import _U, _gamma, _operator_norm_rounding
 from polyhardy.dirichlet import (
     _EPSILON_SHIFT_ROUNDING,
@@ -35,19 +34,17 @@ from polyhardy.dirichlet import (
 )
 from polyhardy.hardy import (
     _cole_gamelin_kernel_rounding,
+    _dft_rounding,
+    _grid_values_rounding,
     _h2_norm_rounding,
+    _hp_norm_rounding,
     _point_evaluation_bound_rounding,
+    _pointwise_vs_symbolic_rounding,
 )
 from polyhardy.series import _RADIAL_DILATE_ROUNDING, _evaluate_power_rounding, _product_rounding
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "polyhardy" / "cli.py"
-
-#: check name -> why its literal stays
-ALLOWED = {
-    "parseval-vs-quadrature-max-rel-gap": "the grid transform states no bound yet",
-    "pointwise-vs-symbolic-max-residual": "the grid transform states no bound yet",
-}
 
 #: the position and keyword of the tolerance argument of each check maker
 TOLERANCE = {"check_close": (3, "tolerance"), "check_at_most": (2, "bound"), "check_each": (1, "pairs")}
@@ -114,12 +111,8 @@ def test_the_cli_makes_checks():
 
 
 def test_no_literal_tolerance():
-    literals = [f for f in literal_tolerances() if f[1] not in ALLOWED]
+    literals = literal_tolerances()
     assert not literals, f"cli.py checks with literal tolerances (line, check, value): {literals}"
-
-
-def test_the_allowed_literals_are_still_there():
-    assert {name for _, name, _ in literal_tolerances()} == set(ALLOWED)
 
 
 def roundoff_definitions() -> list[tuple[str, str]]:
@@ -183,12 +176,20 @@ def test_gamma_is_highams():
 
 
 #: Fixed inputs: T = 3 terms of total degree up to 4 in d = 2; a 2-term
-#: operator symbol; frequencies 1, 6 and 10; a point with max |z_j|^2 = 0.36.
+#: operator symbol; frequencies 1, 6 and 10; a point with max |z_j|^2 = 0.36;
+#: a grid of 2 x 2 nodes at radius 1/2, on which POWER folds into the box
+#: 2 x 2, whose sides reach M, and the unit grid of 7 x 7 nodes, on which
+#: SYMBOL folds into 2 x 1 and POWER into 2 x 5, below M.
 POWER = PowerSeries.vector(2, {MultiIndex([1, 2]): [1.0, 2.0], MultiIndex([0, 4]): [1.0, 0.0], MultiIndex(): [0.0, 1.0]})
 SYMBOL = PowerSeries.operator(2, {MultiIndex([1]): np.eye(2), MultiIndex(): np.eye(2)})
 DIRICHLET = DirichletSeries.vector(2, {1: [1.0, 0.0], 6: [0.0, 1.0], 10: [1.0, 1.0]})
 POINT = np.array([0.6, 0.4j])
 C = 1 / (1 - 0.36)
+COARSE = TorusGrid(2, 2, 0.5)
+UNIT = TorusGrid(2, 7)
+#: POWER's S = sum ||c_alpha|| r^|alpha| at radius 1/2 and 1, and the H_2 norms
+S_COARSE, S_UNIT = math.sqrt(5) / 8 + 1 / 16 + 1, math.sqrt(5) + 2
+H_POWER, H_SYMBOL = math.sqrt(7), 2.0
 
 #: Each evaluator on those inputs, and the value of its docstring's formula.
 EVALUATORS = {
@@ -209,6 +210,22 @@ EVALUATORS = {
     "h2_norm": (lambda: _h2_norm_rounding(POWER), 3 * 2 + 2),
     "point_evaluation_bound": (lambda: _point_evaluation_bound_rounding(POINT), 2 * (6 * C + 11)),
     "cole_gamelin_kernel": (lambda: _cole_gamelin_kernel_rounding(POINT, 5), 3 * 5 + 4 + 2 * (5 * C + 3)),
+    "_dft": (lambda: _dft_rounding((3, 1, 5), 7), (3 + 15) + (1 + 15) + (5 + 15)),
+    # the fold box reaches M, and the radius is not 1
+    "_grid_values": (lambda: _grid_values_rounding(POWER, COARSE), (3 - 1) + 3 + (2 + 15) + (2 + 15)),
+    "_grid_values at radius 1": (lambda: _grid_values_rounding(POWER, UNIT), (2 + 15) + (5 + 15)),
+    "hp_norm": (
+        lambda: _hp_norm_rounding(POWER, 4, COARSE, 2.0),
+        _gamma((2 + 3) / 2 + (4 + 2) / 4 + 8) * 2.0 + _gamma(39 + 1) * S_COARSE,
+    ),
+    "pointwise_vs_symbolic": (
+        lambda: _pointwise_vs_symbolic_rounding(SYMBOL, POWER, UNIT),
+        (
+            _gamma(33 + 1) * 2 * math.sqrt(2) * H_POWER
+            + _gamma(37 + 1) * H_SYMBOL * S_UNIT
+            + _gamma(2 + 4 + 2 * (7 + 15) + (2 * 3 * 2 + 2)) * H_SYMBOL * H_POWER
+        ) * (1 + _gamma(2 + 3)),
+    ),
 }
 
 
@@ -216,6 +233,26 @@ EVALUATORS = {
 def test_each_evaluator_is_its_docstring_formula(function):
     evaluate, formula = EVALUATORS[function]
     assert evaluate() == pytest.approx(formula, rel=1e-14, abs=0)
+
+
+def test_dft_states_no_bound_past_the_matrix_bounds():
+    """An axis past 64 columns or 2^14 entries goes through np.fft, for
+    which no bound is stated, so the evaluators refuse it."""
+    assert _dft_rounding((64, 64), 256) == 2 * (64 + 15)
+    for box, M in [((65,), 65), ((2, 33), 512)]:
+        with pytest.raises(ValueError, match="no rounding bound for an axis through np.fft"):
+            _dft_rounding(box, M)
+    one = PowerSeries.vector(1, {MultiIndex([256]): [1.0]})
+    with pytest.raises(ValueError, match="np.fft"):
+        _grid_values_rounding(one, TorusGrid(1, 300))
+
+
+def test_hp_norm_states_no_bound_unless_p_is_a_power_of_two():
+    """At any other p the exponent 1/p is rounded."""
+    assert _hp_norm_rounding(POWER, 1, COARSE, 1.0) > _hp_norm_rounding(POWER, 8, COARSE, 1.0)
+    for p in (3, 1.5, 6):
+        with pytest.raises(ValueError, match=f"power of two, got {float(p)}"):
+            _hp_norm_rounding(POWER, p, COARSE, 1.0)
 
 
 def test_evaluate_power_states_no_bound_from_exponent_100():
