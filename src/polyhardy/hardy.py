@@ -570,7 +570,8 @@ def pointwise_vs_symbolic(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> fl
     the difference and its norm add d + 3, relative.
     """
     _check_op_vec(F, G)
-    needed = F.total_degree + G.total_degree + 1
+    degree = F.total_degree + G.total_degree
+    needed = degree + 1
     if grid.radius != 1.0:
         raise ValueError("consistency check requires the unit-radius grid")
     if grid.points_per_var < needed:
@@ -579,7 +580,7 @@ def pointwise_vs_symbolic(F: PowerSeries, G: PowerSeries, grid: TorusGrid) -> fl
             f"variable, got {grid.points_per_var}"
         )
 
-    window = TruncationParams(grid.nvars, F.total_degree + G.total_degree, F.dim)
+    window = TruncationParams(grid.nvars, degree, F.dim)
     product = op_vec_product(F, G, window)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sampled = np.einsum("ijk,jk->ik", _grid_values(F, grid), _grid_values(G, grid))

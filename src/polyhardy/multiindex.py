@@ -32,8 +32,17 @@ on each frequency's size.  The product reads the rows as they are
 by the exact scalar path.  Factoring
 divides out each frequency's power of two, gathers
 ``table[rem >> 1]`` for every odd remainder above 1 at once, then
-scatters one count per (row, position) pair.  The scalar functions
-below serve one key at a time.
+scatters one count per (row, position) pair.
+
+The scalar functions below serve one key at a time, and what they cost
+is interpreter overhead, not arithmetic: on frequencies near 10^6,
+``index_to_multiindex`` takes about 0.9 us and ``multiindex_to_index``
+0.4 us (timeit, Python 3.11 on a 2-vCPU VM).  So they do as little per
+key as they can.  A result is built with ``object.__new__`` and one slot
+set, and its hash is not computed (see ``MultiIndex``).  The factor loop
+starts its pair list with the power of two.  The product multiplies by
+the prime itself where the exponent is 1; a larger exponent still meets
+the guard before its power is taken.
 
 Each degree simplex is enumerated once per ``(nvars, max_degree)`` shape,
 in one array pass that yields the graded-lex exponent rows and their
@@ -76,6 +85,9 @@ _MAX_EXPONENT = 62
 SIEVE_LIMIT = 1 << 24
 
 _MIN_SIEVE = 1 << 16
+
+#: ``object.__new__``, bound once: a key is built bare and its one slot set.
+_new = object.__new__
 
 _pos_table = memoryview(b"")  # int32 at n >> 1: position of odd n's smallest prime factor
 _prime = memoryview(b"")  # int64: the primes below the current bound
@@ -187,14 +199,20 @@ class MultiIndex:
     large frequencies (whose largest prime sits deep in the prime
     sequence) stay cheap.  Two multi-indices are equal iff their trimmed
     exponent sequences are equal.
+
+    The hash is not cached: ``hash(a)`` hashes the pairs on each call
+    (about 0.17 us for a few pairs).  Caching it would hash the pairs at
+    every construction (a bare ``_trusted`` build takes 0.17 us, 0.30 us
+    with the hash), though most keys, such as those of a Bohr round trip,
+    are never hashed, and a dict or set stores the hash of each key it
+    holds.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_items",)
 
     def __init__(self, exponents: Iterable[int] = ()):
         if isinstance(exponents, MultiIndex):
             self._items = exponents._items
-            self._hash = exponents._hash
             return
         items = []
         for pos, e in enumerate(exponents):
@@ -204,7 +222,6 @@ class MultiIndex:
             if e:
                 items.append((pos, e))
         self._items = tuple(items)
-        self._hash = hash(self._items)
 
     @classmethod
     def from_items(cls, items: Iterable[tuple[int, int]]) -> "MultiIndex":
@@ -232,9 +249,8 @@ class MultiIndex:
     @classmethod
     def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "MultiIndex":
         """Wrap canonical pairs: positions increasing, exponents positive ints."""
-        self = cls.__new__(cls)
+        self = _new(cls)
         self._items = items
-        self._hash = hash(items)
         return self
 
     def items(self) -> tuple[tuple[int, int], ...]:
@@ -282,7 +298,7 @@ class MultiIndex:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._items)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if not isinstance(other, MultiIndex):
@@ -340,12 +356,13 @@ def index_to_multiindex(n: int) -> MultiIndex:
             return MultiIndex._trusted(_trial_division(n))
         _ensure_bound(n + 1)
     table, prime = _pos_table, _prime
-    items = []
-    rem = n
-    if not n & 1:
+    if n & 1:
+        items = []
+        rem = n
+    else:
         twos = (n & -n).bit_length() - 1
-        items.append((0, twos))
-        rem >>= twos
+        items = [(0, twos)]
+        rem = n >> twos
     while rem > 1:  # rem is odd
         pos = table[rem >> 1]
         p = prime[pos]
@@ -355,7 +372,9 @@ def index_to_multiindex(n: int) -> MultiIndex:
             rem //= p
             e += 1
         items.append((pos, e))
-    return MultiIndex._trusted(tuple(items))
+    alpha = _new(MultiIndex)
+    alpha._items = tuple(items)
+    return alpha
 
 
 def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
@@ -393,11 +412,14 @@ def multiindex_to_index(alpha: MultiIndex | Iterable[int]) -> int:
     prime = _prime
     result = 1
     for pos, e in items:
-        if e > _MAX_EXPONENT:
+        if e == 1:
+            result *= prime[pos]
+        elif e > _MAX_EXPONENT:
             raise OverflowError(
                 f"exponent {e} at position {pos} leaves the 64-bit frequency range"
             )
-        result *= prime[pos] ** e
+        else:
+            result *= prime[pos] ** e
         if result > MAX_FREQUENCY:
             raise OverflowError(
                 f"frequency of multi-index {alpha!r} exceeds the 64-bit range"
@@ -510,9 +532,17 @@ def _factor(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts.reshape(len(freqs), len(columns)), columns.astype(np.int64)
 
 
-def graded_lex_key(alpha: MultiIndex) -> tuple[int, tuple[int, ...]]:
-    """Sort key: total degree first, then ascending lexicographic."""
-    return (alpha.degree, alpha.exponents)
+def graded_lex_key(alpha: MultiIndex) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Sort key: total degree first, then ascending lexicographic.
+
+    Read from the sparse pairs as ``(-position, exponent)``, not from the
+    dense exponents, so a key far out in the prime sequence costs only its
+    number of pairs.  The order is the dense one: at the first position
+    where two keys differ, the key with the smaller exponent there either
+    has the smaller exponent at the same position, or has its next pair
+    further out (a smaller ``-position``), or has no pair left.
+    """
+    return (alpha.degree, tuple((-pos, e) for pos, e in alpha._items))
 
 
 def _simplex_shape(nvars: int, max_degree: int) -> tuple[int, int]:

@@ -16,7 +16,9 @@ from polyhardy.multiindex import (
     MAX_FREQUENCY,
     SIEVE_LIMIT,
     MultiIndex,
+    _factor,
     _frequencies,
+    _keys_of_rows,
     _renumber,
     _rows_of_keys,
     graded_lex_key,
@@ -287,9 +289,16 @@ class TestExponentGuard:
     def test_frequency(self):
         with pytest.raises(OverflowError, match="exponent 1000000 at position 2"):
             multiindex_to_index(MultiIndex([0, 1, 10**6]))
+        # 3 ** 10**30 would not finish: the guard runs before the power, after an exponent of 1
+        with pytest.raises(OverflowError, match=f"exponent {10**30} at position 1"):
+            multiindex_to_index(MultiIndex([1, 10**30]))
         with pytest.raises(OverflowError, match="exponent 63 at position 0"):
-            multiindex_to_index(MultiIndex([63]))
+            multiindex_to_index(MultiIndex([63]))  # 2^63
+        # exponents of 1 only: the product leaves the range at the 16th prime
+        with pytest.raises(OverflowError, match=re.escape("frequency of multi-index MultiIndex([1, 1,")):
+            multiindex_to_index(MultiIndex([1] * 16))
         assert multiindex_to_index(MultiIndex([62])) == 2**62
+        assert multiindex_to_index(MultiIndex([1, 39])) == 2 * 3**39  # 8.1e18
 
     def test_simplex_bound(self):
         with pytest.raises(OverflowError, match="max_degree 1000000"):
@@ -396,6 +405,31 @@ class TestArrayBohrMap:
         assert [dict(alpha.items()) for alpha in got.terms] == [sympy_items(n) for n in freqs]
         assert list(bohr(got).terms) == freqs
 
+    def check_block(self, block):
+        """``_factor`` and ``_frequencies`` of a block equal the scalar map, key by key."""
+        rows, columns = _factor(np.array(block, dtype=np.int64))
+        keys = _keys_of_rows(columns, rows)
+        for n, alpha in zip(block, keys):
+            assert_same_index(alpha, index_to_multiindex(n))
+        assert _frequencies(columns, rows).tolist() == list(block)
+        assert [multiindex_to_index(alpha) for alpha in keys] == list(block)
+
+    def test_contiguous_block_ending_at_the_table_bound(self, small_sieve):
+        bound = multiindex._bound
+        self.check_block(range(bound - 4096, bound))
+        assert multiindex._bound == bound  # both paths read the table as it is
+
+    def test_contiguous_block_past_the_sieve_limit(self):
+        """Trial division on both paths; a largest prime factor at or past
+        ``SIEVE_LIMIT`` has no position, and both paths raise alike."""
+        block = range(SIEVE_LIMIT - 64, SIEVE_LIMIT + 512)
+        factored = [n for n in block if max(sympy.factorint(n)) < SIEVE_LIMIT]
+        assert SIEVE_LIMIT + 1 in factored and len(factored) > len(block) // 2
+        self.check_block(factored)
+        for n in sorted(set(block) - set(factored))[:8]:
+            want = scalar_outcome(index_to_multiindex, [n])
+            assert want[0] is ValueError and array_outcome(_factor, np.array([n])) == want
+
     @pytest.mark.parametrize("near", [False, True])
     def test_frequencies_of_a_batch_equal_the_scalar_map(self, near):
         # ordinary rows, with or without rows near 2^63 (which take the scalar path)
@@ -430,6 +464,25 @@ class TestTrustedConstruction:
     @settings(max_examples=300, deadline=None)
     def test_factorization_is_built_like_from_items(self, n):
         assert_same_index(index_to_multiindex(n), MultiIndex.from_items(trial_division(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 2**62, 3**39, 65537 * 9, 2**10 * 3 * 7**5])
+    def test_equal_keys_from_every_constructor_collapse(self, n):
+        """The hash is computed from the pairs on each call, so keys built
+        by any path hash equal and share one dict or set entry."""
+        items = trial_division(n)
+        dense = [0] * (items[-1][0] + 1 if items else 0)
+        for pos, e in items:
+            dense[pos] = e
+        rows, columns = _factor(np.array([n], dtype=np.int64))
+        built = [
+            MultiIndex(dense),
+            MultiIndex.from_items(reversed(items)),
+            index_to_multiindex(n),
+            _keys_of_rows(columns, rows)[0],
+        ]
+        assert len({hash(alpha) for alpha in built}) == 1
+        assert len(set(built)) == 1
+        assert dict.fromkeys(built, 0) == {built[0]: 0}
 
 
 class TestWeightedDegree:
@@ -500,6 +553,43 @@ class TestEnumeration:
         assert all(
             multiindex_to_index(alpha) <= bound for alpha in simplex(3, 4)
         )
+
+
+def dense_graded_lex_key(alpha):
+    """The graded-lex order on the dense exponent tuples."""
+    return (alpha.degree, alpha.exponents)
+
+
+def sign(x, y):
+    return (x > y) - (x < y)
+
+
+class TestGradedLexKey:
+    @given(sparse_indices, sparse_indices)
+    @settings(max_examples=500, deadline=None)
+    def test_orders_pairs_as_the_dense_key(self, alpha, beta):
+        assert sign(graded_lex_key(alpha), graded_lex_key(beta)) == sign(
+            dense_graded_lex_key(alpha), dense_graded_lex_key(beta)
+        )
+
+    @given(st.lists(sparse_indices, max_size=12, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_sorts_as_the_dense_key(self, keys):
+        assert sorted(keys, key=graded_lex_key) == sorted(keys, key=dense_graded_lex_key)
+
+    def test_far_position_stays_small(self):
+        """A key at position 10^6 sorts, and a series holding it lists its
+        support, without a dense tuple of 10^6 exponents (8 MB)."""
+        far = MultiIndex.from_items([(10**6, 1)])
+        F = PowerSeries("vector", 1, {far: [1.0], MultiIndex([1]): [2.0]})
+        tracemalloc.start()
+        try:
+            assert sorted([far, MultiIndex([1])], key=graded_lex_key) == [far, MultiIndex([1])]
+            assert F.support == (far, MultiIndex([1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSimplexTable:
