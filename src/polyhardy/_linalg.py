@@ -38,6 +38,18 @@ retaken on them is scaled back by 2^e with ``np.ldexp``
 (``_reduce_scaled``), so a norm beyond the double range is inf, never
 NaN or an error.  The direct pass is not replaced by a scaled one:
 scaling costs a pass over the values on every call.
+
+*numpy's formulas, not its wrappers.*  The library takes norms and means
+with the ufunc and dot calls that ``np.linalg.norm`` and ``np.mean``
+make inside, not through those Python-level wrappers, which on the small
+arrays of a call cost more than the arithmetic; the operations, their
+order and their dtypes are numpy's, so every value keeps numpy's bits.
+The norm of one vector, or of a whole array flattened in memory order,
+is ``sqrt(re . re + im . im)`` with two real dots (``_vector_norm``, and
+``_row_norms`` per row); a norm along axes is ``sqrt(add.reduce(|x|^2))``
+over them, with ``|x|^2`` formed as ``(x.conj() * x).real`` (``_axis_norms``,
+numpy's formula for one axis and, as the Frobenius norm, for two); and a
+mean is ``add.reduce(x) / x.size`` (``_mean``).
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ def _scale_down(values: np.ndarray, axis=None) -> tuple[np.ndarray, int | np.nda
     with ``axis`` one per slice, an int array over the axes left; the axes
     of ``axis`` must lead, so that e broadcasts over the ones left."""
     largest = np.maximum(np.abs(values.real), np.abs(values.imag)).max(axis=axis, initial=0.0)
-    e = np.clip(np.frexp(largest)[1], -1022, 1023)
+    e = np.minimum(np.maximum(np.frexp(largest)[1], -1022), 1023)
     return values * np.ldexp(1.0, -e), (int(e) if axis is None else e)
 
 
@@ -87,6 +99,26 @@ def _in_range(norm: float, mean: float = 1.0) -> bool:
     below the normal doubles moves it by at most 2^-1075, a relative
     2^-106: far below one rounding."""
     return 2.0**-484 <= norm < math.inf and mean >= 2.0**-969
+
+
+def _vector_norm(values: np.ndarray) -> np.float64:
+    """``np.linalg.norm(values)`` of a complex array, bit for bit: the two
+    real dots numpy takes over ``values`` flattened in memory order."""
+    flat = values.ravel(order="K")
+    return np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+
+
+def _axis_norms(values: np.ndarray, axis) -> np.ndarray:
+    """``np.linalg.norm(values, axis=axis)`` of a complex array along one
+    axis or, as the Frobenius norm, two, bit for bit: numpy's
+    ``sqrt(add.reduce(|x|^2))`` with ``|x|^2 = (x.conj() * x).real``."""
+    return np.sqrt(np.add.reduce((values.conj() * values).real, axis=axis))
+
+
+def _mean(values: np.ndarray) -> np.float64:
+    """``np.mean`` of a 1-d float array, bit for bit: numpy's
+    ``add.reduce(x) / x.size``."""
+    return np.add.reduce(values) / values.size
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

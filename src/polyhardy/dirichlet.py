@@ -35,7 +35,7 @@ import operator
 
 import numpy as np
 
-from ._linalg import _gamma
+from ._linalg import _U, _gamma
 from .multiindex import MAX_FREQUENCY, _factor, _frequencies, _index
 from .series import (
     PowerSeries,
@@ -242,11 +242,15 @@ def recover_coefficient(
     ``c = theta / (2 pi)`` splits into the nearest integer j and
     ``x = c - j`` in [-1/2, 1/2], a subtraction that is exact in floating
     point, and the kernel is evaluated as ``P sinc(P x) / sinc(x)``, which
-    has no 0/0 at theta = 2 pi j.  This is the classical
-    ``sin(R L) / (R L) * y cot y`` with ``y = h L / 2`` for the terms
-    m != n, so every other frequency leaves an error that decays like
-    O(1/R), modulated by the oscillating sine; the term m = n gets weight
-    exactly 1.
+    has no 0/0 at theta = 2 pi j: each sinc by numpy's own formula, ``y =
+    pi x``, y replaced by eps = 2u where it is 0, and ``sin(y) / y``.  The
+    weights, as one row, multiply the ``(T, d)`` or ``(T, d^2)``
+    coefficient stack in the one ``np.dot`` that ``np.tensordot`` makes
+    (``@`` of the weight vector rounds alike but can lose the sign of a
+    zero part).  This is the classical ``sin(R L) / (R L) * y cot y``
+    with ``y = h L / 2`` for the terms m != n, so every other frequency
+    leaves an error that decays like O(1/R), modulated by the oscillating
+    sine; the term m = n gets weight exactly 1.
 
     *Rounding.*  With u = 2^-53 and gamma_k = k u / (1 - k u), the turns
     c carry a relative error of at most gamma_7 (the step, pi, the
@@ -293,11 +297,15 @@ def recover_coefficient(
         raise ValueError(f"one grid step spans {most:.4g} turns of h log(n/m), 2^52 or more")
     j = np.rint(turns)
     x = turns - j
-    weights = (P * np.sinc(P * x) / np.sinc(x) - np.cos(math.pi * (P - 1) * x)) / (P - 1)
+    # np.sinc's formula, without its wrapper: sin(y) / y at y = pi x, with y = 0 replaced by eps = 2u
+    wide, narrow = (np.where(y, y, 2 * _U) for y in (math.pi * (P * x), math.pi * x))
+    weights = (P * (np.sin(wide) / wide) / (np.sin(narrow) / narrow) - np.cos(math.pi * (P - 1) * x)) / (P - 1)
     if P % 2 == 0:
         weights[np.fmod(j, 2) != 0] *= -1.0  # (-1)^(j (P-1))
     weights *= scales
-    return np.tensordot(weights, D._coeffs, axes=1)
+    shape = D._coeffs.shape[1:]
+    # np.tensordot's own call: the row of weights times the (T, entries) stack
+    return np.dot(weights.reshape(1, D.num_terms), D._coeffs.reshape(D.num_terms, math.prod(shape))).reshape(shape)
 
 
 def _recover_coefficient_rounding(D: DirichletSeries, n: int, sigma: float, R: float) -> list[float]:

@@ -51,7 +51,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._linalg import _U, _gamma, _in_range, _reduce_scaled, _row_norms, _scale_down, operator_norm
+from ._linalg import (
+    _U, _axis_norms, _gamma, _in_range, _mean, _reduce_scaled, _row_norms, _scale_down, _vector_norm, operator_norm,
+)
 from .multiindex import MultiIndex, _index, _rows_of_keys, _simplex_table
 from .series import (
     PowerSeries, TruncationParams, _check_op_vec, _coefficient_shape, _monomials, _polydisk_point,
@@ -121,8 +123,8 @@ def h2_norm(F) -> float:
             "h2_norm is defined for vector series; use hinf_norm for operator symbols"
         )
     with np.errstate(over="ignore"):  # taken again below
-        norm = float(np.linalg.norm(F._coeffs))
-    return norm if _in_range(norm) else float(_reduce_scaled(np.linalg.norm, F._coeffs))
+        norm = float(_vector_norm(F._coeffs))
+    return norm if _in_range(norm) else float(_reduce_scaled(_vector_norm, F._coeffs))
 
 
 def _h2_norm_rounding(F) -> int:
@@ -140,7 +142,7 @@ def _cells(
     ``grid.nvars``: the rows a series holds, read as they are."""
     M = grid.points_per_var
     box = box or (M,) * grid.nvars
-    strides = np.cumprod((1, *box[:0:-1]))[::-1]  # C order
+    strides = np.array([math.prod(box[k + 1:]) for k in range(len(box))], dtype=np.int64)  # C order
     return (rows % M) @ strides[columns], rows.sum(axis=1)
 
 
@@ -374,7 +376,7 @@ def _sigma_ceilings(values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite ceilings are kept
         scaled, e = _scale_down(values, axis=(0, 1))
         gram = (scaled.conj()[:, :, None, :] * scaled[:, None, :, :]).sum(axis=0)
-        ceilings = np.ldexp(np.sqrt(np.linalg.norm(gram, axis=(0, 1))) * (1 + delta), e)
+        ceilings = np.ldexp(np.sqrt(_axis_norms(gram, (0, 1))) * (1 + delta), e)
     return np.where(ceilings == 0, 0.0, ceilings + 2.0**-1073)
 
 
@@ -382,7 +384,7 @@ def _check_finite(what: str, values: np.ndarray, grid: TorusGrid) -> None:
     """Raise ``ValueError`` if a node's value in ``values`` (node k's at
     ``values[..., k]``, in ``grid.nodes()`` order) is not finite, naming
     the first such node."""
-    finite = np.isfinite(values).all(axis=tuple(range(values.ndim - 1)))
+    finite = np.isfinite(values.reshape(-1, values.shape[-1])).all(axis=0)
     bad = np.flatnonzero(~finite)
     if bad.size:
         raise ValueError(
@@ -401,7 +403,10 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
     polynomial of frequency at most k D_j in variable j, and the M-point
     mean of one of frequency below M is its constant term.  At other p it
     is a quadrature with no stated error; at radius < 1 it is the norm of
-    the uniformly dilated restriction.  A result or mean outside
+    the uniformly dilated restriction.  The node norms and their mean are
+    taken by the formulas inside ``np.linalg.norm`` and ``np.mean``
+    (``_axis_norms`` and ``_mean``), with their bits and without their
+    Python wrappers.  A result or mean outside
     ``_in_range`` is taken once more on scaled node values (the range rule
     of ``_linalg``), with the node norms divided by their largest, m, so
     that the largest p-th power is 1 and no p underflows the mean to 0,
@@ -435,15 +440,15 @@ def hp_norm(F: PowerSeries, p: float, grid: TorusGrid) -> float:
         raise ValueError("hp_norm is defined for vector series")
     values = _grid_values(F, grid)
     with np.errstate(over="ignore"):  # taken again below
-        mean = np.mean(np.linalg.norm(values, axis=0) ** p)
+        mean = _mean(_axis_norms(values, 0) ** p)
         result = float(mean ** (1.0 / p))
     if not _in_range(result, mean):
         _check_finite("grid values", values, grid)
 
         def power_mean(scaled):
-            norms = np.linalg.norm(scaled, axis=0)
-            m = float(np.max(norms)) or 1.0  # 1 for the zero series, whose norms are all 0
-            return float(np.mean((norms / m) ** p) ** (1.0 / p)) * m
+            norms = _axis_norms(scaled, 0)
+            m = float(norms.max()) or 1.0  # 1 for the zero series, whose norms are all 0
+            return float(_mean((norms / m) ** p) ** (1.0 / p)) * m
 
         result = float(_reduce_scaled(power_mean, values))
     return result
@@ -497,14 +502,14 @@ def hinf_norm(F: PowerSeries, grid_schedule: Sequence[TorusGrid]) -> float:
         values = _grid_values(F, grid)
         if F.kind == "vector":
             with np.errstate(over="ignore"):  # taken again below
-                top = float(np.max(np.linalg.norm(values, axis=0)))
+                top = float(_axis_norms(values, 0).max())
             if not _in_range(top):
                 _check_finite("grid values", values, grid)
-                top = float(_reduce_scaled(lambda v: np.max(np.linalg.norm(v, axis=0)), values))
+                top = float(_reduce_scaled(lambda v: _axis_norms(v, 0).max(), values))
             best = max(best, top)
             continue
         ceilings = _sigma_ceilings(values)
-        if not math.isfinite(float(np.max(ceilings))):
+        if not math.isfinite(float(ceilings.max())):
             _check_finite("grid values", values, grid)
         candidates = np.flatnonzero(ceilings > best)
         for k in candidates[np.argsort(-ceilings[candidates], kind="stable")].tolist():
@@ -595,7 +600,7 @@ def _pointwise_vs_symbolic_rounding(F: PowerSeries, G: PowerSeries, grid: TorusG
     ``(gamma_{f+1} S_F h_G + gamma_{g+1} h_F S_G + gamma_k h_F h_G) (1 +
     gamma_{d+3})``, ``k = d + 4 + t + q``, as its docstring defines them."""
     M = grid.points_per_var
-    h_F, h_G = float(np.linalg.norm(F._coeffs)), float(np.linalg.norm(G._coeffs))
+    h_F, h_G = float(_vector_norm(F._coeffs)), float(_vector_norm(G._coeffs))
     k = F.dim + 4 + _dft_rounding((M,) * grid.nvars, M) + _product_rounding(F, G)
     return (
         _gamma(_grid_values_rounding(F, grid) + 1) * _modulus_sum(F, 1.0) * h_G

@@ -44,6 +44,7 @@ windows are carried explicitly via :class:`TruncationParams`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
@@ -402,9 +403,10 @@ def _merge(keys: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _nonzero(keys: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero rows of a fresh coefficient stack, made read-only, and
     their keys; a stack that is not finite raises ``ValueError``."""
-    if not np.isfinite(stack).all():
+    entries = stack.reshape(len(stack), math.prod(stack.shape[1:]))  # one row per term, T = 0 too
+    if not np.isfinite(entries).all():
         raise ValueError("coefficients must be finite (no NaN/Inf)")
-    nonzero = stack.any(axis=tuple(range(1, stack.ndim)))
+    nonzero = entries.any(axis=1)
     if not nonzero.all():
         keys, stack = keys[nonzero], stack[nonzero]
     stack.setflags(write=False)
@@ -455,9 +457,14 @@ def _scaled(F: _SparseSeries, factors) -> _SparseSeries:
     arrays are reused as they are and the coefficients are formed in one
     array operation instead of being copied and checked one by one.
     Products that are not finite raise the constructor's ``ValueError``;
-    a coefficient that underflows to zero is dropped.
+    a coefficient that underflows to zero is dropped.  The factors are read
+    as numpy reads them (200 floats as doubles in about 8 us, against 13
+    us read one by one as complex) and then cast to complex128, which is
+    exact; they are not left real for the product to cast, as numpy's
+    complex loop then runs on other strides and can round a part that
+    underflows to a zero of the other sign.
     """
-    factors = np.asarray(factors, dtype=np.complex128)
+    factors = np.asarray(factors).astype(np.complex128, copy=False)
     # factor on the left, as in ``factor * coefficient``: with fused
     # multiply-adds numpy's complex product can round the two operand
     # orders differently

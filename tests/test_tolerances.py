@@ -13,7 +13,10 @@ Higham's gamma_k, the unit roundoff and the range rule (the power of two
 by which a norm's values are scaled, and when a norm is taken again) are
 defined once, in ``_linalg``, and each function that states a rounding
 bound has one evaluator beside it, whose value on fixed inputs is pinned
-here to its docstring's formula.
+here to its docstring's formula.  The library modules take norms, means,
+clips, contractions and sincs by numpy's own formulas, not through its
+Python-level wrappers (the ``_linalg`` module docstring); ``cli.py``,
+whose suite checks are not per-call paths, may use the wrappers.
 """
 
 import ast
@@ -166,6 +169,38 @@ def power_of_two_rule() -> list[tuple[str, str]]:
 
 def test_the_power_of_two_rule_is_defined_once():
     assert power_of_two_rule() == [("src/polyhardy/_linalg.py", "_in_range"), ("src/polyhardy/_linalg.py", "frexp")]
+
+
+#: numpy's Python-level wrappers, whose formulas the library takes instead
+WRAPPERS = {"np.linalg.norm", "np.mean", "np.clip", "np.tensordot", "np.sinc"}
+#: the modules whose functions are per-call paths
+LIBRARY = ("hardy.py", "series.py", "dirichlet.py", "_linalg.py", "multiindex.py", "multiplier.py")
+
+
+def wrapper_uses(source: str) -> list[tuple[int, str]]:
+    """Line and name of each use of a function of ``WRAPPERS`` in the code
+    of ``source``, called or passed on; a docstring or comment naming one
+    is not code."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in WRAPPERS
+    ]
+
+
+def test_wrapper_uses_reads_code_only():
+    source = '''def f(x):
+    """Like np.mean(x), through np.linalg.norm."""
+    y = np.clip(x, 0, 1)  # np.sinc
+    return g(np.linalg.norm, y)
+'''
+    assert wrapper_uses(source) == [(3, "np.clip"), (4, "np.linalg.norm")]
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_the_library_calls_no_numpy_wrapper(module):
+    path = ROOT / "src" / "polyhardy" / module
+    assert not wrapper_uses(path.read_text()), f"{module} (line, wrapper)"
 
 
 def test_gamma_is_highams():
